@@ -1,17 +1,32 @@
-//! The zero-overhead claim, measured: `nearest_observed` with a
-//! [`NoopObserver`] must cost the same as the plain `nearest_with_steps`
-//! path (the no-op callbacks are monomorphized away), and a recording
-//! [`QueryTrace`] should add only the cost of bumping a few counters.
+//! Observer overhead, measured: [`RotationQuery::search`] under a
+//! [`NoopObserver`] is the plain scan (the no-op callbacks are
+//! monomorphized away), and a recording [`QueryTrace`] should add only
+//! the cost of bumping a few counters.
 //!
 //! [`NoopObserver`]: rotind_obs::NoopObserver
 //! [`QueryTrace`]: rotind_obs::QueryTrace
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rotind_index::engine::{Invariance, RotationQuery};
-use rotind_obs::{NoopObserver, Profiler, QueryTrace};
+use rotind_index::QueryKind;
+use rotind_obs::{NoBudget, NoopObserver, Profiler, QueryTrace, SearchObserver};
 use rotind_shape::dataset::projectile_points;
 use rotind_ts::StepCounter;
 use std::hint::black_box;
+
+fn nearest<O: SearchObserver>(engine: &RotationQuery, db: &[Vec<f64>], observer: &mut O) {
+    let mut s = StepCounter::new();
+    engine
+        .search(
+            db,
+            QueryKind::Nearest,
+            &mut s,
+            observer,
+            &mut NoBudget,
+            None,
+        )
+        .expect("valid");
+}
 
 fn bench_observer_overhead(c: &mut Criterion) {
     let n = 128;
@@ -24,42 +39,17 @@ fn bench_observer_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer");
     group.sample_size(20);
 
-    group.bench_function("plain", |b| {
-        b.iter(|| {
-            let mut s = StepCounter::new();
-            engine
-                .nearest_with_steps(black_box(&db), &mut s)
-                .expect("valid")
-        })
-    });
     group.bench_function("noop_observer", |b| {
-        b.iter(|| {
-            let mut s = StepCounter::new();
-            engine
-                .nearest_observed(black_box(&db), &mut s, &mut NoopObserver)
-                .expect("valid")
-        })
+        b.iter(|| nearest(&engine, black_box(&db), &mut NoopObserver))
     });
     group.bench_function("query_trace", |b| {
-        b.iter(|| {
-            let mut s = StepCounter::new();
-            let mut trace = QueryTrace::new(n);
-            engine
-                .nearest_observed(black_box(&db), &mut s, &mut trace)
-                .expect("valid")
-        })
+        b.iter(|| nearest(&engine, black_box(&db), &mut QueryTrace::new(n)))
     });
     // The profiler reads the clock at every phase boundary — the
     // costliest observer. This row bounds what `--bin trace`'s second
     // pass and the cascade bin's fan-out observer pay.
     group.bench_function("profiler", |b| {
-        b.iter(|| {
-            let mut s = StepCounter::new();
-            let mut profiler = Profiler::new();
-            engine
-                .nearest_observed(black_box(&db), &mut s, &mut profiler)
-                .expect("valid")
-        })
+        b.iter(|| nearest(&engine, black_box(&db), &mut Profiler::new()))
     });
 
     group.finish();

@@ -10,7 +10,6 @@ use rotind_eval::speedup::{scan_steps, SearchAlgorithm};
 use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
 use rotind_shape::dataset::projectile_points;
 use rotind_ts::rotate::RotationMatrix;
-use rotind_ts::StepCounter;
 use std::hint::black_box;
 
 fn bench_search(c: &mut Criterion) {
@@ -40,22 +39,12 @@ fn bench_search(c: &mut Criterion) {
             let engine = RotationQuery::new(&query, Invariance::Rotation)
                 .expect("valid")
                 .with_k_policy(KPolicy::Fixed(k));
-            b.iter(|| {
-                let mut s = StepCounter::new();
-                engine
-                    .nearest_with_steps(black_box(&db), &mut s)
-                    .expect("valid")
-            })
+            b.iter(|| engine.nearest(black_box(&db)).expect("valid"))
         });
     }
     group.bench_function("dynamic_k", |b| {
         let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid");
-        b.iter(|| {
-            let mut s = StepCounter::new();
-            engine
-                .nearest_with_steps(black_box(&db), &mut s)
-                .expect("valid")
-        })
+        b.iter(|| engine.nearest(black_box(&db)).expect("valid"))
     });
 
     // Ablation: wedge-set derivation linkage (the paper uses average).

@@ -19,6 +19,8 @@ use rotind_envelope::WedgeTree;
 use rotind_eval::report::{fmt_ratio, Table};
 use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
 use rotind_index::hmerge::h_merge;
+use rotind_index::QueryKind;
+use rotind_obs::{NoBudget, NoopObserver};
 use rotind_shape::dataset::projectile_points;
 use rotind_ts::rotate::RotationMatrix;
 use rotind_ts::StepCounter;
@@ -40,7 +42,14 @@ fn run() -> Result<(), BenchError> {
         for q in &queries {
             let engine = RotationQuery::new(q, Invariance::Rotation)?.with_k_policy(policy);
             let mut counter = StepCounter::new();
-            engine.nearest_with_steps(&db, &mut counter)?;
+            engine.search(
+                &db,
+                QueryKind::Nearest,
+                &mut counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                None,
+            )?;
             total += counter.steps();
         }
         Ok(total / queries.len() as u64)
@@ -136,7 +145,14 @@ fn run() -> Result<(), BenchError> {
             Measure::Dtw(DtwParams::new(band)),
         )?;
         let mut counter = StepCounter::new();
-        engine.nearest_with_steps(&db, &mut counter)?;
+        engine.search(
+            &db,
+            QueryKind::Nearest,
+            &mut counter,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )?;
         w_table.push_row([
             band.to_string(),
             fmt_ratio(if base_lb > 0.0 {
@@ -157,7 +173,14 @@ fn run() -> Result<(), BenchError> {
             let engine =
                 RotationQuery::new(q, Invariance::Rotation)?.with_probe_intervals(intervals);
             let mut counter = StepCounter::new();
-            engine.nearest_with_steps(&db, &mut counter)?;
+            engine.search(
+                &db,
+                QueryKind::Nearest,
+                &mut counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                None,
+            )?;
             total += counter.steps();
         }
         Ok(total / queries.len() as u64)

@@ -21,7 +21,8 @@ use rotind_distance::measure::Measure;
 use rotind_eval::report::Table;
 use rotind_index::engine::{Invariance, RotationQuery};
 use rotind_index::CascadeConfig;
-use rotind_obs::{CascadeTier, ProfilePhase, Profiler, QueryTrace, SearchObserver};
+use rotind_index::QueryKind;
+use rotind_obs::{CascadeTier, NoBudget, ProfilePhase, Profiler, QueryTrace, SearchObserver};
 use rotind_shape::dataset as shapes;
 use rotind_ts::StepCounter;
 use std::fmt::Write as _;
@@ -124,7 +125,14 @@ fn run_config(
             trace: &mut trace,
             profiler: &mut profiler,
         };
-        engine.nearest_observed(db, &mut counter, &mut observer)?;
+        engine.search(
+            db,
+            QueryKind::Nearest,
+            &mut counter,
+            &mut observer,
+            &mut NoBudget,
+            None,
+        )?;
         total_steps += counter.steps();
     }
     let elapsed = start.elapsed();

@@ -26,6 +26,8 @@ use rotind_bench::BenchError;
 use rotind_distance::dtw::DtwParams;
 use rotind_distance::measure::Measure;
 use rotind_index::engine::{Invariance, RotationQuery};
+use rotind_index::QueryKind;
+use rotind_obs::{NoBudget, NoopObserver};
 use rotind_shape::dataset as shapes;
 use rotind_ts::StepCounter;
 
@@ -76,7 +78,14 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
         for query in queries {
             let mut counter = StepCounter::new();
             let engine = RotationQuery::new(query, Invariance::Rotation)?;
-            engine.nearest_with_steps(db, &mut counter)?;
+            engine.search(
+                db,
+                QueryKind::Nearest,
+                &mut counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                None,
+            )?;
             total += counter.steps();
         }
         Ok(total)
@@ -92,7 +101,14 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
                 Invariance::Rotation,
                 Measure::Dtw(DtwParams::new(band)),
             )?;
-            engine.nearest_with_steps(db, &mut counter)?;
+            engine.search(
+                db,
+                QueryKind::Nearest,
+                &mut counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                None,
+            )?;
             total += counter.steps();
         }
         Ok(total)
@@ -103,7 +119,14 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
     let parallel = run_entry("euclid_parallel4", false, repeats, || {
         for query in queries {
             let engine = RotationQuery::new(query, Invariance::Rotation)?;
-            engine.nearest_parallel(db, 4)?;
+            engine.search_parallel(
+                db,
+                QueryKind::Nearest,
+                4,
+                &mut StepCounter::new(),
+                &mut NoopObserver,
+                None,
+            )?;
         }
         Ok(0)
     })?;

@@ -25,7 +25,8 @@ use rotind_bench::BenchError;
 use rotind_eval::report::{fmt_ratio, Table};
 use rotind_eval::speedup::wedge_startup_steps;
 use rotind_index::engine::{Invariance, RotationQuery};
-use rotind_obs::{global_span_report, MetricsRegistry, Profiler, QueryTrace, Span};
+use rotind_index::QueryKind;
+use rotind_obs::{global_span_report, MetricsRegistry, NoBudget, Profiler, QueryTrace, Span};
 use rotind_shape::dataset as shapes;
 use rotind_ts::StepCounter;
 use std::process::ExitCode;
@@ -44,7 +45,14 @@ fn run() -> Result<(), BenchError> {
         let mut counter = StepCounter::new();
         let span = Span::enter_with("trace.query", &counter);
         let engine = RotationQuery::new(query, Invariance::Rotation)?;
-        engine.nearest_observed(db, &mut counter, &mut trace)?;
+        engine.search(
+            db,
+            QueryKind::Nearest,
+            &mut counter,
+            &mut trace,
+            &mut NoBudget,
+            None,
+        )?;
         counter.add(wedge_startup_steps(n, engine.tree().max_k()));
         span.finish(&counter);
         total_steps += counter.steps();
@@ -133,7 +141,14 @@ fn run() -> Result<(), BenchError> {
     for query in &pool[m..] {
         let mut counter = StepCounter::new();
         let engine = RotationQuery::new(query, Invariance::Rotation)?;
-        engine.nearest_observed(db, &mut counter, &mut profiler)?;
+        engine.search(
+            db,
+            QueryKind::Nearest,
+            &mut counter,
+            &mut profiler,
+            &mut NoBudget,
+            None,
+        )?;
         counter.add(wedge_startup_steps(n, engine.tree().max_k()));
         profiled_steps += counter.steps();
     }

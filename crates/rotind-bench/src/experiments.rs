@@ -18,8 +18,9 @@ use rotind_eval::speedup::{
 };
 use rotind_index::disk::{IndexedDatabase, ReducedRepr};
 use rotind_index::engine::{Invariance, RotationQuery};
+use rotind_index::QueryKind;
 use rotind_lightcurve::dataset::{classification_set, light_curves};
-use rotind_obs::QueryTrace;
+use rotind_obs::{NoBudget, NoopObserver, QueryTrace};
 use rotind_shape::centroid::align_to_major_axis;
 use rotind_shape::dataset::{self as shapes, Dataset};
 use rotind_shape::generators::butterfly::{bend_hindwing, butterfly_profile, LEPIDOPTERA};
@@ -787,7 +788,14 @@ pub fn scaling(quick: bool) -> Table {
             let mut counter = StepCounter::new();
             let engine = RotationQuery::new(query, Invariance::Rotation).expect("valid query");
             engine
-                .nearest_with_steps(db, &mut counter)
+                .search(
+                    db,
+                    QueryKind::Nearest,
+                    &mut counter,
+                    &mut NoopObserver,
+                    &mut NoBudget,
+                    None,
+                )
                 .expect("valid db");
             total += counter.steps() + wedge_startup_steps(n, n);
         }
@@ -849,12 +857,21 @@ pub fn thread_scaling(quick: bool) -> Table {
         "threads", "wall-ms", "speedup", "p50-ms", "p95-ms", "p99-ms", "nn-index",
     ]);
     for pt in &points {
-        let hit = engine
-            .nearest_parallel(db, pt.threads)
+        let mut counter = StepCounter::new();
+        let (outcome, _) = engine
+            .search_parallel(
+                db,
+                QueryKind::Nearest,
+                pt.threads,
+                &mut counter,
+                &mut NoopObserver,
+                None,
+            )
             // rotind-lint: allow(no-panic)
             .expect("non-empty database");
         assert_eq!(
-            hit, sequential,
+            outcome.into_inner(),
+            [sequential],
             "parallel scan must stay exact at {} threads",
             pt.threads
         );
@@ -865,7 +882,7 @@ pub fn thread_scaling(quick: bool) -> Table {
             format!("{:.3}", pt.p50_nanos as f64 / 1e6),
             format!("{:.3}", pt.p95_nanos as f64 / 1e6),
             format!("{:.3}", pt.p99_nanos as f64 / 1e6),
-            hit.index.to_string(),
+            sequential.index.to_string(),
         ]);
     }
     table
@@ -887,7 +904,14 @@ pub fn smoke_query() -> u64 {
         Measure::Euclidean,
     );
     engine
-        .nearest_with_steps(&ds.items[1..], &mut counter)
+        .search(
+            &ds.items[1..],
+            QueryKind::Nearest,
+            &mut counter,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )
         .expect("valid db");
     counter.steps()
 }

@@ -108,7 +108,7 @@ impl CascadeConfig {
     }
 
     /// The pre-cascade engine: natural-order LB_Keogh and nothing else.
-    /// [`crate::hmerge::h_merge_observed`] runs under this configuration,
+    /// [`crate::hmerge::h_merge`] runs under this configuration,
     /// reproducing the historical scan step-for-step.
     pub fn legacy() -> Self {
         CascadeConfig {

@@ -211,7 +211,7 @@ impl IndexedDatabase {
             ReducedRepr::FourierMagnitude => {
                 let qm = magnitude_features(query, self.d);
                 let mut scratch = StepCounter::new();
-                self.tree.search(
+                self.tree.best_first(
                     BoundKind::MetricToPoint,
                     |x| magnitude_distance(&qm, x, &mut scratch),
                     &mut refine,
@@ -223,7 +223,7 @@ impl IndexedDatabase {
                 let set = PaaWedgeSet::new(&wedges, self.d);
                 let seg = self.n / self.d.min(self.n);
                 let mut scratch = StepCounter::new();
-                self.tree.search(
+                self.tree.best_first(
                     BoundKind::Lipschitz,
                     |x| set.lower_bound(&Paa::from_scaled(x.to_vec(), seg), &mut scratch),
                     &mut refine,

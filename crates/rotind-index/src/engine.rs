@@ -10,8 +10,9 @@
 
 use crate::cascade::{BatchPaaCache, BoundCascade, CandidateCtx, CascadeConfig};
 use crate::error::SearchError;
-use crate::hmerge::{h_merge_cascade_budgeted_ctx, h_merge_from_root, HMergeOutcome};
+use crate::hmerge::{h_merge, h_merge_cascade, HMergeOutcome};
 use crate::planner::KPlanner;
+use crate::snapshot::QueryKind;
 use rotind_distance::measure::Measure;
 use rotind_envelope::WedgeTree;
 use rotind_obs::{
@@ -192,9 +193,11 @@ impl RotationQuery {
     pub fn distance_to(&self, candidate: &[f64]) -> Result<f64, SearchError> {
         self.check_len(0, candidate)?;
         let mut counter = StepCounter::new();
-        Ok(h_merge_from_root(
+        let root = [self.tree.root()];
+        Ok(h_merge(
             candidate,
             &self.tree,
+            &root,
             f64::INFINITY,
             self.measure,
             &mut counter,
@@ -205,148 +208,111 @@ impl RotationQuery {
 
     /// Exact 1-nearest-neighbour search.
     pub fn nearest(&self, database: &[Vec<f64>]) -> Result<Neighbor, SearchError> {
-        let mut counter = StepCounter::new();
-        self.nearest_with_steps(database, &mut counter)
-    }
-
-    /// 1-NN search that also reports the `num_steps` cost — the metric of
-    /// Figures 19–23.
-    pub fn nearest_with_steps(
-        &self,
-        database: &[Vec<f64>],
-        counter: &mut StepCounter,
-    ) -> Result<Neighbor, SearchError> {
-        let hits = self.k_nearest_with_steps(database, 1, counter)?;
-        Ok(hits.into_iter().next().expect("k = 1 yields one hit"))
-    }
-
-    /// 1-NN search reporting every wedge test, prune, early abandon and
-    /// planner decision to `observer` (typically a
-    /// [`rotind_obs::QueryTrace`]). The observer never changes the
-    /// answer or the step count — see `tests/observability.rs`.
-    pub fn nearest_observed<O: SearchObserver>(
-        &self,
-        database: &[Vec<f64>],
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<Neighbor, SearchError> {
-        let hits = self.k_nearest_observed(database, 1, counter, observer)?;
+        let hits = self.k_nearest(database, 1)?;
         Ok(hits.into_iter().next().expect("k = 1 yields one hit"))
     }
 
     /// Exact k-nearest-neighbour search (ties broken by database order).
     pub fn k_nearest(&self, database: &[Vec<f64>], k: usize) -> Result<Vec<Neighbor>, SearchError> {
+        self.unbudgeted(database, QueryKind::KNearest(k))
+    }
+
+    /// Exact range query: every item within `radius` (inclusive) of the
+    /// query under the engine's measure.
+    pub fn range(&self, database: &[Vec<f64>], radius: f64) -> Result<Vec<Neighbor>, SearchError> {
+        self.unbudgeted(database, QueryKind::Range(radius))
+    }
+
+    /// [`search`](Self::search) with no observer, budget or cache.
+    fn unbudgeted(
+        &self,
+        database: &[Vec<f64>],
+        kind: QueryKind,
+    ) -> Result<Vec<Neighbor>, SearchError> {
         let mut counter = StepCounter::new();
-        self.k_nearest_with_steps(database, k, &mut counter)
+        let outcome = self.search(
+            database,
+            kind,
+            &mut counter,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )?;
+        Ok(outcome.into_inner())
     }
 
-    /// k-NN with step accounting.
-    pub fn k_nearest_with_steps(
+    /// The sequential scan behind every query kind: one pass over
+    /// `database` in order, each item compared by H-Merge under the
+    /// dynamically tuned `K`.
+    ///
+    /// - [`QueryKind::KNearest`] keeps the `k` best (ties broken by
+    ///   database order) and prunes against the `k`-th best distance
+    ///   once `k` hits are held; [`QueryKind::Nearest`] is k-NN at
+    ///   `k = 1`, so its answer has at most one element.
+    /// - [`QueryKind::Range`] prunes against the fixed radius and
+    ///   returns every item within it (inclusive), in database order.
+    ///
+    /// `counter` receives the `num_steps` cost (the metric of Figures
+    /// 19–23). `observer` sees every wedge test, prune, early abandon
+    /// and planner decision; it never changes the answer or the step
+    /// count (`tests/observability.rs`). Pass [`NoopObserver`] and
+    /// [`NoBudget`] for the plain scan: both monomorphize away.
+    ///
+    /// The budget is checked at every dismissal boundary — before each
+    /// database item here, and before each popped wedge inside H-Merge.
+    /// On exhaustion the partial answer holds exact distances for every
+    /// admitted item, but may miss closer items that were never (or
+    /// only partially) scanned; a range partial covers the scanned
+    /// prefix of the database.
+    ///
+    /// `cache` shares a [`BatchPaaCache`] of candidate PAA projections
+    /// across queries. Results are bit-identical to the uncached scan
+    /// (the projection is query-independent); only the step counts of
+    /// queries after the first drop, by the amortized `O(n)`
+    /// projections. The cache must have been built at this engine's
+    /// cascade `dims`.
+    pub fn search<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
-        k: usize,
-        counter: &mut StepCounter,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        self.k_nearest_observed(database, k, counter, &mut NoopObserver)
-    }
-
-    /// k-NN with step accounting and observer callbacks.
-    pub fn k_nearest_observed<O: SearchObserver>(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        // NoBudget monomorphizes every budget check to a constant, so
-        // this is the exact pre-budget scan — see tests/profiling.rs.
-        Ok(self
-            .k_nearest_budgeted(database, k, counter, observer, &mut NoBudget)?
-            .into_inner())
-    }
-
-    /// 1-NN under a [`BudgetHook`]: like
-    /// [`nearest_observed`](Self::nearest_observed) but the budget is
-    /// checked before every candidate item and inside every wedge walk.
-    /// On exhaustion the partial result is the best neighbour among the
-    /// items fully or partially scanned so far — `None` only when the
-    /// budget tripped before any leaf was admitted.
-    pub fn nearest_budgeted<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-    ) -> Result<BudgetOutcome<Option<Neighbor>>, SearchError> {
-        Ok(self
-            .k_nearest_budgeted(database, 1, counter, observer, budget)?
-            .map(|hits| hits.into_iter().next()))
-    }
-
-    /// k-NN under a [`BudgetHook`] (see
-    /// [`nearest_budgeted`](Self::nearest_budgeted)): the budget is
-    /// checked at every dismissal boundary — before each database item
-    /// here, and before each popped wedge inside H-Merge. On exhaustion
-    /// the partial heap holds exact distances for every admitted item,
-    /// but may miss closer items that were never (or only partially)
-    /// scanned.
-    pub fn k_nearest_budgeted<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
+        kind: QueryKind,
         counter: &mut StepCounter,
         observer: &mut O,
         budget: &mut B,
+        mut cache: Option<&mut BatchPaaCache>,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.k_nearest_budgeted_src(database, k, counter, observer, budget, &mut FreshPaa)
-    }
-
-    /// [`k_nearest_budgeted`](Self::k_nearest_budgeted) sharing a
-    /// [`BatchPaaCache`] of candidate PAA projections across queries.
-    /// Results are bit-identical to the uncached scan (the projection
-    /// is query-independent); only the step counts of queries after
-    /// the first drop, by the amortized `O(n)` projections. The cache
-    /// must have been built at this engine's cascade `dims`.
-    pub fn k_nearest_budgeted_cached<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-        cache: &mut BatchPaaCache,
-    ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.check_cache(cache)?;
-        self.k_nearest_budgeted_src(database, k, counter, observer, budget, &mut &mut *cache)
-    }
-
-    fn k_nearest_budgeted_src<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-        paa_src: &mut impl PaaSource,
-    ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        if k == 0 {
-            return Err(SearchError::invalid_param("k", "must be >= 1"));
+        if let Some(cache) = cache.as_deref() {
+            self.check_cache(cache)?;
         }
-        if database.is_empty() {
+        // The k of a k-NN query; a range query (`k = 0` here) keeps
+        // every hit.
+        let k = match kind {
+            QueryKind::Nearest => 1,
+            QueryKind::KNearest(0) => return Err(SearchError::invalid_param("k", "must be >= 1")),
+            QueryKind::KNearest(k) => k,
+            QueryKind::Range(radius) if !radius.is_finite() || radius < 0.0 => {
+                return Err(SearchError::invalid_param(
+                    "radius",
+                    "must be finite and >= 0",
+                ));
+            }
+            QueryKind::Range(_) => 0,
+        };
+        // An empty database has no nearest neighbour, but an empty range.
+        if k > 0 && database.is_empty() {
             return Err(SearchError::EmptyDatabase);
         }
         self.check_all(database)?;
 
         observer.on_phase_start(ProfilePhase::Query, counter.steps());
-        // Max-heap of the k best by distance; best-so-far is the k-th
-        // best (pruning only starts once k hits are held).
-        let mut heap: Vec<Neighbor> = Vec::with_capacity(k + 1);
         let mut scan = ScanState::new(
             &self.tree,
             &self.cascade,
             self.k_policy,
             self.probe_intervals,
         );
+        // k-NN: the k best by distance, sorted; range: every hit, in
+        // database order.
+        let mut hits: Vec<Neighbor> = Vec::with_capacity(k + 1);
         for (index, item) in database.iter().enumerate() {
             // Dismissal boundary: stop admitting new candidates once the
             // budget trips (the sticky hook also cuts the wedge walk
@@ -354,12 +320,18 @@ impl RotationQuery {
             if !budget.check(counter.steps()) {
                 break;
             }
-            let bsf = if heap.len() == k {
-                heap.last().map_or(f64::INFINITY, |h| h.distance)
-            } else {
-                f64::INFINITY
+            // The threshold: H-Merge admits inclusively (`d == radius`
+            // matches), so a radius is passed straight through — no
+            // epsilon padding. k-NN prunes only once k hits are held.
+            let bsf = match kind {
+                QueryKind::Range(radius) => radius,
+                _ if hits.len() == k => hits.last().map_or(f64::INFINITY, |h| h.distance),
+                _ => f64::INFINITY,
             };
-            let mut ctx = paa_src.take(index);
+            let mut ctx = match cache.as_deref_mut() {
+                Some(cache) => cache.take(index),
+                None => CandidateCtx::new(),
+            };
             let compared = scan.compare_budgeted_ctx(
                 item,
                 bsf,
@@ -369,78 +341,65 @@ impl RotationQuery {
                 budget,
                 &mut ctx,
             );
-            paa_src.put(index, ctx);
-            if let Some(outcome) = compared {
-                // H-Merge admits inclusively, so with a full heap an item
-                // at exactly the k-th distance comes back `Some`; it
-                // cannot displace the (lower-index) incumbent, so skip it
-                // rather than churn the heap and the planner. `>=` here is
-                // not a false dismissal: the tie at exactly `bsf` is
-                // already held by a lower index.
-                // rotind-lint: allow(strict-dismissal)
-                if heap.len() == k && outcome.distance >= bsf {
-                    continue;
-                }
-                heap.push(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                });
-                heap.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-                if heap.len() > k {
-                    heap.pop();
-                }
-                scan.notify_improvement_observed(observer);
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.put(index, ctx);
             }
+            let Some(outcome) = compared else {
+                continue;
+            };
+            let hit = Neighbor {
+                index,
+                distance: outcome.distance,
+                rotation: outcome.rotation,
+            };
+            if let QueryKind::Range(_) = kind {
+                hits.push(hit);
+                continue;
+            }
+            // H-Merge admits inclusively, so with k hits held an item at
+            // exactly the k-th distance comes back `Some`; it cannot
+            // displace the (lower-index) incumbent, so skip it rather
+            // than churn the list and the planner. `>=` here is not a
+            // false dismissal: the tie at exactly `bsf` is already held
+            // by a lower index.
+            // rotind-lint: allow(strict-dismissal)
+            if hits.len() == k && outcome.distance >= bsf {
+                continue;
+            }
+            hits.push(hit);
+            hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+            hits.truncate(k);
+            scan.notify_improvement_observed(observer);
         }
         observer.on_phase_end(ProfilePhase::Query, counter.steps());
         Ok(match budget.trip_reason() {
             Some(reason) => BudgetOutcome::Exhausted(Exhausted {
-                partial: heap,
+                partial: hits,
                 reason,
                 steps_spent: counter.steps(),
             }),
-            None => BudgetOutcome::Complete(heap),
+            None => BudgetOutcome::Complete(hits),
         })
     }
 
-    /// Exact range query: every item within `radius` (inclusive) of the
-    /// query under the engine's measure.
-    pub fn range(&self, database: &[Vec<f64>], radius: f64) -> Result<Vec<Neighbor>, SearchError> {
-        let mut counter = StepCounter::new();
-        self.range_observed(database, radius, &mut counter, &mut NoopObserver)
-    }
-
-    /// Range query with step accounting and observer callbacks.
-    pub fn range_observed<O: SearchObserver>(
+    /// [`search`](Self::search) for k-NN through a [`BatchPaaCache`].
+    /// Kept because the committed serve benchmark calls it.
+    pub fn k_nearest_budgeted_cached<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
-        radius: f64,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        Ok(self
-            .range_budgeted(database, radius, counter, observer, &mut NoBudget)?
-            .into_inner())
-    }
-
-    /// Range query under a [`BudgetHook`] (see
-    /// [`k_nearest_budgeted`](Self::k_nearest_budgeted)): on exhaustion
-    /// the partial hit list covers the scanned prefix of the database.
-    pub fn range_budgeted<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
+        k: usize,
         counter: &mut StepCounter,
         observer: &mut O,
         budget: &mut B,
+        cache: &mut BatchPaaCache,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.range_budgeted_src(database, radius, counter, observer, budget, &mut FreshPaa)
+        let kind = QueryKind::KNearest(k);
+        self.search(database, kind, counter, observer, budget, Some(cache))
     }
 
-    /// [`range_budgeted`](Self::range_budgeted) sharing a
-    /// [`BatchPaaCache`] across queries (see
-    /// [`k_nearest_budgeted_cached`](Self::k_nearest_budgeted_cached)).
+    /// [`search`](Self::search) for a range query through a
+    /// [`BatchPaaCache`]. Kept because the committed serve benchmark
+    /// calls it.
     pub fn range_budgeted_cached<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
@@ -450,76 +409,8 @@ impl RotationQuery {
         budget: &mut B,
         cache: &mut BatchPaaCache,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.check_cache(cache)?;
-        self.range_budgeted_src(
-            database,
-            radius,
-            counter,
-            observer,
-            budget,
-            &mut &mut *cache,
-        )
-    }
-
-    fn range_budgeted_src<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-        paa_src: &mut impl PaaSource,
-    ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(SearchError::invalid_param(
-                "radius",
-                "must be finite and >= 0",
-            ));
-        }
-        self.check_all(database)?;
-        observer.on_phase_start(ProfilePhase::Query, counter.steps());
-        let mut scan = ScanState::new(
-            &self.tree,
-            &self.cascade,
-            self.k_policy,
-            self.probe_intervals,
-        );
-        let mut out = Vec::new();
-        for (index, item) in database.iter().enumerate() {
-            // Dismissal boundary (see k_nearest_budgeted).
-            if !budget.check(counter.steps()) {
-                break;
-            }
-            // H-Merge admits inclusively (`d == radius` matches), so the
-            // radius is passed straight through — no epsilon padding.
-            let mut ctx = paa_src.take(index);
-            let compared = scan.compare_budgeted_ctx(
-                item,
-                radius,
-                self.measure,
-                counter,
-                observer,
-                budget,
-                &mut ctx,
-            );
-            paa_src.put(index, ctx);
-            if let Some(outcome) = compared {
-                out.push(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                });
-            }
-        }
-        observer.on_phase_end(ProfilePhase::Query, counter.steps());
-        Ok(match budget.trip_reason() {
-            Some(reason) => BudgetOutcome::Exhausted(Exhausted {
-                partial: out,
-                reason,
-                steps_spent: counter.steps(),
-            }),
-            None => BudgetOutcome::Complete(out),
-        })
+        let kind = QueryKind::Range(radius);
+        self.search(database, kind, counter, observer, budget, Some(cache))
     }
 
     fn check_cache(&self, cache: &BatchPaaCache) -> Result<(), SearchError> {
@@ -553,39 +444,6 @@ impl RotationQuery {
             self.check_len(i, item)?;
         }
         Ok(())
-    }
-}
-
-/// Where the scan loop gets each candidate's [`CandidateCtx`]: a fresh
-/// (empty) context per item for plain scans, or a [`BatchPaaCache`]
-/// slot for the cached entry points. Private — the public surface is
-/// the `*_cached` methods.
-trait PaaSource {
-    /// The context for candidate `index`.
-    fn take(&mut self, index: usize) -> CandidateCtx;
-    /// Return the context after the scan of candidate `index`.
-    fn put(&mut self, index: usize, ctx: CandidateCtx);
-}
-
-/// Fresh context per candidate: the uncached scan, bit-identical to
-/// the historical code path.
-struct FreshPaa;
-
-impl PaaSource for FreshPaa {
-    fn take(&mut self, _index: usize) -> CandidateCtx {
-        CandidateCtx::new()
-    }
-
-    fn put(&mut self, _index: usize, _ctx: CandidateCtx) {}
-}
-
-impl PaaSource for &mut BatchPaaCache {
-    fn take(&mut self, index: usize) -> CandidateCtx {
-        BatchPaaCache::take(self, index)
-    }
-
-    fn put(&mut self, index: usize, ctx: CandidateCtx) {
-        BatchPaaCache::put(self, index, ctx);
     }
 }
 
@@ -641,24 +499,10 @@ impl<'a> ScanState<'a> {
     /// Under a [`BudgetHook`], a tripped budget cuts the wedge walk at
     /// the next popped node. The (possibly truncated) step cost is
     /// still fed to the planner — its probes only tune future work,
-    /// never exactness. Un-budgeted callers pass [`NoBudget`].
-    pub(crate) fn compare_budgeted<O: SearchObserver, B: BudgetHook>(
-        &mut self,
-        item: &[f64],
-        bsf: f64,
-        measure: Measure,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-    ) -> Option<HMergeOutcome> {
-        let mut ctx = CandidateCtx::new();
-        self.compare_budgeted_ctx(item, bsf, measure, counter, observer, budget, &mut ctx)
-    }
-
-    /// [`compare_budgeted`](Self::compare_budgeted) with a caller-owned
-    /// candidate context, so batch scans can reuse a cached PAA
-    /// projection (see [`BatchPaaCache`]).
-    #[allow(clippy::too_many_arguments)] // mirrors compare_budgeted + the ctx
+    /// never exactness. Un-budgeted callers pass [`NoBudget`]. The
+    /// caller owns the candidate context, so batch scans can reuse a
+    /// cached PAA projection (see [`BatchPaaCache`]).
+    #[allow(clippy::too_many_arguments)] // the scan state plus the one-candidate H-Merge inputs
     pub(crate) fn compare_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
         &mut self,
         item: &[f64],
@@ -675,7 +519,7 @@ impl<'a> ScanState<'a> {
         };
         let cut = self.cut(k).to_vec();
         let before = *counter;
-        let outcome = h_merge_cascade_budgeted_ctx(
+        let outcome = h_merge_cascade(
             item,
             self.tree,
             self.cascade,
@@ -712,6 +556,20 @@ mod tests {
         // Phases start away from the query phases used in the tests so no
         // database item accidentally coincides with a query.
         (0..m).map(|k| signal(n, 1.0 + k as f64 * 0.37)).collect()
+    }
+
+    /// An unbudgeted, uncached [`RotationQuery::search`].
+    fn scan<O: SearchObserver>(
+        engine: &RotationQuery,
+        db: &[Vec<f64>],
+        kind: QueryKind,
+        counter: &mut StepCounter,
+        observer: &mut O,
+    ) -> Vec<Neighbor> {
+        engine
+            .search(db, kind, counter, observer, &mut NoBudget, None)
+            .unwrap()
+            .into_inner()
     }
 
     #[test]
@@ -1007,6 +865,8 @@ mod tests {
         ));
         assert!(engine.range(&database(3, 16), -1.0).is_err());
         assert!(engine.range(&database(3, 16), f64::NAN).is_err());
+        // An empty database is an error for k-NN only.
+        assert_eq!(engine.range(&[], 1.0).unwrap(), vec![]);
     }
 
     #[test]
@@ -1032,12 +892,22 @@ mod tests {
         let db = database(60, n);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         let mut plain_steps = StepCounter::new();
-        let plain = engine.nearest_with_steps(&db, &mut plain_steps).unwrap();
+        let plain = scan(
+            &engine,
+            &db,
+            QueryKind::Nearest,
+            &mut plain_steps,
+            &mut NoopObserver,
+        );
         let mut trace = QueryTrace::new(n);
         let mut observed_steps = StepCounter::new();
-        let observed = engine
-            .nearest_observed(&db, &mut observed_steps, &mut trace)
-            .unwrap();
+        let observed = scan(
+            &engine,
+            &db,
+            QueryKind::Nearest,
+            &mut observed_steps,
+            &mut trace,
+        );
         assert_eq!(plain, observed);
         assert_eq!(plain_steps.steps(), observed_steps.steps());
         assert!(trace.leaf_distances() > 0);
@@ -1061,9 +931,13 @@ mod tests {
         let plain = engine.range(&db, radius).unwrap();
         let mut trace = QueryTrace::new(n);
         let mut counter = StepCounter::new();
-        let observed = engine
-            .range_observed(&db, radius, &mut counter, &mut trace)
-            .unwrap();
+        let observed = scan(
+            &engine,
+            &db,
+            QueryKind::Range(radius),
+            &mut counter,
+            &mut trace,
+        );
         assert_eq!(plain, observed);
         assert!(counter.steps() > 0);
         assert!(trace.leaf_distances() > 0);
@@ -1087,7 +961,13 @@ mod tests {
         db[120] = rotated(&query, 31);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         let mut wedge_steps = StepCounter::new();
-        engine.nearest_with_steps(&db, &mut wedge_steps).unwrap();
+        scan(
+            &engine,
+            &db,
+            QueryKind::Nearest,
+            &mut wedge_steps,
+            &mut NoopObserver,
+        );
         let matrix = RotationMatrix::full(&query).unwrap();
         let mut ea_steps = StepCounter::new();
         search_database(&matrix, &db, Measure::Euclidean, &mut ea_steps).unwrap();

@@ -16,6 +16,14 @@ pub enum SearchError {
         /// Actual length of the item.
         actual: usize,
     },
+    /// The query's length differs from the series length of the
+    /// database it is run against.
+    QueryLength {
+        /// Length of the query series.
+        query: usize,
+        /// Series length of every database item.
+        database: usize,
+    },
     /// An invalid parameter (e.g. `k = 0` for k-NN).
     InvalidParam {
         /// Parameter name.
@@ -47,6 +55,10 @@ impl fmt::Display for SearchError {
                 f,
                 "database item {index} has length {actual}, expected {expected}"
             ),
+            SearchError::QueryLength { query, database } => write!(
+                f,
+                "query has length {query}, but the database series have length {database}"
+            ),
             SearchError::InvalidParam { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
@@ -72,6 +84,14 @@ mod tests {
             actual: 32,
         };
         assert_eq!(e.to_string(), "database item 3 has length 32, expected 64");
+        let e = SearchError::QueryLength {
+            query: 8,
+            database: 16,
+        };
+        assert_eq!(
+            e.to_string(),
+            "query has length 8, but the database series have length 16"
+        );
         assert_eq!(
             SearchError::invalid_param("k", "must be >= 1").to_string(),
             "invalid parameter `k`: must be >= 1"

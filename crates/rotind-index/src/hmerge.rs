@@ -115,6 +115,9 @@ fn leaf_distance(
 /// distance `r` is returned). Returns `None` only when every rotation is
 /// provably farther than `r`. Exact-distance ties are broken by the
 /// canonical rotation order ([`rotation_key`]), never by traversal order.
+///
+/// This is the historical single-bound scan ([`BoundCascade::legacy`]);
+/// pass `&[tree.root()]` as the cut for `K = 1`.
 pub fn h_merge(
     candidate: &[f64],
     tree: &WedgeTree,
@@ -123,37 +126,7 @@ pub fn h_merge(
     measure: Measure,
     counter: &mut StepCounter,
 ) -> Option<HMergeOutcome> {
-    h_merge_observed(candidate, tree, cut, r, measure, counter, &mut NoopObserver)
-}
-
-/// [`h_merge`] reporting every wedge test, prune, early abandon and leaf
-/// distance to `observer`.
-///
-/// Event semantics:
-/// - `on_wedge_tested(level, lb, best_so_far, pruned)` fires per wedge
-///   bound, with `level` the descent depth below the cut (cut members
-///   are level 0). For bounds that early-abandoned, the exact `lb` is
-///   unknown; the crossed threshold (`best_so_far`) is reported in its
-///   place.
-/// - `on_early_abandon(position)` follows a pruned LB_Keogh bound with
-///   the number of query positions consumed.
-/// - A *Euclidean leaf* is special: its singleton-wedge bound **is** the
-///   exact distance (Section 4.1), so an admitted one fires only
-///   `on_leaf_distance` — this keeps the observer's picture faithful
-///   (no bound was tested, a distance was computed) and lets traces pair
-///   each leaf distance with the most recent admitted ancestor bound
-///   for LB-tightness accounting.
-#[allow(clippy::too_many_arguments)] // mirrors h_merge + the observer
-pub fn h_merge_observed<O: SearchObserver>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-) -> Option<HMergeOutcome> {
-    h_merge_cascade_observed(
+    h_merge_cascade(
         candidate,
         tree,
         &BoundCascade::legacy(),
@@ -161,7 +134,9 @@ pub fn h_merge_observed<O: SearchObserver>(
         r,
         measure,
         counter,
-        observer,
+        &mut NoopObserver,
+        &mut NoBudget,
+        &mut CandidateCtx::new(),
     )
 }
 
@@ -175,7 +150,7 @@ pub fn h_merge_observed<O: SearchObserver>(
 // Admissibility: every tier delegates to a witnessed lb_* kernel in
 // rotind-envelope (lb_kim / PaaEnvelope::min_dist via PaaWedgeSet's
 // argument / lb_keogh_early_abandon_at / lb_improved_second_pass).
-#[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade_observed
+#[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade
 fn node_tier_bound<O: SearchObserver>(
     candidate: &[f64],
     tree: &WedgeTree,
@@ -334,79 +309,56 @@ fn node_tier_bound<O: SearchObserver>(
     }
 }
 
-/// [`h_merge_observed`] under an arbitrary [`BoundCascade`]: the tiered
-/// scan the engine runs. With [`BoundCascade::legacy`] it reproduces the
-/// historical single-bound scan step-for-step; with richer
-/// configurations extra tiers prune earlier but — every tier being
-/// admissible and every dismissal strict — the outcome is bit-identical
-/// (see `tests/cascade.rs`). Tier activity is reported through
-/// [`SearchObserver::on_cascade_tier`], *in addition to* the legacy
-/// per-wedge events: every pruned wedge is attributed to exactly one
-/// tier (LCSS keeps its own single envelope bound outside the cascade
-/// and fires no tier events).
-#[allow(clippy::too_many_arguments)] // mirrors h_merge_observed + the cascade
-pub fn h_merge_cascade_observed<O: SearchObserver>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cascade: &BoundCascade,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-) -> Option<HMergeOutcome> {
-    h_merge_cascade_budgeted(
-        candidate,
-        tree,
-        cascade,
-        cut,
-        r,
-        measure,
-        counter,
-        observer,
-        &mut NoBudget,
-    )
-}
-
-/// [`h_merge_cascade_observed`] under a [`BudgetHook`]: the budget is
-/// checked at every dismissal boundary (the top of the pop loop, before
-/// any bound is evaluated for the popped wedge). When it trips, the walk
-/// stops and the running best is returned — a valid *partial* result:
-/// every admitted leaf was fully evaluated, so the returned distance is
-/// exact for the rotations actually visited, just not necessarily the
-/// global minimum. With [`NoBudget`] the check monomorphizes to a
-/// constant `true` and this is bit-identical to the un-budgeted scan.
+/// The H-Merge core behind every scan: [`h_merge`] under an arbitrary
+/// [`BoundCascade`], an observer, a budget and a caller-owned
+/// [`CandidateCtx`].
 ///
-/// The whole walk is bracketed in a [`ProfilePhase::WedgeMerge`] phase;
-/// tier evaluations and leaf distances report their own nested phases.
-#[allow(clippy::too_many_arguments)] // mirrors h_merge_cascade_observed + the budget
-pub fn h_merge_cascade_budgeted<O: SearchObserver, B: BudgetHook>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cascade: &BoundCascade,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-    budget: &mut B,
-) -> Option<HMergeOutcome> {
-    let mut ctx = CandidateCtx::new();
-    h_merge_cascade_budgeted_ctx(
-        candidate, tree, cascade, cut, r, measure, counter, observer, budget, &mut ctx,
-    )
-}
-
-/// [`h_merge_cascade_budgeted`] with a caller-owned [`CandidateCtx`]:
-/// the batch entry points pass a context taken from a
+/// With [`BoundCascade::legacy`] it reproduces the historical
+/// single-bound scan step-for-step; with richer configurations extra
+/// tiers prune earlier but — every tier being admissible and every
+/// dismissal strict — the outcome is bit-identical (see
+/// `tests/cascade.rs`).
+///
+/// Event semantics:
+/// - `on_wedge_tested(level, lb, best_so_far, pruned)` fires per wedge
+///   bound, with `level` the descent depth below the cut (cut members
+///   are level 0). For bounds that early-abandoned, the exact `lb` is
+///   unknown; the crossed threshold (`best_so_far`) is reported in its
+///   place.
+/// - `on_early_abandon(position)` follows a pruned LB_Keogh bound with
+///   the number of query positions consumed.
+/// - A *Euclidean leaf* is special: its singleton-wedge bound **is** the
+///   exact distance (Section 4.1), so an admitted one fires only
+///   `on_leaf_distance` — this keeps the observer's picture faithful
+///   (no bound was tested, a distance was computed) and lets traces pair
+///   each leaf distance with the most recent admitted ancestor bound
+///   for LB-tightness accounting.
+/// - Tier activity is reported through
+///   [`SearchObserver::on_cascade_tier`], *in addition to* the per-wedge
+///   events: every pruned wedge is attributed to exactly one tier (LCSS
+///   keeps its own single envelope bound outside the cascade and fires
+///   no tier events).
+/// - The whole walk is bracketed in a [`ProfilePhase::WedgeMerge`]
+///   phase; tier evaluations and leaf distances report their own nested
+///   phases.
+///
+/// The budget is checked at every dismissal boundary (the top of the pop
+/// loop, before any bound is evaluated for the popped wedge). When it
+/// trips, the walk stops and the running best is returned — a valid
+/// *partial* result: every admitted leaf was fully evaluated, so the
+/// returned distance is exact for the rotations actually visited, just
+/// not necessarily the global minimum. With [`NoBudget`] the check
+/// monomorphizes to a constant `true`.
+///
+/// The batch scans pass a context taken from a
 /// [`crate::cascade::BatchPaaCache`], so a candidate's tier-2 PAA
-/// projection built by one query is reused (uncharged) by the next.
-/// The projection is query-independent, so the cached walk is
-/// result-identical to a fresh one — only the step accounting of
-/// later queries shrinks.
-#[allow(clippy::too_many_arguments)] // mirrors h_merge_cascade_budgeted + the ctx
+/// projection built by one query is reused (uncharged) by the next. The
+/// projection is query-independent, so the cached walk is
+/// result-identical to a fresh one — only the step accounting of later
+/// queries shrinks.
+#[allow(clippy::too_many_arguments)] // the walk inputs plus observer, budget and ctx
                                      // lint: panic-exempt(candidate length is validated against the snapshot at admission; the assert documents the contract)
-pub(crate) fn h_merge_cascade_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
+pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     candidate: &[f64],
     tree: &WedgeTree,
     cascade: &BoundCascade,
@@ -567,31 +519,6 @@ pub fn h_merge_filter(
     None
 }
 
-/// H-Merge over the whole tree starting from the root (`K = 1`).
-pub fn h_merge_from_root(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-) -> Option<HMergeOutcome> {
-    h_merge_from_root_observed(candidate, tree, r, measure, counter, &mut NoopObserver)
-}
-
-/// [`h_merge_from_root`] with observer callbacks (see
-/// [`h_merge_observed`] for the event semantics; the root is level 0).
-pub fn h_merge_from_root_observed<O: SearchObserver>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-) -> Option<HMergeOutcome> {
-    let root = [tree.root()];
-    h_merge_observed(candidate, tree, &root, r, measure, counter, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,6 +539,40 @@ mod tests {
 
     fn tree_for(query: &[f64], band: usize) -> WedgeTree {
         WedgeTree::new(RotationMatrix::full(query).unwrap(), band)
+    }
+
+    /// H-Merge over the whole tree starting from the root (`K = 1`).
+    fn from_root(
+        candidate: &[f64],
+        tree: &WedgeTree,
+        r: f64,
+        measure: Measure,
+        counter: &mut StepCounter,
+    ) -> Option<HMergeOutcome> {
+        h_merge(candidate, tree, &[tree.root()], r, measure, counter)
+    }
+
+    /// [`h_merge`] with observer callbacks.
+    fn observed<O: SearchObserver>(
+        candidate: &[f64],
+        tree: &WedgeTree,
+        cut: &[usize],
+        r: f64,
+        counter: &mut StepCounter,
+        observer: &mut O,
+    ) -> Option<HMergeOutcome> {
+        h_merge_cascade(
+            candidate,
+            tree,
+            &BoundCascade::legacy(),
+            cut,
+            r,
+            Measure::Euclidean,
+            counter,
+            observer,
+            &mut NoBudget,
+            &mut CandidateCtx::new(),
+        )
     }
 
     #[test]
@@ -686,7 +647,7 @@ mod tests {
         let query = signal(32, 0.0);
         let candidate = rotated(&query, 13);
         let tree = tree_for(&query, 0);
-        let got = h_merge_from_root(
+        let got = from_root(
             &candidate,
             &tree,
             f64::INFINITY,
@@ -703,7 +664,7 @@ mod tests {
         let query = signal(18, 0.0);
         let candidate = signal(18, 2.2);
         let tree = tree_for(&query, 0);
-        let exact = h_merge_from_root(
+        let exact = from_root(
             &candidate,
             &tree,
             f64::INFINITY,
@@ -712,7 +673,7 @@ mod tests {
         )
         .unwrap()
         .distance;
-        assert!(h_merge_from_root(
+        assert!(from_root(
             &candidate,
             &tree,
             exact * 0.99,
@@ -840,7 +801,7 @@ mod tests {
         // Mirror: the candidate is a rotated mirror image.
         let candidate = rotated(&rotind_ts::rotate::mirror(&query), 5);
         let tree = WedgeTree::new(RotationMatrix::with_mirror(&query).unwrap(), 0);
-        let got = h_merge_from_root(
+        let got = from_root(
             &candidate,
             &tree,
             f64::INFINITY,
@@ -854,8 +815,7 @@ mod tests {
         // Limited: a far rotation must not be matched exactly.
         let far = rotated(&query, 11);
         let tree = WedgeTree::new(RotationMatrix::limited(&query, 2).unwrap(), 0);
-        let got = h_merge_from_root(&far, &tree, f64::INFINITY, Measure::Euclidean, &mut steps())
-            .unwrap();
+        let got = from_root(&far, &tree, f64::INFINITY, Measure::Euclidean, &mut steps()).unwrap();
         assert!(got.distance > 0.1);
     }
 
@@ -947,12 +907,11 @@ mod tests {
             );
             let mut trace = QueryTrace::new(n);
             let mut observed_steps = steps();
-            let observed = h_merge_observed(
+            let observed = observed(
                 &candidate,
                 &tree,
                 &cut,
                 f64::INFINITY,
-                Measure::Euclidean,
                 &mut observed_steps,
                 &mut trace,
             );
@@ -982,16 +941,7 @@ mod tests {
         let cut = tree.cut_nodes(1);
         let mut trace = QueryTrace::new(n);
         let mut counter = steps();
-        assert!(h_merge_observed(
-            &candidate,
-            &tree,
-            &cut,
-            0.5,
-            Measure::Euclidean,
-            &mut counter,
-            &mut trace,
-        )
-        .is_none());
+        assert!(observed(&candidate, &tree, &cut, 0.5, &mut counter, &mut trace).is_none());
         assert_eq!(trace.pruned(0), 1, "the single fat wedge prunes");
         assert_eq!(trace.early_abandons(), 1);
         assert!(trace.abandon_depth().mean().unwrap() <= 1.0);

@@ -13,14 +13,16 @@
 //! * [`engine`] — the user-facing [`engine::RotationQuery`]: exact
 //!   rotation-invariant nearest-neighbour / k-NN / range search over a
 //!   database, for Euclidean, DTW and LCSS, with mirror-image and
-//!   rotation-limited invariance;
+//!   rotation-limited invariance. Every query kind
+//!   ([`snapshot::QueryKind`]) runs through one sequential scan,
+//!   [`engine::RotationQuery::search`];
 //! * [`cascade`] — the tiered admissible-bound cascade the engine runs
 //!   per (candidate, wedge) pair: the `O(1)` endpoint bound, the
 //!   reduced-space PAA bound, reordered early-abandoning LB_Keogh and
 //!   the LB_Improved second pass (DESIGN.md §12);
-//! * [`parallel`] — chunked multi-threaded database scans sharing an
-//!   atomic best-so-far, bit-identical to the sequential scan
-//!   (DESIGN.md §10), plus a batch-of-queries entry point;
+//! * [`parallel`] — the chunked multi-threaded scan
+//!   ([`engine::RotationQuery::search_parallel`]) sharing an atomic
+//!   best-so-far, bit-identical to the sequential scan (DESIGN.md §10);
 //! * [`radius`] — the CAS-min shared best-so-far those scans use,
 //!   model-checked under loom (`--features loom-tests`, DESIGN.md §14);
 //! * [`snapshot`] — the immutable, `Arc`-shared database handle a
@@ -62,5 +64,5 @@ pub mod vptree;
 pub use cascade::{BatchPaaCache, BoundCascade, CascadeConfig};
 pub use engine::{Invariance, Neighbor, RotationQuery};
 pub use error::SearchError;
-pub use parallel::{default_threads, nearest_batch, ParallelReport};
+pub use parallel::{default_threads, ParallelReport};
 pub use snapshot::{IndexSnapshot, QueryKind, QuerySpec};

@@ -35,12 +35,13 @@
 //! ends, so the merged telemetry is deterministic and equals the sum of
 //! the per-thread parts.
 
+use crate::cascade::CandidateCtx;
 use crate::engine::{Neighbor, RotationQuery, ScanState};
 use crate::error::SearchError;
 use crate::radius::SharedRadius;
+use crate::snapshot::QueryKind;
 use rotind_obs::{
-    BudgetHook, BudgetOutcome, Exhausted, ForkJoinObserver, NoBudget, NoopObserver, QueryBudget,
-    SharedBudget,
+    BudgetHook, BudgetOutcome, Exhausted, ForkJoinObserver, NoBudget, QueryBudget, SharedBudget,
 };
 use rotind_ts::StepCounter;
 use std::ops::Range;
@@ -126,279 +127,123 @@ fn merge_chunk_bests<O>(outputs: &[WorkerOutput<O>]) -> Option<Neighbor> {
 }
 
 impl RotationQuery {
-    /// Exact 1-nearest-neighbour search over `threads` worker threads
-    /// (`0` = auto, see [`default_threads`]). Returns exactly what
-    /// [`nearest`](RotationQuery::nearest) returns — same index, same
-    /// distance bits, same rotation — for every thread count.
-    pub fn nearest_parallel(
-        &self,
-        database: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Neighbor, SearchError> {
-        let mut counter = StepCounter::new();
-        self.nearest_parallel_with_steps(database, threads, &mut counter)
-    }
-
-    /// [`nearest_parallel`](RotationQuery::nearest_parallel) with step
-    /// accounting: the summed per-thread `num_steps` is merged into
-    /// `counter`.
-    pub fn nearest_parallel_with_steps(
-        &self,
-        database: &[Vec<f64>],
-        threads: usize,
-        counter: &mut StepCounter,
-    ) -> Result<Neighbor, SearchError> {
-        let (hit, _) =
-            self.nearest_parallel_observed(database, threads, counter, &mut NoopObserver)?;
-        Ok(hit)
-    }
-
-    /// Parallel 1-NN with step accounting and observer callbacks.
+    /// The chunked scan behind every parallel query: `database` is split
+    /// into balanced contiguous chunks, one per worker thread (`0` =
+    /// auto, see [`default_threads`]), each scanned with its own
+    /// planner, step counter and forked observer.
+    ///
+    /// - [`QueryKind::Nearest`] (and `KNearest(1)`) shares the
+    ///   best-so-far between workers through a [`SharedRadius`] and
+    ///   returns exactly what [`nearest`](RotationQuery::nearest)
+    ///   returns — same index, same distance bits, same rotation — for
+    ///   every thread count. Parallel k-NN for `k > 1` is not
+    ///   implemented and is rejected as an invalid parameter.
+    /// - [`QueryKind::Range`] shares nothing (the threshold is fixed)
+    ///   and returns exactly what [`range`](RotationQuery::range)
+    ///   returns, in the same (database) order: chunk hit lists
+    ///   concatenate in chunk order.
     ///
     /// The observer is [forked](ForkJoinObserver::fork) once per worker
     /// and the children are [joined](ForkJoinObserver::join) back in
     /// chunk order, so aggregate telemetry is deterministic. The
     /// returned [`ParallelReport`] carries the per-thread step counts;
-    /// their sum equals what was merged into `counter`.
-    pub fn nearest_parallel_observed<O: ForkJoinObserver>(
+    /// their sum is exactly what is merged into `counter`.
+    ///
+    /// With `budget: None` every worker runs under [`NoBudget`], so an
+    /// unbudgeted scan pays no atomic charge. With a [`QueryBudget`],
+    /// one pool ([`SharedBudget`]) is shared by all workers, each
+    /// charging its local step delta at every dismissal boundary — so a
+    /// trip by any worker stops all of them at their next check. When
+    /// the budget never trips the answer is [`BudgetOutcome::Complete`];
+    /// on exhaustion the partial answer covers whatever prefix of each
+    /// chunk was scanned.
+    #[allow(clippy::type_complexity)] // the outcome + report pair
+    pub fn search_parallel<O: ForkJoinObserver>(
         &self,
         database: &[Vec<f64>],
+        kind: QueryKind,
         threads: usize,
         counter: &mut StepCounter,
         observer: &mut O,
-    ) -> Result<(Neighbor, ParallelReport), SearchError> {
-        if database.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        self.check_all(database)?;
-        let shared = SharedRadius::new(f64::INFINITY);
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || NoBudget,
-            |scan, index, item, steps, obs, budget| {
-                let bsf = shared.get();
-                let outcome =
-                    scan.compare_budgeted(item, bsf, self.measure(), steps, obs, budget)?;
-                shared.update_min(outcome.distance);
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let best = merge_chunk_bests(&outputs);
-        self.join_outputs(outputs, counter, observer);
-        // Non-empty database (checked above) + infinite initial radius:
-        // some worker's first comparison always admits, so a best exists.
-        // rotind-lint: allow(no-panic)
-        let hit = best.expect("non-empty database yields a nearest neighbour");
-        Ok((hit, report))
-    }
-
-    /// Parallel 1-NN under a [`QueryBudget`]: one budget pool
-    /// ([`SharedBudget`]) is shared by all workers, each charging its
-    /// local step delta at every dismissal boundary — so a trip by any
-    /// worker stops all of them at their next check. When the budget
-    /// never trips the answer is [`BudgetOutcome::Complete`] and
-    /// bit-identical to the sequential scan; on exhaustion the partial
-    /// best covers whatever prefix of each chunk was scanned (`None`
-    /// only when no worker admitted a leaf before the trip).
-    pub fn nearest_parallel_budgeted<O: ForkJoinObserver>(
-        &self,
-        database: &[Vec<f64>],
-        threads: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &QueryBudget,
-    ) -> Result<(BudgetOutcome<Option<Neighbor>>, ParallelReport), SearchError> {
-        if database.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        self.check_all(database)?;
-        let pool = SharedBudget::from_budget(budget);
-        let shared = SharedRadius::new(f64::INFINITY);
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || pool.hook(),
-            |scan, index, item, steps, obs, hook| {
-                let bsf = shared.get();
-                let outcome = scan.compare_budgeted(item, bsf, self.measure(), steps, obs, hook)?;
-                shared.update_min(outcome.distance);
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let best = merge_chunk_bests(&outputs);
-        self.join_outputs(outputs, counter, observer);
-        let outcome = match pool.trip_reason() {
-            Some(reason) => BudgetOutcome::Exhausted(Exhausted {
-                partial: best,
-                reason,
-                steps_spent: pool.spent(),
-            }),
-            None => BudgetOutcome::Complete(best),
-        };
-        Ok((outcome, report))
-    }
-
-    /// Exact range query over `threads` worker threads (`0` = auto).
-    /// Returns exactly what [`range`](RotationQuery::range) returns, in
-    /// the same (database) order: the threshold is fixed, so workers
-    /// share nothing and chunk hit lists concatenate in chunk order.
-    pub fn range_parallel(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        threads: usize,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        let mut counter = StepCounter::new();
-        let (hits, _) = self.range_parallel_observed(
-            database,
-            radius,
-            threads,
-            &mut counter,
-            &mut NoopObserver,
-        )?;
-        Ok(hits)
-    }
-
-    /// Parallel range query with step accounting and observer
-    /// callbacks; fork/join semantics as in
-    /// [`nearest_parallel_observed`](RotationQuery::nearest_parallel_observed).
-    pub fn range_parallel_observed<O: ForkJoinObserver>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        threads: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<(Vec<Neighbor>, ParallelReport), SearchError> {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(SearchError::invalid_param(
-                "radius",
-                "must be finite and >= 0",
-            ));
-        }
-        self.check_all(database)?;
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || NoBudget,
-            |scan, index, item, steps, obs, budget| {
-                let outcome =
-                    scan.compare_budgeted(item, radius, self.measure(), steps, obs, budget)?;
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let mut hits = Vec::new();
-        for output in &outputs {
-            hits.extend_from_slice(&output.hits);
-        }
-        self.join_outputs(outputs, counter, observer);
-        Ok((hits, report))
-    }
-
-    /// Parallel range query under a [`QueryBudget`]; budget semantics as
-    /// in [`nearest_parallel_budgeted`](RotationQuery::nearest_parallel_budgeted).
-    /// On exhaustion the partial hit list covers the scanned prefix of
-    /// each chunk, concatenated in chunk order.
-    #[allow(clippy::type_complexity)] // the outcome + report pair mirrors the observed API
-    pub fn range_parallel_budgeted<O: ForkJoinObserver>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        threads: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &QueryBudget,
+        budget: Option<&QueryBudget>,
     ) -> Result<(BudgetOutcome<Vec<Neighbor>>, ParallelReport), SearchError> {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(SearchError::invalid_param(
-                "radius",
-                "must be finite and >= 0",
-            ));
+        // `None`: nearest under a shared best-so-far; `Some`: a range.
+        let radius = match kind {
+            QueryKind::Nearest | QueryKind::KNearest(1) => None,
+            QueryKind::KNearest(0) => return Err(SearchError::invalid_param("k", "must be >= 1")),
+            QueryKind::KNearest(_) => {
+                return Err(SearchError::invalid_param(
+                    "k",
+                    "the parallel scan answers k = 1 only",
+                ));
+            }
+            QueryKind::Range(r) if !r.is_finite() || r < 0.0 => {
+                return Err(SearchError::invalid_param(
+                    "radius",
+                    "must be finite and >= 0",
+                ));
+            }
+            QueryKind::Range(r) => Some(r),
+        };
+        if radius.is_none() && database.is_empty() {
+            return Err(SearchError::EmptyDatabase);
         }
         self.check_all(database)?;
-        let pool = SharedBudget::from_budget(budget);
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || pool.hook(),
-            |scan, index, item, steps, obs, hook| {
-                let outcome =
-                    scan.compare_budgeted(item, radius, self.measure(), steps, obs, hook)?;
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let mut hits = Vec::new();
-        for output in &outputs {
-            hits.extend_from_slice(&output.hits);
+        let pool = budget.map(SharedBudget::from_budget);
+        let (outputs, report) = match &pool {
+            None => self.scan_chunks(database, radius, threads, observer, || NoBudget),
+            Some(pool) => self.scan_chunks(database, radius, threads, observer, || pool.hook()),
+        };
+        let hits = match radius {
+            Some(_) => outputs
+                .iter()
+                .flat_map(|o| o.hits.iter().copied())
+                .collect(),
+            None => merge_chunk_bests(&outputs).into_iter().collect(),
+        };
+        for output in outputs {
+            counter.merge(output.steps);
+            observer.join(output.observer);
         }
-        self.join_outputs(outputs, counter, observer);
-        let outcome = match pool.trip_reason() {
-            Some(reason) => BudgetOutcome::Exhausted(Exhausted {
+        let tripped = pool
+            .as_ref()
+            .and_then(|p| Some((p.trip_reason()?, p.spent())));
+        let outcome = match tripped {
+            Some((reason, steps_spent)) => BudgetOutcome::Exhausted(Exhausted {
                 partial: hits,
                 reason,
-                steps_spent: pool.spent(),
+                steps_spent,
             }),
             None => BudgetOutcome::Complete(hits),
         };
         Ok((outcome, report))
     }
 
-    /// Split `database` into balanced contiguous chunks and run
-    /// `compare` over each chunk on its own thread, with a fresh
-    /// [`ScanState`], step counter, forked observer and budget hook
-    /// (from `make_budget` — [`NoBudget`] for un-budgeted scans, a
-    /// [`SharedBudget`] pool hook for budgeted ones) per worker.
-    /// `compare` returns `Some(hit)` when the item is admitted; workers
+    /// Split `database` into balanced contiguous chunks and scan each on
+    /// its own thread, with a fresh [`ScanState`], step counter, forked
+    /// observer and budget hook (from `make_budget`) per worker. Items
+    /// are compared against `radius` when given, else against the
+    /// shared best-so-far, which every admitted hit tightens. Workers
     /// record every hit (for range queries) and track the chunk best
     /// under a strict-improvement guard (for nearest queries). Outputs
     /// come back in chunk order.
     // lint: panic-exempt(chunk_ranges yields only indices below database.len())
-    fn scan_chunks<O, B, MB, F>(
+    fn scan_chunks<O, B, MB>(
         &self,
         database: &[Vec<f64>],
+        radius: Option<f64>,
         threads: usize,
         observer: &O,
         make_budget: MB,
-        compare: F,
     ) -> (Vec<WorkerOutput<O>>, ParallelReport)
     where
         O: ForkJoinObserver,
         B: BudgetHook + Send,
         MB: Fn() -> B + Sync,
-        F: Fn(
-                &mut ScanState<'_>,
-                usize,
-                &[f64],
-                &mut StepCounter,
-                &mut O,
-                &mut B,
-            ) -> Option<Neighbor>
-            + Sync,
     {
         let chunks = chunk_ranges(database.len(), resolve_threads(threads));
-        let compare = &compare;
-        let make_budget = &make_budget;
+        let shared = SharedRadius::new(f64::INFINITY);
+        let (shared, make_budget) = (&shared, &make_budget);
         let outputs: Vec<WorkerOutput<O>> = thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .iter()
@@ -423,29 +268,40 @@ impl RotationQuery {
                             if !budget.check(steps.steps()) {
                                 break;
                             }
-                            if let Some(hit) = compare(
-                                &mut scan,
-                                index,
+                            let bsf = radius.unwrap_or_else(|| shared.get());
+                            let Some(outcome) = scan.compare_budgeted_ctx(
                                 // `chunk_ranges` only yields indices below
                                 // `database.len()`, so this cannot panic.
                                 // rotind-lint: allow(no-index)
                                 &database[index],
+                                bsf,
+                                self.measure(),
                                 &mut steps,
                                 &mut child,
                                 &mut budget,
-                            ) {
-                                hits.push(hit);
-                                // Strict improvement: ties keep the
-                                // earlier (lower-index) incumbent, as
-                                // the sequential scan does.
-                                let improved = match best {
-                                    None => true,
-                                    Some(b) => hit.distance < b.distance,
-                                };
-                                if improved {
-                                    best = Some(hit);
-                                    scan.notify_improvement_observed(&mut child);
-                                }
+                                &mut CandidateCtx::new(),
+                            ) else {
+                                continue;
+                            };
+                            if radius.is_none() {
+                                shared.update_min(outcome.distance);
+                            }
+                            let hit = Neighbor {
+                                index,
+                                distance: outcome.distance,
+                                rotation: outcome.rotation,
+                            };
+                            hits.push(hit);
+                            // Strict improvement: ties keep the
+                            // earlier (lower-index) incumbent, as
+                            // the sequential scan does.
+                            let improved = match best {
+                                None => true,
+                                Some(b) => hit.distance < b.distance,
+                            };
+                            if improved {
+                                best = Some(hit);
+                                scan.notify_improvement_observed(&mut child);
                             }
                         }
                         WorkerOutput {
@@ -474,73 +330,13 @@ impl RotationQuery {
         };
         (outputs, report)
     }
-
-    /// Fold per-worker outputs back into the caller's counter and
-    /// observer, in chunk order.
-    fn join_outputs<O: ForkJoinObserver>(
-        &self,
-        outputs: Vec<WorkerOutput<O>>,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) {
-        for output in outputs {
-            counter.merge(output.steps);
-            observer.join(output.observer);
-        }
-    }
-}
-
-/// Answer many queries against one database, one sequential scan per
-/// query, spread over `threads` worker threads (`0` = auto). Queries
-/// are chunked exactly like database items in the per-query scans, and
-/// results come back in query order; each entry is bit-identical to
-/// `engines[i].nearest(database)`.
-pub fn nearest_batch(
-    engines: &[RotationQuery],
-    database: &[Vec<f64>],
-    threads: usize,
-) -> Result<Vec<Neighbor>, SearchError> {
-    if database.is_empty() {
-        return Err(SearchError::EmptyDatabase);
-    }
-    for engine in engines {
-        engine.check_all(database)?;
-    }
-    let chunks = chunk_ranges(engines.len(), resolve_threads(threads));
-    let per_chunk: Vec<Result<Vec<Neighbor>, SearchError>> = thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || {
-                    range
-                        // `chunk_ranges` only yields indices below
-                        // `engines.len()`, so this cannot panic.
-                        // rotind-lint: allow(no-index)
-                        .map(|i| engines[i].nearest(database))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-            })
-            .collect();
-        // Propagating a worker panic, as in the chunked scan above.
-        handles
-            .into_iter()
-            // rotind-lint: allow(no-panic)
-            .map(|h| h.join().expect("batch query worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(engines.len());
-    for chunk in per_chunk {
-        out.extend(chunk?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Invariance;
-    use rotind_obs::QueryTrace;
+    use rotind_obs::{NoopObserver, QueryTrace};
     use rotind_ts::rotate::rotated;
 
     fn signal(n: usize, phase: f64) -> Vec<f64> {
@@ -551,6 +347,20 @@ mod tests {
 
     fn database(m: usize, n: usize) -> Vec<Vec<f64>> {
         (0..m).map(|k| signal(n, 1.0 + k as f64 * 0.37)).collect()
+    }
+
+    /// An unbudgeted parallel scan's answer.
+    fn scan(
+        engine: &RotationQuery,
+        db: &[Vec<f64>],
+        kind: QueryKind,
+        threads: usize,
+    ) -> Result<Vec<Neighbor>, SearchError> {
+        let mut counter = StepCounter::new();
+        let mut observer = NoopObserver;
+        let (outcome, _) =
+            engine.search_parallel(db, kind, threads, &mut counter, &mut observer, None)?;
+        Ok(outcome.into_inner())
     }
 
     #[test]
@@ -584,13 +394,21 @@ mod tests {
         let mut db = database(37, n);
         db[20] = rotated(&query, 9);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
-        let sequential = engine.nearest(&db).unwrap();
+        let sequential = vec![engine.nearest(&db).unwrap()];
         for threads in [1, 2, 3, 4, 8, 64] {
-            let hit = engine.nearest_parallel(&db, threads).unwrap();
+            let hit = scan(&engine, &db, QueryKind::Nearest, threads).unwrap();
             assert_eq!(hit, sequential, "threads = {threads}");
         }
-        // threads = 0 resolves to an automatic count and must also agree.
-        assert_eq!(engine.nearest_parallel(&db, 0).unwrap(), sequential);
+        // threads = 0 resolves to an automatic count and must also agree,
+        // and k-NN at k = 1 is the nearest query.
+        assert_eq!(
+            scan(&engine, &db, QueryKind::Nearest, 0).unwrap(),
+            sequential
+        );
+        assert_eq!(
+            scan(&engine, &db, QueryKind::KNearest(1), 3).unwrap(),
+            sequential
+        );
     }
 
     #[test]
@@ -603,7 +421,7 @@ mod tests {
         let sequential = engine.range(&db, radius).unwrap();
         assert!(!sequential.is_empty());
         for threads in [1, 2, 4, 7] {
-            let hits = engine.range_parallel(&db, radius, threads).unwrap();
+            let hits = scan(&engine, &db, QueryKind::Range(radius), threads).unwrap();
             assert_eq!(hits, sequential, "threads = {threads}");
         }
     }
@@ -620,7 +438,7 @@ mod tests {
         db[4] = boundary;
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         for threads in [1, 2, 3, 9] {
-            let hits = engine.range_parallel(&db, 3.0, threads).unwrap();
+            let hits = scan(&engine, &db, QueryKind::Range(3.0), threads).unwrap();
             assert!(
                 hits.iter().any(|h| h.index == 4 && h.distance == 3.0),
                 "threads = {threads}: {hits:?}"
@@ -643,8 +461,8 @@ mod tests {
         let sequential = engine.nearest(&db).unwrap();
         assert_eq!(sequential.index, 3);
         for threads in [1, 2, 4, 16] {
-            let hit = engine.nearest_parallel(&db, threads).unwrap();
-            assert_eq!(hit, sequential, "threads = {threads}");
+            let hit = scan(&engine, &db, QueryKind::Nearest, threads).unwrap();
+            assert_eq!(hit, vec![sequential], "threads = {threads}");
         }
     }
 
@@ -657,10 +475,17 @@ mod tests {
         for threads in [1, 3, 5] {
             let mut counter = StepCounter::new();
             let mut trace = QueryTrace::new(n);
-            let (hit, report) = engine
-                .nearest_parallel_observed(&db, threads, &mut counter, &mut trace)
+            let (outcome, report) = engine
+                .search_parallel(
+                    &db,
+                    QueryKind::Nearest,
+                    threads,
+                    &mut counter,
+                    &mut trace,
+                    None,
+                )
                 .unwrap();
-            assert_eq!(hit, engine.nearest(&db).unwrap());
+            assert_eq!(outcome.into_inner(), vec![engine.nearest(&db).unwrap()]);
             assert_eq!(report.threads, threads);
             assert_eq!(report.per_thread_steps.len(), threads);
             assert_eq!(report.chunk_lens.iter().sum::<usize>(), db.len());
@@ -677,10 +502,17 @@ mod tests {
         let query = signal(n, 0.1);
         let db = database(3, n);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
-        let (hit, report) = engine
-            .nearest_parallel_observed(&db, 100, &mut StepCounter::new(), &mut NoopObserver)
+        let (outcome, report) = engine
+            .search_parallel(
+                &db,
+                QueryKind::Nearest,
+                100,
+                &mut StepCounter::new(),
+                &mut NoopObserver,
+                None,
+            )
             .unwrap();
-        assert_eq!(hit, engine.nearest(&db).unwrap());
+        assert_eq!(outcome.into_inner(), vec![engine.nearest(&db).unwrap()]);
         assert_eq!(report.threads, 3, "clamped to database size");
     }
 
@@ -688,39 +520,30 @@ mod tests {
     fn parallel_error_paths_match_sequential() {
         let engine = RotationQuery::new(&signal(16, 0.0), Invariance::Rotation).unwrap();
         assert_eq!(
-            engine.nearest_parallel(&[], 4).unwrap_err(),
+            scan(&engine, &[], QueryKind::Nearest, 4).unwrap_err(),
             SearchError::EmptyDatabase
+        );
+        assert_eq!(
+            scan(&engine, &[], QueryKind::Range(1.0), 4).unwrap(),
+            vec![]
         );
         let bad = vec![vec![0.0; 8]];
         assert!(matches!(
-            engine.nearest_parallel(&bad, 4).unwrap_err(),
+            scan(&engine, &bad, QueryKind::Nearest, 4).unwrap_err(),
             SearchError::LengthMismatch { .. }
         ));
-        assert!(engine.range_parallel(&database(3, 16), -1.0, 4).is_err());
-        assert!(engine
-            .range_parallel(&database(3, 16), f64::NAN, 4)
-            .is_err());
-    }
-
-    #[test]
-    fn batch_answers_every_query_in_order() {
-        let n = 20;
-        let db = database(15, n);
-        let engines: Vec<RotationQuery> = (0..7)
-            .map(|i| RotationQuery::new(&signal(n, 0.1 * i as f64), Invariance::Rotation).unwrap())
-            .collect();
-        let expected: Vec<Neighbor> = engines.iter().map(|e| e.nearest(&db).unwrap()).collect();
-        for threads in [1, 2, 4, 32] {
-            let got = nearest_batch(&engines, &db, threads).unwrap();
-            assert_eq!(got, expected, "threads = {threads}");
+        let db = database(3, 16);
+        for kind in [
+            QueryKind::Range(-1.0),
+            QueryKind::Range(f64::NAN),
+            QueryKind::KNearest(0),
+            QueryKind::KNearest(2),
+        ] {
+            assert!(matches!(
+                scan(&engine, &db, kind, 4).unwrap_err(),
+                SearchError::InvalidParam { .. }
+            ));
         }
-        // No queries: trivially empty.
-        assert_eq!(nearest_batch(&[], &db, 4).unwrap(), vec![]);
-        // Empty database errors like the sequential path.
-        assert_eq!(
-            nearest_batch(&engines, &[], 4).unwrap_err(),
-            SearchError::EmptyDatabase
-        );
     }
 
     #[test]

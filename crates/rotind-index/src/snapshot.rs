@@ -6,15 +6,16 @@
 //! without copies and a snapshot swap is a pointer swap; validation
 //! (non-empty, uniform series length) happens once at construction
 //! instead of once per query; and [`IndexSnapshot::execute`] is the
-//! single entry point the serve crate drives, dispatching a
-//! [`QuerySpec`] to the engine's budgeted scans — optionally through a
-//! [`BatchPaaCache`] so the tier-2 candidate projections are amortized
-//! across the queries of a worker instead of rebuilt per query.
+//! single entry point the serve crate drives, handing a [`QuerySpec`]
+//! to the engine's one sequential scan, [`RotationQuery::search`] —
+//! optionally through a [`BatchPaaCache`] so the tier-2 candidate
+//! projections are amortized across the queries of a worker instead of
+//! rebuilt per query.
 //!
 //! Results are bit-identical to calling [`RotationQuery`] directly:
-//! `execute` adds no logic, only ownership and dispatch (the serve
-//! integration tests replay fixed query sets both ways and assert
-//! equality).
+//! `execute` adds only the query-length check, ownership and dispatch
+//! (the serve integration tests replay fixed query sets both ways and
+//! assert equality).
 
 use crate::cascade::{BatchPaaCache, CascadeConfig};
 use crate::engine::{Invariance, Neighbor, RotationQuery};
@@ -24,7 +25,8 @@ use rotind_obs::{BudgetHook, BudgetOutcome, SearchObserver};
 use rotind_ts::StepCounter;
 use std::sync::Arc;
 
-/// What a query asks of the snapshot.
+/// What a query asks for: the request shape of both scans,
+/// [`RotationQuery::search`] and [`RotationQuery::search_parallel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryKind {
     /// The single nearest neighbour.
@@ -114,13 +116,15 @@ impl IndexSnapshot {
     /// Run one query against the snapshot under a budget, optionally
     /// through a worker's [`BatchPaaCache`].
     ///
-    /// This is pure dispatch over [`RotationQuery`]'s budgeted entry
-    /// points: [`QueryKind::Nearest`] is k-NN at `k = 1` (so the
-    /// answer is a zero-or-one element vector — empty only when an
-    /// exhausted budget tripped before any item was admitted), and
-    /// results are bit-identical to calling the engine directly.
-    /// Engine construction costs the paper's `O(n²)` startup per query
-    /// and is not counted in `counter`, matching direct engine use.
+    /// This is pure dispatch to [`RotationQuery::search`]:
+    /// [`QueryKind::Nearest`] is k-NN at `k = 1` (so the answer is a
+    /// zero-or-one element vector — empty only when an exhausted budget
+    /// tripped before any item was admitted), and results are
+    /// bit-identical to calling the engine directly. The query length is
+    /// checked against the snapshot before the engine is built, so a
+    /// malformed query cannot make the `O(n²)` build allocate for a
+    /// length the snapshot never holds. Engine construction is not
+    /// counted in `counter`, matching direct engine use.
     pub fn execute<O: SearchObserver, B: BudgetHook>(
         &self,
         spec: &QuerySpec,
@@ -129,25 +133,16 @@ impl IndexSnapshot {
         budget: &mut B,
         cache: Option<&mut BatchPaaCache>,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
+        if spec.series.len() != self.series_len {
+            return Err(SearchError::QueryLength {
+                query: spec.series.len(),
+                database: self.series_len,
+            });
+        }
         let engine = RotationQuery::with_measure(&spec.series, spec.invariance, spec.measure)
             .map_err(|e| SearchError::invalid_param("query", e.to_string()))?;
         let db = self.database.as_slice();
-        let k = match spec.kind {
-            QueryKind::Nearest => 1,
-            QueryKind::KNearest(k) => k,
-            QueryKind::Range(radius) => {
-                return match cache {
-                    Some(c) => {
-                        engine.range_budgeted_cached(db, radius, counter, observer, budget, c)
-                    }
-                    None => engine.range_budgeted(db, radius, counter, observer, budget),
-                };
-            }
-        };
-        match cache {
-            Some(c) => engine.k_nearest_budgeted_cached(db, k, counter, observer, budget, c),
-            None => engine.k_nearest_budgeted(db, k, counter, observer, budget),
-        }
+        engine.search(db, spec.kind, counter, observer, budget, cache)
     }
 }
 
@@ -329,7 +324,7 @@ mod tests {
             measure: Measure::Euclidean,
             kind: QueryKind::Nearest,
         };
-        assert!(snap
+        let err = snap
             .execute(
                 &spec,
                 &mut StepCounter::new(),
@@ -337,6 +332,13 @@ mod tests {
                 &mut NoBudget,
                 None,
             )
-            .is_err());
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SearchError::QueryLength {
+                query: 8,
+                database: 16
+            }
+        );
     }
 }

@@ -15,7 +15,7 @@
 //!   minimum of point-to-rectangle distances, each 1-Lipschitz, hence
 //!   1-Lipschitz (one-sided pruning only).
 
-/// Shape of the lower-bound function passed to [`VpTree::search`].
+/// Shape of the lower-bound function passed to [`VpTree::best_first`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundKind {
     /// `g` is the metric distance to a fixed query point: both
@@ -147,7 +147,7 @@ impl VpTree {
     /// best-so-far over true distances, calls `refine` only when
     /// `bound < bsf`, and prunes subtrees with the Lipschitz/metric
     /// rules. Returns the best `(index, distance)` and the stats.
-    pub fn search(
+    pub fn best_first(
         &self,
         kind: BoundKind,
         mut bound: impl FnMut(&[f64]) -> f64,
@@ -286,7 +286,7 @@ mod tests {
             vec![5.4, 5.4],
             vec![-3.0, 2.0],
         ] {
-            let (best, _) = t.search(
+            let (best, _) = t.best_first(
                 BoundKind::MetricToPoint,
                 |x| euclid(x, &query),
                 |i, _bsf| euclid(&pts[i], &query),
@@ -319,7 +319,7 @@ mod tests {
         }
         let t = VpTree::build(pts.clone());
         let query = vec![305.0, 0.0];
-        let (best_t, stats_t) = t.search(
+        let (best_t, stats_t) = t.best_first(
             BoundKind::MetricToPoint,
             |x| euclid(x, &query),
             |i, _bsf| euclid(&pts[i], &query),
@@ -357,7 +357,7 @@ mod tests {
         // rect_dist(p) <= |p − corner|).
         let corner = [4.0, 4.0];
         let truth = |i: usize, _bsf: f64| euclid(&pts[i], &corner);
-        let (best, _) = t.search(BoundKind::Lipschitz, rect_dist, truth, f64::INFINITY);
+        let (best, _) = t.best_first(BoundKind::Lipschitz, rect_dist, truth, f64::INFINITY);
         let (bi, bd) = best.unwrap();
         let od = pts
             .iter()
@@ -372,7 +372,7 @@ mod tests {
         let pts = grid_points();
         let t = VpTree::build(pts.clone());
         let query = vec![100.0, 100.0]; // far from everything
-        let (best, stats) = t.search(
+        let (best, stats) = t.best_first(
             BoundKind::MetricToPoint,
             |x| euclid(x, &query),
             |i, _bsf| euclid(&pts[i], &query),

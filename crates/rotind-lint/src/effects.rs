@@ -79,8 +79,7 @@ pub struct EffectAnalysis {
 #[derive(Debug, Clone)]
 pub struct RootSet {
     /// Entry points that must be panic-free: the worker loop, the wire
-    /// codec, the snapshot query dispatch and the budgeted parallel
-    /// scans.
+    /// codec, the snapshot query dispatch and the parallel scan.
     pub panic_roots: Vec<String>,
     /// The worker hot loop(s) that must never block outside the
     /// explicit admission/reply allowlist.
@@ -104,8 +103,7 @@ impl RootSet {
                 s("read_frame"),
                 s("write_frame"),
                 s("execute"),
-                s("nearest_parallel_budgeted"),
-                s("range_parallel_budgeted"),
+                s("search_parallel"),
             ],
             worker_roots: vec![s("worker_loop")],
             excluded_crates: vec![s("rotind-lint")],

@@ -47,7 +47,7 @@ struct Options {
     paths: Vec<PathBuf>,
     /// The availability root set the effect rules certify. Starts from
     /// [`RootSet::serve_default`] — the worker loop, the wire codec,
-    /// `IndexSnapshot::execute` and the budgeted parallel scans —
+    /// `IndexSnapshot::execute` and the parallel scan —
     /// because that is the surface PR 8 exposed to live traffic;
     /// `--panic-root` / `--worker-root` append further entry points
     /// without recompiling.

@@ -5,7 +5,7 @@
 //! — pre-existing findings are tolerated. This rule is the
 //! availability *certificate*: every function reachable from a serve
 //! root (the worker loop, the wire codec, the snapshot query dispatch,
-//! the budgeted parallel scans) with an intrinsic may-panic site must
+//! the parallel scan) with an intrinsic may-panic site must
 //! either lose the site or carry a reasoned
 //! `// lint: panic-exempt(reason)` — zero unexempted findings is the
 //! shipping bar, so a new `unwrap` wired anywhere under the serve roots

@@ -5,7 +5,10 @@
 use rotind_lint::baseline;
 use rotind_lint::effects::RootSet;
 use rotind_lint::findings::{count_by_rule_and_file, witness_hashes, Finding};
+use rotind_lint::resolve::GlobalIndex;
 use rotind_lint::rules::ALL_RULES;
+use rotind_lint::source::FileKind;
+use rotind_lint::walker::load_workspace;
 use rotind_lint::{lint_paths, lint_workspace, scan_workspace, workspace_root};
 use std::path::PathBuf;
 use std::process::Command;
@@ -348,6 +351,36 @@ fn committed_baseline_matches_fresh_workspace_scan() {
     // And the committed bytes must round-trip through the parser.
     let parsed = baseline::from_json(&committed).expect("committed baseline must parse");
     assert_eq!(parsed, count_by_rule_and_file(&scan.findings));
+}
+
+/// Every default availability root, and at least one `admissible-chain`
+/// cascade root, must name a non-test library fn of the workspace. The
+/// rules drop a root that matches nothing without a word, so a renamed
+/// entry point would otherwise shrink the certificate silently.
+#[test]
+fn default_roots_resolve_to_workspace_fns() {
+    let files = load_workspace(workspace_root()).expect("workspace load");
+    let index = GlobalIndex::build(&files);
+    let defined = |matches: &dyn Fn(&str) -> bool| {
+        index.nodes.iter().any(|n| {
+            !n.is_test
+                && matches(&n.decl.name)
+                && files
+                    .get(n.file)
+                    .is_some_and(|f| f.kind == FileKind::Library)
+        })
+    };
+    let roots = RootSet::serve_default();
+    for root in roots.panic_roots.iter().chain(&roots.worker_roots) {
+        assert!(
+            defined(&|name| name == root),
+            "serve root `{root}` matches no non-test library fn"
+        );
+    }
+    assert!(
+        defined(&|name| name.starts_with("h_merge_cascade")),
+        "no `h_merge_cascade*` fn for the admissible-chain rule to start from"
+    );
 }
 
 /// Deliberately rule-violating fixture crates (the `_bad` trees under

@@ -14,7 +14,9 @@
 use rotind::distance::Measure;
 use rotind::index::disk::{IndexedDatabase, ReducedRepr};
 use rotind::index::engine::{Invariance, RotationQuery};
+use rotind::index::QueryKind;
 use rotind::lightcurve::dataset::light_curves;
+use rotind::obs::{NoBudget, NoopObserver};
 use rotind::ts::StepCounter;
 
 fn main() {
@@ -32,9 +34,18 @@ fn main() {
     // Main-memory wedge search.
     let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid query");
     let mut steps = StepCounter::new();
-    let hit = engine
-        .nearest_with_steps(&database, &mut steps)
-        .expect("non-empty");
+    let hits = engine
+        .search(
+            &database,
+            QueryKind::Nearest,
+            &mut steps,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )
+        .expect("non-empty")
+        .into_inner();
+    let hit = hits[0];
     let brute = rotind::eval::speedup::brute_force_steps(database.len(), n, n, Measure::Euclidean);
     println!(
         "wedge search : star {} ({}) at distance {:.4}",
@@ -84,9 +95,18 @@ fn main() {
     )
     .expect("valid query");
     let mut dtw_steps = StepCounter::new();
-    let dtw_hit = dtw_engine
-        .nearest_with_steps(&database, &mut dtw_steps)
-        .expect("non-empty");
+    let dtw_hits = dtw_engine
+        .search(
+            &database,
+            QueryKind::Nearest,
+            &mut dtw_steps,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )
+        .expect("non-empty")
+        .into_inner();
+    let dtw_hit = dtw_hits[0];
     let dtw_brute = rotind::eval::speedup::brute_force_steps(
         database.len(),
         n,

@@ -10,6 +10,8 @@
 //! engine, comparing the step cost against the brute-force scan.
 
 use rotind::index::engine::{Invariance, RotationQuery};
+use rotind::index::QueryKind;
+use rotind::obs::{NoBudget, NoopObserver};
 use rotind::shape::dataset::projectile_points;
 use rotind::ts::rotate::rotated;
 use rotind::ts::StepCounter;
@@ -36,9 +38,18 @@ fn main() {
     // into hierarchical wedges (O(n²) once), then scans.
     let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid query");
     let mut steps = StepCounter::new();
-    let hit = engine
-        .nearest_with_steps(&database, &mut steps)
-        .expect("non-empty database");
+    let hits = engine
+        .search(
+            &database,
+            QueryKind::Nearest,
+            &mut steps,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )
+        .expect("non-empty database")
+        .into_inner();
+    let hit = hits[0];
 
     println!("best match : item {}", hit.index);
     println!("distance   : {:.4}", hit.distance);

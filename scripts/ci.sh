@@ -215,4 +215,22 @@ if ROTIND_QUICK=1 ROTIND_REGRESS_INJECT=1.2 \
     exit 1
 fi
 
+echo "==> benchmark package lane (.servebench tests + one traced smoke run)"
+# The benchmark (see BENCHMARK.json) is a package of its own outside the
+# workspace, so nothing above builds it: a change to any library API it
+# calls would break the benchmark while this script stays green. Its
+# build goes to target/servebench, so nothing is written under
+# .servebench/. The smoke run must exit 0 with every reply correct.
+CARGO_TARGET_DIR=target/servebench \
+    cargo test --release --offline --manifest-path .servebench/Cargo.toml
+BENCH_RESULT="$(CARGO_TARGET_DIR=target/servebench \
+    cargo run --quiet --release --offline --manifest-path .servebench/Cargo.toml -- \
+    --workload ed-rot-n251 --seed 3 --seconds 1 --trace 1 | tail -n 1)"
+python3 - "$BENCH_RESULT" <<'PY'
+import json, sys
+doc = json.loads(sys.argv[1])
+assert doc["failed"] == 0, f"benchmark smoke run: {doc['failed']} wrong replies"
+print(f"servebench smoke: {doc['attempted']} replies, 0 failed")
+PY
+
 echo "==> CI green"

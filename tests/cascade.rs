@@ -16,8 +16,8 @@ use rotind::envelope::lb_keogh::{
 use rotind::envelope::Wedge;
 use rotind::index::engine::{Invariance, RotationQuery};
 use rotind::index::reduced::{Paa, PaaEnvelope};
-use rotind::index::CascadeConfig;
-use rotind::obs::{CascadeTier, QueryTrace};
+use rotind::index::{CascadeConfig, QueryKind};
+use rotind::obs::{CascadeTier, NoBudget, NoopObserver, QueryTrace};
 use rotind::ts::rotate::{rotated, RotationMatrix};
 use rotind::ts::StepCounter;
 
@@ -198,9 +198,14 @@ proptest! {
             let hit = engine.nearest(&db).unwrap();
             prop_assert_eq!(&hit, &legacy, "config {} diverged sequentially", name);
             for threads in [1usize, 4] {
-                let hit = engine.nearest_parallel(&db, threads).unwrap();
+                let (outcome, _) = engine
+                    .search_parallel(
+                        &db, QueryKind::Nearest, threads, &mut StepCounter::new(),
+                        &mut NoopObserver, None,
+                    )
+                    .unwrap();
                 prop_assert_eq!(
-                    &hit, &legacy,
+                    outcome.into_inner(), vec![legacy],
                     "config {} diverged at {} threads", name, threads
                 );
             }
@@ -222,6 +227,21 @@ fn sine_db(m: usize, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (db, query)
 }
 
+/// A nearest-neighbour search recording into `trace`.
+fn nearest_traced(engine: &RotationQuery, db: &[Vec<f64>], trace: &mut QueryTrace) {
+    let mut counter = StepCounter::new();
+    engine
+        .search(
+            db,
+            QueryKind::Nearest,
+            &mut counter,
+            trace,
+            &mut NoBudget,
+            None,
+        )
+        .unwrap();
+}
+
 /// Every pruned wedge is attributed to exactly one cascade tier: under
 /// ED and DTW the per-tier prune counts sum to the per-level prune
 /// counts, for the tuned default and for every CI rung.
@@ -235,9 +255,7 @@ fn tier_attribution_accounts_for_every_pruned_wedge() {
                 .unwrap()
                 .with_cascade(config);
             let mut trace = QueryTrace::new(query.len());
-            engine
-                .nearest_observed(&db, &mut StepCounter::new(), &mut trace)
-                .unwrap();
+            nearest_traced(&engine, &db, &mut trace);
             let by_level: u64 = (0..trace.levels()).map(|l| trace.pruned(l)).sum();
             assert_eq!(
                 trace.tier_pruned_total(),
@@ -265,9 +283,7 @@ fn lcss_stays_outside_the_cascade() {
     .unwrap()
     .with_cascade(CascadeConfig::all());
     let mut trace = QueryTrace::new(query.len());
-    engine
-        .nearest_observed(&db, &mut StepCounter::new(), &mut trace)
-        .unwrap();
+    nearest_traced(&engine, &db, &mut trace);
     for tier in CascadeTier::ALL {
         assert_eq!(trace.tier_tested(tier), 0, "{tier:?} fired under LCSS");
     }

@@ -6,8 +6,10 @@
 
 use proptest::prelude::*;
 use rotind::distance::{DtwParams, LcssParams, Measure};
-use rotind::index::engine::{Invariance, RotationQuery};
-use rotind::prelude::{NoopObserver, QueryTrace};
+use rotind::index::engine::{Invariance, Neighbor, RotationQuery};
+use rotind::index::QueryKind;
+use rotind::obs::NoBudget;
+use rotind::prelude::{NoopObserver, QueryTrace, SearchObserver};
 use rotind::ts::StepCounter;
 
 fn series_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -16,6 +18,20 @@ fn series_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
 
 fn db_strategy(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(series_strategy(n), 1..=m)
+}
+
+/// An unbudgeted sequential scan reporting to `observer`.
+fn scan<O: SearchObserver>(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    kind: QueryKind,
+    counter: &mut StepCounter,
+    observer: &mut O,
+) -> Vec<Neighbor> {
+    engine
+        .search(db, kind, counter, observer, &mut NoBudget, None)
+        .unwrap()
+        .into_inner()
 }
 
 fn measures() -> Vec<Measure> {
@@ -40,19 +56,17 @@ proptest! {
             RotationQuery::with_measure(&query, Invariance::Rotation, measure).unwrap();
 
         let mut plain_counter = StepCounter::new();
-        let plain = engine
-            .nearest_observed(&db, &mut plain_counter, &mut NoopObserver)
-            .unwrap();
+        let kind = QueryKind::Nearest;
+        let plain = scan(&engine, &db, kind, &mut plain_counter, &mut NoopObserver);
 
         let mut trace = QueryTrace::new(query.len());
         let mut traced_counter = StepCounter::new();
-        let traced = engine
-            .nearest_observed(&db, &mut traced_counter, &mut trace)
-            .unwrap();
+        let traced = scan(&engine, &db, kind, &mut traced_counter, &mut trace);
 
-        prop_assert_eq!(plain.index, traced.index);
-        prop_assert_eq!(plain.rotation, traced.rotation);
-        prop_assert!((plain.distance - traced.distance).abs() < 1e-12);
+        prop_assert_eq!(plain.len(), 1);
+        prop_assert_eq!(plain[0].index, traced[0].index);
+        prop_assert_eq!(plain[0].rotation, traced[0].rotation);
+        prop_assert!((plain[0].distance - traced[0].distance).abs() < 1e-12);
         prop_assert_eq!(
             plain_counter.steps(),
             traced_counter.steps(),
@@ -72,15 +86,12 @@ proptest! {
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
 
         let mut plain_counter = StepCounter::new();
-        let plain = engine
-            .k_nearest_observed(&db, k, &mut plain_counter, &mut NoopObserver)
-            .unwrap();
+        let kind = QueryKind::KNearest(k);
+        let plain = scan(&engine, &db, kind, &mut plain_counter, &mut NoopObserver);
 
         let mut trace = QueryTrace::new(query.len());
         let mut traced_counter = StepCounter::new();
-        let traced = engine
-            .k_nearest_observed(&db, k, &mut traced_counter, &mut trace)
-            .unwrap();
+        let traced = scan(&engine, &db, kind, &mut traced_counter, &mut trace);
 
         prop_assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {
@@ -99,15 +110,12 @@ proptest! {
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
 
         let mut plain_counter = StepCounter::new();
-        let plain = engine
-            .range_observed(&db, radius, &mut plain_counter, &mut NoopObserver)
-            .unwrap();
+        let kind = QueryKind::Range(radius);
+        let plain = scan(&engine, &db, kind, &mut plain_counter, &mut NoopObserver);
 
         let mut trace = QueryTrace::new(query.len());
         let mut traced_counter = StepCounter::new();
-        let traced = engine
-            .range_observed(&db, radius, &mut traced_counter, &mut trace)
-            .unwrap();
+        let traced = scan(&engine, &db, kind, &mut traced_counter, &mut trace);
 
         prop_assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {

@@ -8,9 +8,9 @@
 use proptest::prelude::*;
 use rotind::distance::measure::Measure;
 use rotind::distance::rotation::search_database;
-use rotind::index::engine::{Invariance, RotationQuery};
-use rotind::index::parallel::nearest_batch;
-use rotind::obs::QueryTrace;
+use rotind::index::engine::{Invariance, Neighbor, RotationQuery};
+use rotind::index::QueryKind;
+use rotind::obs::{NoopObserver, QueryTrace};
 use rotind::ts::rotate::{rotated, RotationMatrix};
 use rotind::ts::StepCounter;
 
@@ -23,6 +23,20 @@ fn db_strategy(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 }
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
+
+/// An unbudgeted parallel scan's answer.
+fn parallel(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    kind: QueryKind,
+    threads: usize,
+) -> Vec<Neighbor> {
+    let mut counter = StepCounter::new();
+    let (outcome, _) = engine
+        .search_parallel(db, kind, threads, &mut counter, &mut NoopObserver, None)
+        .unwrap();
+    outcome.into_inner()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
@@ -43,7 +57,9 @@ proptest! {
         prop_assert_eq!(sequential.index, oracle.index);
         prop_assert!((sequential.distance - oracle.distance).abs() < 1e-9);
         for threads in THREAD_COUNTS {
-            let hit = engine.nearest_parallel(&db, threads).unwrap();
+            let hits = parallel(&engine, &db, QueryKind::Nearest, threads);
+            prop_assert_eq!(hits.len(), 1);
+            let hit = hits[0];
             prop_assert_eq!(hit, sequential);
             prop_assert_eq!(
                 hit.distance.to_bits(),
@@ -75,7 +91,7 @@ proptest! {
         let sequential = engine.nearest(&db).unwrap();
         prop_assert_eq!(sequential.index, lo.min(hi));
         for threads in THREAD_COUNTS {
-            prop_assert_eq!(engine.nearest_parallel(&db, threads).unwrap(), sequential);
+            prop_assert_eq!(parallel(&engine, &db, QueryKind::Nearest, threads), vec![sequential]);
         }
     }
 
@@ -89,10 +105,10 @@ proptest! {
         for threads in THREAD_COUNTS {
             let mut counter = StepCounter::new();
             let mut trace = QueryTrace::new(16);
-            let (hit, report) = engine
-                .nearest_parallel_observed(&db, threads, &mut counter, &mut trace)
+            let (outcome, report) = engine
+                .search_parallel(&db, QueryKind::Nearest, threads, &mut counter, &mut trace, None)
                 .unwrap();
-            prop_assert_eq!(hit, sequential);
+            prop_assert_eq!(outcome.into_inner(), vec![sequential]);
             let sum: u64 = report.per_thread_steps.iter().sum();
             prop_assert_eq!(counter.steps(), sum);
             prop_assert_eq!(report.chunk_lens.iter().sum::<usize>(), db.len());
@@ -113,23 +129,8 @@ proptest! {
         prop_assert!(radius.is_finite());
         let sequential = engine.range(&db, radius).unwrap();
         for threads in THREAD_COUNTS {
-            let hits = engine.range_parallel(&db, radius, threads).unwrap();
+            let hits = parallel(&engine, &db, QueryKind::Range(radius), threads);
             prop_assert_eq!(&hits, &sequential, "threads = {}", threads);
-        }
-    }
-
-    #[test]
-    fn nearest_batch_matches_per_query_sequential(
-        queries in prop::collection::vec(series_strategy(12), 1..6),
-        db in db_strategy(12, 10),
-    ) {
-        let engines: Vec<RotationQuery> = queries
-            .iter()
-            .map(|q| RotationQuery::new(q, Invariance::Rotation).unwrap())
-            .collect();
-        let expected: Vec<_> = engines.iter().map(|e| e.nearest(&db).unwrap()).collect();
-        for threads in THREAD_COUNTS {
-            prop_assert_eq!(&nearest_batch(&engines, &db, threads).unwrap(), &expected);
         }
     }
 }

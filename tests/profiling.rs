@@ -17,14 +17,14 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rotind::distance::dtw::DtwParams;
 use rotind::distance::measure::Measure;
-use rotind::index::engine::{Invariance, RotationQuery};
-use rotind::index::CascadeConfig;
+use rotind::index::engine::{Invariance, Neighbor, RotationQuery};
+use rotind::index::{CascadeConfig, QueryKind};
 use rotind::obs::{
     BudgetHook, CascadeTier, LogHistogram, ManualClock, MetricsRegistry, NoBudget,
     DEADLINE_POLL_STEPS,
 };
 use rotind::prelude::{
-    BudgetOutcome, BudgetReason, NoopObserver, Profiler, QueryBudget, QueryTrace,
+    BudgetOutcome, BudgetReason, NoopObserver, Profiler, QueryBudget, QueryTrace, SearchObserver,
 };
 use rotind::ts::StepCounter;
 
@@ -44,6 +44,33 @@ fn configs() -> Vec<(&'static str, CascadeConfig)> {
         out.push((name, CascadeConfig::parse(name).unwrap()));
     }
     out
+}
+
+/// The sequential scan without a cache.
+fn scan<O: SearchObserver, B: BudgetHook>(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    kind: QueryKind,
+    counter: &mut StepCounter,
+    observer: &mut O,
+    budget: &mut B,
+) -> BudgetOutcome<Vec<Neighbor>> {
+    engine
+        .search(db, kind, counter, observer, budget, None)
+        .unwrap()
+}
+
+/// The plain nearest-neighbour scan with step accounting.
+fn nearest(engine: &RotationQuery, db: &[Vec<f64>], counter: &mut StepCounter) -> Vec<Neighbor> {
+    scan(
+        engine,
+        db,
+        QueryKind::Nearest,
+        counter,
+        &mut NoopObserver,
+        &mut NoBudget,
+    )
+    .into_inner()
 }
 
 fn hist_of(samples: &[u64]) -> LogHistogram {
@@ -172,27 +199,29 @@ proptest! {
                 .unwrap()
                 .with_cascade(config);
 
+            let nn = QueryKind::Nearest;
             let mut plain_counter = StepCounter::new();
-            let plain = engine.nearest_with_steps(&db, &mut plain_counter).unwrap();
+            let plain = nearest(&engine, &db, &mut plain_counter);
 
             // Profiler attached (wall-clock reads, phase events).
             let mut profiler = Profiler::new();
             let mut prof_counter = StepCounter::new();
-            let profiled = engine
-                .nearest_observed(&db, &mut prof_counter, &mut profiler)
-                .unwrap();
+            let profiled =
+                scan(&engine, &db, nn, &mut prof_counter, &mut profiler, &mut NoBudget).into_inner();
 
             // Budget plumbing engaged with nothing to trip: NoBudget and
             // a limitless QueryBudget must both stay bit-identical.
             let mut nb_counter = StepCounter::new();
-            let via_nobudget = engine
-                .k_nearest_budgeted(&db, 1, &mut nb_counter, &mut NoopObserver, &mut NoBudget)
-                .unwrap();
+            let via_nobudget = scan(
+                &engine, &db, QueryKind::KNearest(1), &mut nb_counter, &mut NoopObserver,
+                &mut NoBudget,
+            );
             let mut qb_counter = StepCounter::new();
             let mut limitless = QueryBudget::new(None, None);
-            let via_limitless = engine
-                .k_nearest_budgeted(&db, 1, &mut qb_counter, &mut NoopObserver, &mut limitless)
-                .unwrap();
+            let via_limitless = scan(
+                &engine, &db, QueryKind::KNearest(1), &mut qb_counter, &mut NoopObserver,
+                &mut limitless,
+            );
 
             prop_assert_eq!(&plain, &profiled, "profiler changed the answer ({})", name);
             prop_assert_eq!(
@@ -206,7 +235,7 @@ proptest! {
                 prop_assert!(outcome.is_complete(), "{} tripped ({})", tag, name);
                 let hits = outcome.into_inner();
                 prop_assert_eq!(hits.len(), 1);
-                prop_assert_eq!(&hits[0], &plain, "{} changed the answer ({})", tag, name);
+                prop_assert_eq!(&hits, &plain, "{} changed the answer ({})", tag, name);
                 prop_assert_eq!(
                     plain_counter.steps(), counter.steps(),
                     "{} changed num_steps ({})", tag, name
@@ -217,9 +246,7 @@ proptest! {
             // must agree with QueryTrace's aggregate counters.
             let mut trace = QueryTrace::new(query.len());
             let mut trace_counter = StepCounter::new();
-            engine
-                .nearest_observed(&db, &mut trace_counter, &mut trace)
-                .unwrap();
+            scan(&engine, &db, nn, &mut trace_counter, &mut trace, &mut NoBudget);
             prop_assert_eq!(trace_counter.steps(), plain_counter.steps());
             for tier in CascadeTier::ALL {
                 let cost = &profiler.tier_costs()[tier.index()];
@@ -247,26 +274,30 @@ proptest! {
             let engine = RotationQuery::new(&query, Invariance::Rotation)
                 .unwrap()
                 .with_cascade(config);
-            let sequential = engine.nearest(&db).unwrap();
+            let sequential = vec![engine.nearest(&db).unwrap()];
+            let nn = QueryKind::Nearest;
 
             let mut profiler = Profiler::new();
             let mut counter = StepCounter::new();
-            let (hit, report) = engine
-                .nearest_parallel_observed(&db, 4, &mut counter, &mut profiler)
+            let (outcome, report) = engine
+                .search_parallel(&db, nn, 4, &mut counter, &mut profiler, None)
                 .unwrap();
-            prop_assert_eq!(&hit, &sequential, "profiled parallel diverged ({})", name);
+            prop_assert_eq!(
+                &outcome.into_inner(), &sequential,
+                "profiled parallel diverged ({})", name
+            );
             prop_assert!(report.threads >= 1);
 
             let mut budget_counter = StepCounter::new();
             let limitless = QueryBudget::new(None, None);
             let (outcome, _) = engine
-                .nearest_parallel_budgeted(
-                    &db, 4, &mut budget_counter, &mut NoopObserver, &limitless,
+                .search_parallel(
+                    &db, nn, 4, &mut budget_counter, &mut NoopObserver, Some(&limitless),
                 )
                 .unwrap();
             prop_assert!(outcome.is_complete(), "limitless budget tripped ({})", name);
             prop_assert_eq!(
-                outcome.into_inner().as_ref(), Some(&sequential),
+                &outcome.into_inner(), &sequential,
                 "budgeted parallel diverged ({})", name
             );
         }
@@ -295,14 +326,20 @@ fn step_budget_trips_with_valid_partial() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
 
     let mut full_counter = StepCounter::new();
-    let full = engine.nearest_with_steps(&db, &mut full_counter).unwrap();
+    let full = nearest(&engine, &db, &mut full_counter);
     let limit = full_counter.steps() / 4;
 
     let mut counter = StepCounter::new();
     let mut budget = QueryBudget::max_steps(limit);
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let nn = QueryKind::Nearest;
+    let outcome = scan(
+        &engine,
+        &db,
+        nn,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("a quarter-step budget must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -327,11 +364,16 @@ fn step_budget_trips_with_valid_partial() {
     // A roomy budget never trips and returns the full answer.
     let mut counter = StepCounter::new();
     let mut roomy = QueryBudget::max_steps(full_counter.steps() * 2);
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut roomy)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        nn,
+        &mut counter,
+        &mut NoopObserver,
+        &mut roomy,
+    );
     assert!(outcome.is_complete());
-    assert_eq!(outcome.into_inner()[0], full);
+    assert_eq!(outcome.into_inner(), full);
 }
 
 #[test]
@@ -340,9 +382,15 @@ fn zero_deadline_trips_immediately() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
     let mut counter = StepCounter::new();
     let mut budget = QueryBudget::deadline(Duration::ZERO);
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let nn = QueryKind::Nearest;
+    let outcome = scan(
+        &engine,
+        &db,
+        nn,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("an already-expired deadline must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -385,7 +433,8 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
     let (query, db) = workload(80, 32);
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
     let mut full_counter = StepCounter::new();
-    let full = engine.nearest_with_steps(&db, &mut full_counter).unwrap();
+    let full = nearest(&engine, &db, &mut full_counter);
+    let nn = QueryKind::Nearest;
 
     // Expire the deadline at one third of the full scan: the trip must
     // land within one poll window of that point, every run.
@@ -398,9 +447,14 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
         advanced: false,
     };
     let mut counter = StepCounter::new();
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        nn,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("a mid-scan deadline expiry must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -451,9 +505,14 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
         advanced: false,
     };
     let mut counter2 = StepCounter::new();
-    let outcome2 = engine
-        .k_nearest_budgeted(&db, 1, &mut counter2, &mut NoopObserver, &mut budget2)
-        .unwrap();
+    let outcome2 = scan(
+        &engine,
+        &db,
+        nn,
+        &mut counter2,
+        &mut NoopObserver,
+        &mut budget2,
+    );
     match outcome2 {
         BudgetOutcome::Complete(_) => panic!("second run must trip too"),
         BudgetOutcome::Exhausted(ex) => assert_eq!(
@@ -469,11 +528,16 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
     let idle_clock = ManualClock::new();
     let mut idle = QueryBudget::with_clock(None, Some(Duration::from_secs(1)), &idle_clock);
     let mut idle_counter = StepCounter::new();
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut idle_counter, &mut NoopObserver, &mut idle)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        nn,
+        &mut idle_counter,
+        &mut NoopObserver,
+        &mut idle,
+    );
     assert!(outcome.is_complete());
-    assert_eq!(outcome.into_inner()[0], full);
+    assert_eq!(outcome.into_inner(), full);
     assert_eq!(
         idle_counter.steps(),
         full_counter.steps(),
@@ -497,24 +561,29 @@ fn range_budget_returns_prefix_hits() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
     let radius = engine.distance_to(&db[0]).unwrap() * 2.0 + 1.0;
 
+    let kind = QueryKind::Range(radius);
     let mut full_counter = StepCounter::new();
     let all = engine.range(&db, radius).unwrap();
-    engine
-        .range_budgeted(
-            &db,
-            radius,
-            &mut full_counter,
-            &mut NoopObserver,
-            &mut NoBudget,
-        )
-        .unwrap();
+    scan(
+        &engine,
+        &db,
+        kind,
+        &mut full_counter,
+        &mut NoopObserver,
+        &mut NoBudget,
+    );
     assert!(!all.is_empty());
 
     let mut counter = StepCounter::new();
     let mut budget = QueryBudget::max_steps(full_counter.steps() / 3);
-    let outcome = engine
-        .range_budgeted(&db, radius, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        kind,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("a third-step budget must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -533,23 +602,34 @@ fn range_budget_returns_prefix_hits() {
 fn parallel_shared_budget_trips_and_reports_spend() {
     let (query, db) = workload(60, 32);
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
+    let nn = QueryKind::Nearest;
 
     let mut full_counter = StepCounter::new();
-    let sequential = engine.nearest_with_steps(&db, &mut full_counter).unwrap();
+    let sequential = nearest(&engine, &db, &mut full_counter);
 
-    let tight = QueryBudget::max_steps(full_counter.steps() / 8);
+    // The cap must be one that every interleaving exceeds. A fraction of
+    // the sequential spend is not: the query is `db[30] + 0.05`, so the
+    // worker owning items 30-44 can publish a near-exact radius early,
+    // and a 4-thread scan may then correctly spend less than an eighth of
+    // the sequential scan. One step is: every worker owns a 15-item
+    // chunk, so it reaches a second dismissal-boundary check after
+    // charging at least one step, and the pool always crosses the cap.
+    let tight = QueryBudget::max_steps(1);
     let mut counter = StepCounter::new();
     let (outcome, _) = engine
-        .nearest_parallel_budgeted(&db, 4, &mut counter, &mut NoopObserver, &tight)
+        .search_parallel(&db, nn, 4, &mut counter, &mut NoopObserver, Some(&tight))
         .unwrap();
     match outcome {
-        BudgetOutcome::Complete(_) => panic!("an eighth-step shared budget must trip"),
+        BudgetOutcome::Complete(_) => panic!("a one-step shared budget must trip"),
         BudgetOutcome::Exhausted(ex) => {
             assert_eq!(ex.reason, BudgetReason::Steps);
             assert!(ex.steps_spent > 0, "the pool must account spent steps");
-            if let Some(hit) = ex.partial {
+            // A tripped walk may stop before its best rotation, so a
+            // partial hit is an exact distance at *some* rotation: never
+            // below the rotation-invariant minimum.
+            for hit in &ex.partial {
                 let exact = engine.distance_to(&db[hit.index]).unwrap();
-                assert!((hit.distance - exact).abs() < 1e-9);
+                assert!(hit.distance >= exact - 1e-9);
             }
         }
     }
@@ -557,10 +637,10 @@ fn parallel_shared_budget_trips_and_reports_spend() {
     let roomy = QueryBudget::max_steps(full_counter.steps() * 4);
     let mut counter = StepCounter::new();
     let (outcome, _) = engine
-        .nearest_parallel_budgeted(&db, 4, &mut counter, &mut NoopObserver, &roomy)
+        .search_parallel(&db, nn, 4, &mut counter, &mut NoopObserver, Some(&roomy))
         .unwrap();
     assert!(outcome.is_complete());
-    assert_eq!(outcome.into_inner(), Some(sequential));
+    assert_eq!(outcome.into_inner(), sequential);
 }
 
 // ---------------------------------------------------------------------
@@ -573,9 +653,8 @@ fn profiler_builds_the_expected_span_tree() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
     let mut profiler = Profiler::new();
     let mut counter = StepCounter::new();
-    engine
-        .nearest_observed(&db, &mut counter, &mut profiler)
-        .unwrap();
+    let nn = QueryKind::Nearest;
+    scan(&engine, &db, nn, &mut counter, &mut profiler, &mut NoBudget);
 
     let tree = profiler.tree();
     let root = tree.root("query").expect("a query span");

@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn vptree_matches_linear_scan(points in points_strategy(), query in prop::collection::vec(-10.0f64..10.0, 3)) {
         let tree = VpTree::build(points.clone());
-        let (best, _) = tree.search(
+        let (best, _) = tree.best_first(
             BoundKind::MetricToPoint,
             |x| euclid(x, &query),
             |i, _bsf| euclid(&points[i], &query),
