@@ -70,7 +70,10 @@ impl SearchObserver for TraceAndProfile<'_> {
 }
 
 /// The ablation ladder: each rung adds one cascade feature, all under
-/// the tuned default gates of [`CascadeConfig::all`].
+/// the tuned default gates of [`CascadeConfig::all`]. Tier 3 reorders
+/// Euclidean internal wedges only, so under DTW the `reorder` rung runs
+/// exactly the `legacy` scan (same steps and prunes; only its wall time
+/// differs, by noise).
 fn ladder() -> Vec<(&'static str, CascadeConfig)> {
     let full = CascadeConfig::all();
     let reduced = CascadeConfig {

@@ -12,9 +12,11 @@
 //! the typed [`rotind_bench::BenchError`] codes (`2` usage, `3` I/O,
 //! `4` malformed baseline JSON, `6` engine error), so CI can tell a
 //! genuine slowdown from a broken harness. Step totals are
-//! machine-independent and always gated at 2%; wall-clock medians are
-//! gated at 30% only when the baseline host matches (see
-//! `rotind_bench::regress` for the full policy).
+//! machine-independent and always gated at 2%; wall-clock medians,
+//! scaled to the nominal host speed by the yardstick timed around every
+//! repeat (`rotind_bench::yardstick`), are gated at 30% only when the
+//! baseline host matches (see `rotind_bench::regress` for the full
+//! policy).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -22,6 +24,7 @@ use std::time::Instant;
 use rotind_bench::regress::{
     apply_inject, compare, hostname, inject_factor, Baseline, Measurement,
 };
+use rotind_bench::yardstick::{self, AllCpus};
 use rotind_bench::BenchError;
 use rotind_distance::dtw::DtwParams;
 use rotind_distance::measure::Measure;
@@ -31,25 +34,64 @@ use rotind_obs::{NoBudget, NoopObserver};
 use rotind_shape::dataset as shapes;
 use rotind_ts::StepCounter;
 
+/// Fewest yardstick samples taken on each side of a repeat.
+const YARDSTICK_SAMPLES: usize = 3;
+/// Most yardstick samples taken on each side of a repeat.
+const YARDSTICK_MAX_SAMPLES: usize = 64;
+
+/// Yardstick samples on every CPU until they have run for at least
+/// `span_ns` in total (within the sample-count limits), appended to
+/// `samples`.
+fn sample_host(host: &mut AllCpus, span_ns: f64, samples: &mut Vec<f64>) {
+    let mut spent = 0.0;
+    for taken in 0..YARDSTICK_MAX_SAMPLES {
+        if taken >= YARDSTICK_SAMPLES && spent >= span_ns {
+            break;
+        }
+        let ms = host.sample();
+        spent += ms * 1e6;
+        samples.push(ms);
+    }
+}
+
 /// Repeat a workload, keeping the (deterministic) step total of the
-/// last run and the median wall-clock across runs.
+/// last run and the median wall-clock across runs. Each repeat's wall
+/// time is scaled to the nominal host by the yardstick timed on every
+/// CPU right before and right after it, for about as long as the repeat
+/// itself took on each side, so a host that runs slower for a while
+/// slows the yardstick alike and the scaled time holds.
 fn run_entry(
     name: &str,
     deterministic: bool,
     repeats: usize,
+    host: &mut AllCpus,
     mut work: impl FnMut() -> Result<u64, BenchError>,
 ) -> Result<Measurement, BenchError> {
     let mut walls: Vec<u64> = Vec::with_capacity(repeats);
+    let mut raw: Vec<u64> = Vec::with_capacity(repeats);
     let mut steps = 0u64;
+    let mut span_ns = 0.0;
     for _ in 0..repeats {
+        let mut samples = Vec::new();
+        sample_host(host, span_ns, &mut samples);
         let t = Instant::now();
         steps = work()?;
-        walls.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let wall = t.elapsed().as_nanos() as f64;
+        sample_host(host, wall, &mut samples);
+        span_ns = wall;
+        let scale = yardstick::scale(&samples).unwrap_or(1.0);
+        raw.push(wall as u64);
+        walls.push((wall * scale) as u64);
     }
     walls.sort_unstable();
+    raw.sort_unstable();
     // `repeats` is a positive constant below, so the median index is valid.
     // rotind-lint: allow(no-index)
-    let wall_ns = walls[walls.len() / 2];
+    let (wall_ns, raw_ns) = (walls[walls.len() / 2], raw[raw.len() / 2]);
+    println!(
+        "  {name:<18} raw median wall = {:>10.3} ms",
+        raw_ns as f64 / 1e6
+    );
     Ok(Measurement {
         name: name.to_string(),
         deterministic,
@@ -67,13 +109,14 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
         (600, 128, 5, 5)
     };
     println!("regress suite: m = {m}, n = {n}, {queries} queries, {repeats} repeats");
+    let host = &mut AllCpus::start();
     let pool = shapes::projectile_points(m + queries, n, 1906).items;
     // rotind-lint: allow(no-index)
     let db = &pool[..m];
     // rotind-lint: allow(no-index)
     let queries = &pool[m..];
 
-    let euclid = run_entry("euclid_nearest", true, repeats, || {
+    let euclid = run_entry("euclid_nearest", true, repeats, host, || {
         let mut total = 0u64;
         for query in queries {
             let mut counter = StepCounter::new();
@@ -92,7 +135,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
     })?;
 
     let band = n / 25 + 1;
-    let dtw = run_entry("dtw_nearest", true, repeats, || {
+    let dtw = run_entry("dtw_nearest", true, repeats, host, || {
         let mut total = 0u64;
         for query in queries {
             let mut counter = StepCounter::new();
@@ -116,7 +159,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
 
     // Workers race on the shared best-so-far, so step totals vary run
     // to run: wall-clock only (deterministic = false).
-    let parallel = run_entry("euclid_parallel4", false, repeats, || {
+    let parallel = run_entry("euclid_parallel4", false, repeats, host, || {
         for query in queries {
             let engine = RotationQuery::new(query, Invariance::Rotation)?;
             engine.search_parallel(
@@ -168,7 +211,7 @@ fn run() -> Result<ExitCode, BenchError> {
     }
     for e in &entries {
         println!(
-            "  {:<18} steps = {:>12}  wall = {:>10.3} ms{}",
+            "  {:<18} steps = {:>12}  scaled wall = {:>10.3} ms{}",
             e.name,
             e.steps,
             e.wall_ns as f64 / 1e6,
@@ -178,7 +221,9 @@ fn run() -> Result<ExitCode, BenchError> {
     let current = Baseline {
         comment: format!(
             "captured on {host} (quick = {quick}); steps gate at 2% on every machine, \
-             wall gate at 30% on this host only"
+             wall gate at 30% on this host only, on walls scaled to the nominal host \
+             ({} ms yardstick)",
+            yardstick::NOMINAL_MS
         ),
         host,
         quick,

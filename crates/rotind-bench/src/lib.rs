@@ -19,6 +19,7 @@
 pub mod error;
 pub mod experiments;
 pub mod regress;
+pub mod yardstick;
 
 pub use error::BenchError;
 

@@ -15,7 +15,9 @@
 //!   latency is compared at the loose [`WALL_TOLERANCE`] and *only*
 //!   when the baseline was captured on the same host (matching
 //!   [`hostname`]). A baseline checked in from a developer machine
-//!   never causes CI wall-clock flakes.
+//!   never causes CI wall-clock flakes. Each repeat's time is scaled
+//!   to the host's nominal speed by [`crate::yardstick`], so a shared
+//!   host that runs slower for a while does not read as a regression.
 //!
 //! `ROTIND_REGRESS_INJECT=<factor>` multiplies the current run's
 //! measurements before comparison — a self-test hook: injecting `1.2`
@@ -44,7 +46,8 @@ pub struct Measurement {
     pub deterministic: bool,
     /// Total `num_steps` over the workload's queries.
     pub steps: u64,
-    /// Median wall-clock nanoseconds over the workload's repeats.
+    /// Median wall-clock nanoseconds over the workload's repeats, each
+    /// scaled to the nominal host speed by [`crate::yardstick`].
     pub wall_ns: u64,
 }
 

@@ -19,7 +19,10 @@ use rotind_ts::rotate::{Rotation, RotationMatrix};
 ///
 /// The construction cost is the paper's `O(n²)` wedge-build startup:
 /// `O(n²)` for the shift-profile distance matrix, `O(n²)` for NN-chain
-/// clustering, and `O(n²)` to materialise all `2·rows − 1` wedges.
+/// clustering, and `O(n²)` to materialise all `2·rows − 1` wedges (a
+/// wedge is its envelopes and members only; the tier-3 abandon orders
+/// the Euclidean cascade sorts are built by the index crate's
+/// `BoundCascade`, not here).
 #[derive(Debug, Clone)]
 pub struct WedgeTree {
     matrix: RotationMatrix,
@@ -153,13 +156,6 @@ impl WedgeTree {
         self.matrix.rotations()[node]
     }
 
-    /// Materialise the rotated series at a leaf node.
-    // lint: panic-exempt(documented precondition: the engine only materialises leaves of this hierarchy)
-    pub fn leaf_series(&self, node: usize) -> Vec<f64> {
-        assert!(self.is_leaf(node), "leaf_series on internal node {node}");
-        self.matrix.row(node).to_vec()
-    }
-
     /// Node ids forming the wedge set of size `k` (clamped to
     /// `[1, max_k]`) — the dendrogram cut of Figure 10.
     pub fn cut_nodes(&self, k: usize) -> Vec<usize> {
@@ -204,7 +200,7 @@ mod tests {
         let t = tree(20, 0);
         for node in 0..t.dendrogram().num_nodes() {
             for leaf in t.dendrogram().members(node) {
-                let series = t.leaf_series(leaf);
+                let series = t.matrix().row(leaf).to_vec();
                 assert!(
                     t.wedge(node).contains(&series),
                     "node {node} misses leaf {leaf}"
@@ -284,7 +280,7 @@ mod tests {
         assert!(t2.lb_wedge(root).area() >= t2.wedge(root).area());
         // Widened leaf envelopes still contain the leaf series.
         for leaf in 0..t2.max_k() {
-            assert!(t2.lb_wedge(leaf).contains(&t2.leaf_series(leaf)));
+            assert!(t2.lb_wedge(leaf).contains(&t2.matrix().row(leaf).to_vec()));
         }
     }
 

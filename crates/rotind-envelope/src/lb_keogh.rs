@@ -177,31 +177,26 @@ pub fn lb_kim(q: &[f64], wedge: &Wedge, counter: &mut StepCounter) -> f64 {
 
 /// Reordered early-abandoning `LB_Keogh` (cascade tier 3): identical sum
 /// to [`lb_keogh_early_abandon_at`], but the terms are accumulated in
-/// the wedge's precomputed decreasing expected-contribution order
-/// ([`Wedge::abandon_order`]) so the `r` threshold is typically crossed
-/// after a handful of terms. `Err(k)` reports the number of *terms*
-/// consumed (not a series position). The completed sum is mathematically
-/// the same as the natural-order one but may differ in the last float
-/// bits, so exact-distance paths (Euclidean singleton leaves, where the
-/// bound *is* the returned distance) must keep the natural order.
-// lint: panic-exempt(query/wedge length equality is validated at snapshot admission; the assert documents the kernel contract)
+/// the position order `order` (a permutation of `0..q.len()`, normally
+/// the wedge's [`extend_abandon_order`]) so the `r` threshold is
+/// typically crossed after a handful of terms. `Err(k)` reports the
+/// number of *terms* consumed (not a series position). The completed sum
+/// is mathematically the same as the natural-order one but may differ in
+/// the last float bits, so exact-distance paths (Euclidean singleton
+/// leaves, where the bound *is* the returned distance) must keep the
+/// natural order.
+// lint: panic-exempt(query/wedge/order length equality is validated at snapshot admission and cascade build; the assert documents the kernel contract)
 pub fn lb_keogh_reordered_early_abandon_at(
     q: &[f64],
     wedge: &Wedge,
+    order: &[u32],
     r: f64,
     counter: &mut StepCounter,
 ) -> Result<f64, usize> {
     assert_eq!(q.len(), wedge.len(), "lb_keogh reordered: length mismatch");
     let upper = wedge.upper();
     let lower = wedge.lower();
-    let acc = kernels::engine::clamp_sq_abandon_ordered(
-        q,
-        upper,
-        lower,
-        wedge.abandon_order(),
-        r,
-        counter,
-    )?;
+    let acc = kernels::engine::clamp_sq_abandon_ordered(q, upper, lower, order, r, counter)?;
     let lb = acc.sqrt();
     #[cfg(debug_assertions)]
     {
@@ -216,6 +211,55 @@ pub fn lb_keogh_reordered_early_abandon_at(
         debug_assert_admissible(lb, ed(lower));
     }
     Ok(lb)
+}
+
+/// Append to `out` the positions of the envelope `[lower, upper]` in
+/// decreasing expected contribution to `LB_Keogh` — the accumulation
+/// order of [`lb_keogh_reordered_early_abandon_at`]. The primary key is
+/// the envelope's distance from zero (`gap(0, [L_i, U_i])`, descending:
+/// intervals far from the baseline force a contribution from any
+/// roughly-centred candidate), then the width `U_i − L_i` ascending
+/// (narrow intervals reject more candidates), then the index, so the
+/// permutation is unique. Both float keys compare as `f64::total_cmp`.
+///
+/// Each position's key is computed once and the keys are sorted as
+/// integers, which is `O(n log n)` with no float work in the
+/// comparisons.
+pub fn extend_abandon_order(upper: &[f64], lower: &[f64], out: &mut Vec<u32>) {
+    debug_assert_eq!(upper.len(), lower.len());
+    let mut keys: Vec<(u64, u64, u32)> = upper
+        .iter()
+        .zip(lower)
+        .zip(0u32..)
+        .map(|((&u, &l), i)| (!total_order_key(zero_gap(u, l)), total_order_key(u - l), i))
+        .collect();
+    keys.sort_unstable();
+    out.extend(keys.iter().map(|&(_, _, i)| i));
+}
+
+/// Distance of the interval `[l, u]` from zero (0 when it straddles it).
+#[inline]
+fn zero_gap(u: f64, l: f64) -> f64 {
+    if l > 0.0 {
+        l
+    } else if u < 0.0 {
+        -u
+    } else {
+        0.0
+    }
+}
+
+/// An unsigned key whose integer order is `f64::total_cmp`'s order:
+/// negative floats have every bit flipped, non-negative ones only the
+/// sign bit.
+#[inline]
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// Reusable projection + sliding-window buffers for the envelope bounds
@@ -367,9 +411,9 @@ pub fn lcss_distance_lower_bound(
 
 /// [`lcss_distance_lower_bound`] with caller-owned scratch: the
 /// `δ`-widened envelope is built into reused sliding-window buffers
-/// instead of materialising a whole widened [`Wedge`] (members, abandon
-/// order and all) per call, making the LCSS scan hot path
-/// allocation-free per candidate.
+/// instead of materialising a whole widened [`Wedge`] (members and all)
+/// per call, making the LCSS scan hot path allocation-free per
+/// candidate.
 // lint: panic-exempt(query/wedge length equality is validated at snapshot admission; the assert documents the kernel contract)
 pub fn lcss_distance_lower_bound_with(
     q: &[f64],
@@ -404,6 +448,7 @@ pub fn lcss_distance_lower_bound_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rotind_distance::dtw::{dtw, DtwParams};
     use rotind_distance::euclidean::euclidean;
     use rotind_distance::lcss::lcss_distance;
@@ -615,6 +660,13 @@ mod tests {
         }
     }
 
+    /// `wedge`'s abandon order.
+    fn order_of(wedge: &Wedge) -> Vec<u32> {
+        let mut order = Vec::new();
+        extend_abandon_order(wedge.upper(), wedge.lower(), &mut order);
+        order
+    }
+
     #[test]
     fn reordered_keogh_matches_natural_sum_and_abandons_sooner() {
         let c = signal(48, 0.0);
@@ -622,8 +674,9 @@ mod tests {
         let w = Wedge::from_rows(&m, &[0, 3, 9, 30]);
         let q = signal(48, 2.6);
         let natural = lb_keogh(&q, &w, &mut steps());
-        let reordered = lb_keogh_reordered_early_abandon_at(&q, &w, f64::INFINITY, &mut steps())
-            .expect("infinite radius never abandons");
+        let reordered =
+            lb_keogh_reordered_early_abandon_at(&q, &w, &order_of(&w), f64::INFINITY, &mut steps())
+                .expect("infinite radius never abandons");
         assert!(
             (natural - reordered).abs() < 1e-9,
             "same sum up to fp reassociation"
@@ -640,10 +693,135 @@ mod tests {
             .expect_err("spike forces abandon");
         assert_eq!(pos, n - 1);
         let mut reo = steps();
-        let terms = lb_keogh_reordered_early_abandon_at(&q0, &spiked, 1.0, &mut reo)
-            .expect_err("spike forces abandon");
+        let terms =
+            lb_keogh_reordered_early_abandon_at(&q0, &spiked, &order_of(&spiked), 1.0, &mut reo)
+                .expect_err("spike forces abandon");
         assert_eq!(terms, 1, "largest contribution is accumulated first");
         assert!(reo.steps() < nat.steps());
+    }
+
+    /// The comparator the keyed sort replaces, kept as its reference:
+    /// sort positions by `zero_gap` descending, width ascending, index.
+    fn reference_abandon_order(upper: &[f64], lower: &[f64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..upper.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            let gap = |i: usize| {
+                if lower[i] > 0.0 {
+                    lower[i]
+                } else if upper[i] < 0.0 {
+                    -upper[i]
+                } else {
+                    0.0
+                }
+            };
+            gap(b)
+                .total_cmp(&gap(a))
+                .then((upper[a] - lower[a]).total_cmp(&(upper[b] - lower[b])))
+                .then(a.cmp(&b))
+        });
+        order
+    }
+
+    #[test]
+    fn abandon_order_is_a_permutation_sorted_by_contribution() {
+        let c = signal(24, 0.0);
+        let m = RotationMatrix::full(&c).unwrap();
+        for w in [
+            Wedge::from_rows(&m, &[0, 5, 11]),
+            Wedge::from_single(&c, Rotation::shift(0)),
+            Wedge::from_rows(&m, &[0, 5, 11]).widened(3),
+        ] {
+            let order = order_of(&w);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..w.len() as u32).collect::<Vec<_>>());
+            // Primary key (distance of the envelope interval from zero)
+            // must be non-increasing along the order.
+            let gap = |i: u32| zero_gap(w.upper()[i as usize], w.lower()[i as usize]);
+            for pair in order.windows(2) {
+                assert!(gap(pair[0]) >= gap(pair[1]));
+            }
+            assert_eq!(order, reference_abandon_order(w.upper(), w.lower()));
+        }
+    }
+
+    #[test]
+    fn abandon_order_appends() {
+        let (upper, lower) = ([3.0, -1.0, 0.5], [1.0, -2.0, -0.5]);
+        let mut out = vec![7];
+        extend_abandon_order(&upper, &lower, &mut out);
+        // Gaps 1, 1, 0: the two gap-1 positions first, narrower (index 1,
+        // width 1) before wider (index 0, width 2).
+        assert_eq!(out, [7, 1, 0, 2]);
+    }
+
+    #[test]
+    fn total_order_key_sorts_like_total_cmp() {
+        let mut xs = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut by_key = xs;
+        xs.sort_by(f64::total_cmp);
+        by_key.sort_by_key(|&x| total_order_key(x));
+        assert_eq!(xs.map(f64::to_bits), by_key.map(f64::to_bits));
+    }
+
+    /// An envelope sample of one of three families, decoded from a
+    /// random `code`: continuous values, coarsely quantized ones (many
+    /// exact ties), and zero-heavy ones (`±0.0`, with the occasional
+    /// infinity or NaN).
+    fn envelope_value(family: u8, code: u64) -> f64 {
+        const ZERO_HEAVY: [f64; 12] = [
+            0.0,
+            -0.0,
+            0.0,
+            -0.0,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        match family {
+            0 => (code >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0,
+            1 => (code % 17) as f64 * 0.5 - 4.0,
+            _ => ZERO_HEAVY[(code % ZERO_HEAVY.len() as u64) as usize],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The keyed sort yields exactly the comparator's permutation,
+        /// for every length up to 300.
+        #[test]
+        fn keyed_abandon_order_equals_reference_comparator(
+            family in 0u8..3,
+            n in 1usize..=300,
+            codes in prop::collection::vec(0u64..u64::MAX, 600),
+        ) {
+            let value = |&code: &u64| envelope_value(family, code);
+            let upper: Vec<f64> = codes[..n].iter().map(value).collect();
+            let lower: Vec<f64> = codes[n..2 * n].iter().map(value).collect();
+            let mut keyed = Vec::new();
+            extend_abandon_order(&upper, &lower, &mut keyed);
+            prop_assert_eq!(keyed, reference_abandon_order(&upper, &lower));
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   area (the quality heuristic of Figure 8);
 //! * [`lb_keogh`] — `LB_Keogh` and its early-abandoning form (Table 5),
 //!   plus the DTW and LCSS variants and the cascade tiers: the `O(1)`
-//!   endpoint bound `lb_kim`, reordered early abandoning, and Lemire's
-//!   two-pass `lb_improved`;
+//!   endpoint bound `lb_kim`, reordered early abandoning with the
+//!   order it reads (`extend_abandon_order`), and Lemire's two-pass
+//!   `lb_improved`;
 //! * [`hierarchy`] — the hierarchical wedge tree derived from a
 //!   group-average dendrogram over the query's rotations (Figures 9/10),
 //!   the structure the H-Merge search of `rotind-index` traverses.

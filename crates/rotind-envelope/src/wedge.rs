@@ -34,44 +34,12 @@ pub struct Wedge {
     /// Series length `n`.
     n: usize,
     members: Vec<Rotation>,
-    /// Position permutation for reordered early abandoning: positions
-    /// sorted by decreasing expected contribution to `LB_Keogh`. A pure
-    /// function of `(upper, lower)`, computed once at construction.
-    order: Vec<u32>,
 }
 
 /// Lane-aligned stride of the envelope slab for series length `n`.
 #[inline]
 fn slab_stride(n: usize) -> usize {
     n.next_multiple_of(LANES)
-}
-
-/// Positions sorted so the terms most likely to dominate an `LB_Keogh`
-/// accumulation come first: primary key is the envelope's distance from
-/// zero (`gap(0, [L_i, U_i])`, descending — intervals far from the
-/// baseline force a contribution from any roughly-centred candidate),
-/// tie-broken by envelope width ascending (narrow intervals reject more
-/// candidates) and finally by index so the permutation is deterministic.
-// lint: panic-exempt(every index comes from 0..upper.len() and the slices are equal-length by the caller's contract)
-fn abandon_order_of(upper: &[f64], lower: &[f64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..upper.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        let gap = |i: usize| {
-            if lower[i] > 0.0 {
-                lower[i]
-            } else if upper[i] < 0.0 {
-                -upper[i]
-            } else {
-                0.0
-            }
-        };
-        gap(b)
-            .total_cmp(&gap(a))
-            .then((upper[a] - lower[a]).total_cmp(&(upper[b] - lower[b])))
-            .then(a.cmp(&b))
-    });
-    order
 }
 
 impl Wedge {
@@ -85,12 +53,7 @@ impl Wedge {
         // rotind-lint: allow(no-index) — n <= stride <= env.len()/2 by construction
         env[..n].copy_from_slice(upper);
         env[stride..stride + n].copy_from_slice(lower);
-        Wedge {
-            order: abandon_order_of(upper, lower),
-            env,
-            n,
-            members,
-        }
+        Wedge { env, n, members }
     }
 
     /// A degenerate wedge over a single candidate sequence — the case in
@@ -140,14 +103,7 @@ impl Wedge {
         }
         let mut members = a.members.clone();
         members.extend_from_slice(&b.members);
-        // rotind-lint: allow(no-index) — n <= stride by construction
-        let order = abandon_order_of(&env[..n], &env[stride..stride + n]);
-        Wedge {
-            order,
-            env,
-            n,
-            members,
-        }
+        Wedge { env, n, members }
     }
 
     /// Widen the envelope by the warping radius `R` (Section 4.3):
@@ -202,14 +158,6 @@ impl Wedge {
     #[inline]
     pub fn members(&self) -> &[Rotation] {
         &self.members
-    }
-
-    /// Positions in decreasing expected-contribution order, for reordered
-    /// early abandoning of `LB_Keogh` (cascade tier 3). Always a
-    /// permutation of `0..len()`.
-    #[inline]
-    pub fn abandon_order(&self) -> &[u32] {
-        &self.order
     }
 
     /// Number of covered rotations (the paper's `cardinality(T)`).
@@ -313,36 +261,6 @@ mod tests {
         assert!(wide.area() >= w.area());
         assert_eq!(wide.members(), w.members());
         assert_eq!(w.widened(0).upper(), w.upper());
-    }
-
-    #[test]
-    fn abandon_order_is_a_permutation_sorted_by_contribution() {
-        let c = signal(24);
-        let m = RotationMatrix::full(&c).unwrap();
-        for w in [
-            Wedge::from_rows(&m, &[0, 5, 11]),
-            Wedge::from_single(&c, Rotation::shift(0)),
-            Wedge::from_rows(&m, &[0, 5, 11]).widened(3),
-        ] {
-            let mut seen: Vec<u32> = w.abandon_order().to_vec();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..w.len() as u32).collect::<Vec<_>>());
-            // Primary key (distance of the envelope interval from zero)
-            // must be non-increasing along the order.
-            let gap = |i: usize| {
-                let (u, l) = (w.upper()[i], w.lower()[i]);
-                if l > 0.0 {
-                    l
-                } else if u < 0.0 {
-                    -u
-                } else {
-                    0.0
-                }
-            };
-            for pair in w.abandon_order().windows(2) {
-                assert!(gap(pair[0] as usize) >= gap(pair[1] as usize));
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! |------|-------|----------------|-----------|
 //! | 1    | `lb_kim` (endpoints only)          | `O(1)`          | loosest |
 //! | 2    | reduced-space PAA envelope bound   | `O(D)` (+ lazy `O(n)` per candidate) | looser than LB_Keogh |
-//! | 3    | LB_Keogh, reordered early abandon  | `O(n)` worst    | the paper's bound |
+//! | 3    | LB_Keogh, early abandon (reordered on Euclidean internal wedges) | `O(n)` worst | the paper's bound |
 //! | 4    | LB_Improved second pass (DTW only) | `O(n)`          | tightest |
 //!
 //! Every tier prunes with a *strict* comparison against an admissible
@@ -21,7 +21,8 @@
 //! `ROTIND_CASCADE` environment variable.
 
 use crate::reduced::{Paa, PaaEnvelope};
-use rotind_envelope::lb_keogh::ImprovedScratch;
+use rotind_distance::measure::Measure;
+use rotind_envelope::lb_keogh::{extend_abandon_order, ImprovedScratch};
 use rotind_envelope::WedgeTree;
 use rotind_ts::StepCounter;
 
@@ -50,11 +51,12 @@ pub const DEFAULT_IMPROVED_MIN_RATIO: f64 = 0.5;
 /// `cascade` ablation bench: a cheap tier is only worth running where
 /// the tier below it would be expensive. Tier 1's two endpoint terms
 /// are dominated by reordered LB_Keogh's first two (contribution-sorted)
-/// terms, so it earns its keep only on fat wedges where an admit is
-/// costly anyway; tier 2 must amortise a lazy `O(n)` candidate
-/// projection, so it is restricted to the fattest wedges; tier 4's
-/// second pass buys the most where a prune replaces an exact DTW
-/// evaluation, i.e. at (near-)singleton wedges.
+/// terms on Euclidean internal wedges, and its first term is
+/// natural-order LB_Keogh's first term elsewhere, so it earns its keep
+/// only on fat wedges where an admit is costly anyway; tier 2 must
+/// amortise a lazy `O(n)` candidate projection, so it is restricted to
+/// the fattest wedges; tier 4's second pass buys the most where a prune
+/// replaces an exact DTW evaluation, i.e. at (near-)singleton wedges.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeConfig {
     /// Tier 1: the `O(1)` endpoint (LB_Kim-style) bound.
@@ -68,9 +70,11 @@ pub struct CascadeConfig {
     /// identically zero).
     pub improved: bool,
     /// Accumulate tier 3 in the per-wedge contribution order instead of
-    /// natural position order (prune-only wedges; Euclidean singleton
-    /// leaves always use natural order because their sum *is* the exact
-    /// distance).
+    /// natural position order. Applies under Euclidean distance only,
+    /// and only to internal wedges: a Euclidean singleton leaf's sum
+    /// *is* the exact distance, and under DTW the order costs more
+    /// build and scan time than its earlier abandons save, so both keep
+    /// the natural order (see [`BoundCascade::build`]).
     pub reorder: bool,
     /// Reduced-space dimensionality for tier 2.
     pub dims: usize,
@@ -135,7 +139,8 @@ impl CascadeConfig {
     /// (`kim`/`reduced`/`keogh`/`improved`) or `all`. Single-tier
     /// configurations run their tier on *every* wedge (no cardinality
     /// gates) so the CI exactness matrix exercises each tier in
-    /// isolation; `keogh` selects the reordered tier-3 scan, and
+    /// isolation; `keogh` selects the reordered tier-3 scan (which
+    /// reorders Euclidean internal wedges only), and
     /// `improved` runs LB_Improved whole (its first pass is LB_Keogh,
     /// attributed to the Improved tier).
     pub fn parse(s: &str) -> Option<Self> {
@@ -187,33 +192,66 @@ impl Default for CascadeConfig {
     }
 }
 
-/// A [`CascadeConfig`] plus the per-tree data tier 2 needs: one reduced
-/// envelope per wedge-tree node, projected from the node's *lower-bound*
-/// wedge (widened by the DTW band) so the PAA bound stays admissible for
-/// DTW exactly as it is for Euclidean.
+/// A [`CascadeConfig`] plus the per-tree data its tiers need: for tier
+/// 2, one reduced envelope per wedge-tree node, projected from the
+/// node's *lower-bound* wedge (widened by the DTW band) so the PAA bound
+/// stays admissible for DTW exactly as it is for Euclidean; for tier 3,
+/// the abandon order of every node it reorders.
 #[derive(Debug, Clone)]
 pub struct BoundCascade {
     config: CascadeConfig,
     paa: Option<Vec<PaaEnvelope>>,
+    /// Tier-3 abandon orders of the internal nodes, flat: internal node
+    /// `leaves + j` owns `orders[j * n..(j + 1) * n]`. Empty when tier 3
+    /// reorders nothing.
+    orders: Vec<u32>,
+    /// Number of tree leaves, the first internal node id.
+    leaves: usize,
+    /// Series length, the length of one order.
+    n: usize,
 }
 
 impl BoundCascade {
-    /// Precompute tier-2 envelopes for every node of `tree` (skipped
-    /// entirely when the reduced tier is off).
-    pub fn build(tree: &WedgeTree, config: CascadeConfig) -> Self {
+    /// Precompute the tier data `config` needs on `tree` under
+    /// `measure`: the tier-2 envelopes of every node (when the reduced
+    /// tier is on), and the tier-3 abandon order of every internal node
+    /// when tier 3 reorders — under Euclidean distance with `keogh` and
+    /// `reorder` on. The orders cost `O(n log n)` per internal node,
+    /// `O(n² log n)` in all. Leaves, DTW and LCSS get none: tier 3 runs
+    /// there in natural order.
+    pub fn build(tree: &WedgeTree, measure: Measure, config: CascadeConfig) -> Self {
+        let nodes = tree.dendrogram().num_nodes();
         let paa = config.reduced.then(|| {
-            (0..tree.dendrogram().num_nodes())
+            (0..nodes)
                 .map(|node| PaaEnvelope::of_wedge(tree.lb_wedge(node), config.dims))
                 .collect()
         });
-        BoundCascade { config, paa }
+        let (leaves, n) = (tree.max_k(), tree.matrix().series_len());
+        let mut orders = Vec::new();
+        if config.keogh && config.reorder && matches!(measure, Measure::Euclidean) {
+            orders.reserve(nodes.saturating_sub(leaves) * n);
+            for node in leaves..nodes {
+                let wedge = tree.lb_wedge(node);
+                extend_abandon_order(wedge.upper(), wedge.lower(), &mut orders);
+            }
+        }
+        BoundCascade {
+            config,
+            paa,
+            orders,
+            leaves,
+            n,
+        }
     }
 
-    /// The tree-independent legacy cascade (no tier-2 data to build).
+    /// The tree-independent legacy cascade (no tier data to build).
     pub fn legacy() -> Self {
         BoundCascade {
             config: CascadeConfig::legacy(),
             paa: None,
+            orders: Vec::new(),
+            leaves: 0,
+            n: 0,
         }
     }
 
@@ -229,6 +267,15 @@ impl BoundCascade {
         // node and callers pass node ids of the same tree.
         // rotind-lint: allow(no-index)
         self.paa.as_deref().map(|v| &v[node])
+    }
+
+    /// Tier-3 abandon order for `node`: present exactly when tier 3
+    /// reorders that node's accumulation.
+    pub(crate) fn abandon_order(&self, node: usize) -> Option<&[u32]> {
+        let start = node.checked_sub(self.leaves)?.checked_mul(self.n)?;
+        self.orders
+            .get(start..start.checked_add(self.n)?)
+            .filter(|order| !order.is_empty())
     }
 }
 
@@ -381,6 +428,8 @@ impl BatchPaaCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotind_distance::dtw::DtwParams;
+    use rotind_distance::lcss::LcssParams;
     use rotind_ts::rotate::RotationMatrix;
 
     #[test]
@@ -409,13 +458,48 @@ mod tests {
     fn build_projects_every_node_only_when_reduced_is_on() {
         let series: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
         let tree = WedgeTree::new(RotationMatrix::full(&series).unwrap(), 0);
-        let with = BoundCascade::build(&tree, CascadeConfig::all());
+        let with = BoundCascade::build(&tree, Measure::Euclidean, CascadeConfig::all());
         for node in 0..tree.dendrogram().num_nodes() {
             assert!(with.paa_envelope(node).is_some(), "node {node}");
         }
-        let without = BoundCascade::build(&tree, CascadeConfig::legacy());
+        let without = BoundCascade::build(&tree, Measure::Euclidean, CascadeConfig::legacy());
         assert!(without.paa_envelope(0).is_none());
         assert!(BoundCascade::legacy().paa_envelope(0).is_none());
+    }
+
+    #[test]
+    fn orders_exist_only_for_euclidean_internal_nodes() {
+        let series: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
+        let matrix = RotationMatrix::full(&series).unwrap();
+        let plain = WedgeTree::new(matrix.clone(), 0);
+        let euclid = BoundCascade::build(&plain, Measure::Euclidean, CascadeConfig::all());
+        for node in 0..plain.dendrogram().num_nodes() {
+            match euclid.abandon_order(node) {
+                Some(order) => {
+                    assert!(!plain.is_leaf(node), "leaf {node} holds an order");
+                    let wedge = plain.lb_wedge(node);
+                    let mut expected = Vec::new();
+                    extend_abandon_order(wedge.upper(), wedge.lower(), &mut expected);
+                    assert_eq!(order, &expected[..], "node {node}");
+                }
+                None => assert!(plain.is_leaf(node), "internal node {node} has no order"),
+            }
+        }
+        let none = |cascade: &BoundCascade, tree: &WedgeTree| {
+            (0..tree.dendrogram().num_nodes()).all(|node| cascade.abandon_order(node).is_none())
+        };
+        let banded = WedgeTree::new(matrix, 3);
+        for (measure, tree) in [
+            (Measure::Dtw(DtwParams::new(0)), &plain),
+            (Measure::Dtw(DtwParams::new(3)), &banded),
+            (Measure::Lcss(LcssParams::new(0.5, 2)), &plain),
+        ] {
+            let cascade = BoundCascade::build(tree, measure, CascadeConfig::all());
+            assert!(none(&cascade, tree), "{measure:?} holds an order");
+        }
+        let legacy = BoundCascade::build(&plain, Measure::Euclidean, CascadeConfig::legacy());
+        assert!(none(&legacy, &plain), "legacy holds an order");
+        assert!(none(&BoundCascade::legacy(), &plain));
     }
 
     #[test]

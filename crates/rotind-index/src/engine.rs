@@ -97,8 +97,11 @@ pub struct Neighbor {
 /// An exact rotation-invariant query engine for one query series.
 ///
 /// Building the engine costs the paper's `O(n²)` startup (shift profiles,
-/// clustering, wedges); each search over `m` items then costs an
-/// empirical `O(m·n^{1.06})` instead of the brute-force `O(m·n²)`.
+/// clustering, wedges), plus, under Euclidean distance with the default
+/// cascade, `O(n² log n)` for tier 3's abandon orders (`n − 1` sorts of
+/// `n` keys, one per internal wedge); each search over `m` items then
+/// costs an empirical `O(m·n^{1.06})` instead of the brute-force
+/// `O(m·n²)`.
 ///
 /// ```
 /// use rotind_index::engine::{Invariance, RotationQuery};
@@ -137,7 +140,7 @@ impl RotationQuery {
     ) -> Result<Self, TsError> {
         let matrix = invariance.matrix(query)?;
         let tree = WedgeTree::new(matrix, measure.warping_band());
-        let cascade = BoundCascade::build(&tree, CascadeConfig::from_env());
+        let cascade = BoundCascade::build(&tree, measure, CascadeConfig::from_env());
         Ok(RotationQuery {
             tree,
             measure,
@@ -157,7 +160,7 @@ impl RotationQuery {
     /// rebuilding any per-tree tier data. Every configuration yields
     /// bit-identical search results; only the work profile changes.
     pub fn with_cascade(mut self, config: CascadeConfig) -> Self {
-        self.cascade = BoundCascade::build(&self.tree, config);
+        self.cascade = BoundCascade::build(&self.tree, self.measure, config);
         self
     }
 
@@ -447,15 +450,17 @@ impl RotationQuery {
     }
 }
 
-/// Per-scan state: the K planner plus a cache of dendrogram cuts.
+/// Per-scan state: the K planner, a cache of dendrogram cuts, and the
+/// buffer DTW and LCSS leaves copy their rotation into.
 /// `pub(crate)` so the parallel scan (`crate::parallel`) can give each
-/// worker thread its own independent planner and cut cache.
+/// worker thread its own independent planner, cut cache and buffer.
 pub(crate) struct ScanState<'a> {
     tree: &'a WedgeTree,
     cascade: &'a BoundCascade,
     planner: KPlanner,
     fixed_k: Option<usize>,
     cuts: HashMap<usize, Vec<usize>>,
+    leaf: Vec<f64>,
 }
 
 impl<'a> ScanState<'a> {
@@ -476,6 +481,7 @@ impl<'a> ScanState<'a> {
             planner,
             fixed_k,
             cuts: HashMap::new(),
+            leaf: Vec::new(),
         }
     }
 
@@ -530,6 +536,7 @@ impl<'a> ScanState<'a> {
             observer,
             budget,
             ctx,
+            &mut self.leaf,
         );
         if self.fixed_k.is_none() {
             self.planner

@@ -88,6 +88,9 @@ fn node_lower_bound(
 }
 
 /// Exact distance at a single-rotation leaf, early-abandoning against `r`.
+/// DTW and LCSS read the leaf's rotation from `series`, a buffer the
+/// caller keeps for its whole walk, so a leaf allocates nothing.
+#[allow(clippy::too_many_arguments)] // the leaf inputs plus the caller's buffer
 fn leaf_distance(
     candidate: &[f64],
     tree: &WedgeTree,
@@ -95,6 +98,7 @@ fn leaf_distance(
     r: f64,
     lb_at_leaf: f64,
     measure: Measure,
+    series: &mut Vec<f64>,
     counter: &mut StepCounter,
 ) -> Option<f64> {
     match measure {
@@ -104,8 +108,8 @@ fn leaf_distance(
         // Euclidean distance").
         Measure::Euclidean => Some(lb_at_leaf),
         _ => {
-            let series = tree.leaf_series(leaf);
-            measure.distance_early_abandon(candidate, &series, r, counter)
+            tree.matrix().row(leaf).copy_into(series);
+            measure.distance_early_abandon(candidate, series, r, counter)
         }
     }
 }
@@ -137,6 +141,7 @@ pub fn h_merge(
         &mut NoopObserver,
         &mut NoBudget,
         &mut CandidateCtx::new(),
+        &mut Vec::new(),
     )
 }
 
@@ -240,10 +245,14 @@ fn node_tier_bound<O: SearchObserver>(
         ProfilePhase::Tier(keogh_tier)
     };
     observer.on_phase_start(keogh_phase, counter.steps());
-    let keogh = if config.reorder && !euclid_leaf {
-        lb_keogh_reordered_early_abandon_at(candidate, lb_wedge, best_so_far, counter)
-    } else {
-        lb_keogh_early_abandon_at(candidate, lb_wedge, best_so_far, counter)
+    // The cascade holds an order exactly for the nodes it reorders
+    // (Euclidean internal wedges under `reorder`); everything else,
+    // Euclidean leaves included, accumulates in natural order.
+    let keogh = match cascade.abandon_order(node) {
+        Some(order) => {
+            lb_keogh_reordered_early_abandon_at(candidate, lb_wedge, order, best_so_far, counter)
+        }
+        None => lb_keogh_early_abandon_at(candidate, lb_wedge, best_so_far, counter),
     };
     observer.on_phase_end(keogh_phase, counter.steps());
     let lb = match keogh {
@@ -310,8 +319,10 @@ fn node_tier_bound<O: SearchObserver>(
 }
 
 /// The H-Merge core behind every scan: [`h_merge`] under an arbitrary
-/// [`BoundCascade`], an observer, a budget and a caller-owned
-/// [`CandidateCtx`].
+/// [`BoundCascade`], an observer, a budget, a caller-owned
+/// [`CandidateCtx`] and a caller-owned leaf buffer (`leaf`, which DTW
+/// and LCSS leaves fill with their rotation; a caller that keeps it
+/// across candidates allocates it once per scan).
 ///
 /// With [`BoundCascade::legacy`] it reproduces the historical
 /// single-bound scan step-for-step; with richer configurations extra
@@ -356,7 +367,7 @@ fn node_tier_bound<O: SearchObserver>(
 /// projection is query-independent, so the cached walk is
 /// result-identical to a fresh one — only the step accounting of later
 /// queries shrinks.
-#[allow(clippy::too_many_arguments)] // the walk inputs plus observer, budget and ctx
+#[allow(clippy::too_many_arguments)] // the walk inputs plus observer, budget, ctx and leaf buffer
                                      // lint: panic-exempt(candidate length is validated against the snapshot at admission; the assert documents the contract)
 pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     candidate: &[f64],
@@ -369,6 +380,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     observer: &mut O,
     budget: &mut B,
     ctx: &mut CandidateCtx,
+    leaf: &mut Vec<f64>,
 ) -> Option<HMergeOutcome> {
     assert_eq!(
         candidate.len(),
@@ -429,7 +441,16 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
             if phased {
                 observer.on_phase_start(ProfilePhase::Distance, counter.steps());
             }
-            let d = leaf_distance(candidate, tree, node, best_so_far, lb, measure, counter);
+            let d = leaf_distance(
+                candidate,
+                tree,
+                node,
+                best_so_far,
+                lb,
+                measure,
+                leaf,
+                counter,
+            );
             if phased {
                 observer.on_phase_end(ProfilePhase::Distance, counter.steps());
             }
@@ -496,13 +517,16 @@ pub fn h_merge_filter(
         "h_merge_filter: candidate length mismatch"
     );
     let mut stack: Vec<usize> = cut.to_vec();
+    let mut series = Vec::new();
     while let Some(node) = stack.pop() {
         let NodeBound::Admitted(lb) = node_lower_bound(candidate, tree, node, r, measure, counter)
         else {
             continue;
         };
         if tree.is_leaf(node) {
-            if let Some(d) = leaf_distance(candidate, tree, node, r, lb, measure, counter) {
+            if let Some(d) =
+                leaf_distance(candidate, tree, node, r, lb, measure, &mut series, counter)
+            {
                 if d <= r {
                     return Some(HMergeOutcome {
                         distance: d,
@@ -572,6 +596,7 @@ mod tests {
             observer,
             &mut NoBudget,
             &mut CandidateCtx::new(),
+            &mut Vec::new(),
         )
     }
 

@@ -32,6 +32,16 @@
 //! [`ServeConfig::clock`] to make deadline trips deterministic in
 //! tests.
 //!
+//! ## Connections
+//!
+//! The server keeps a clone of each live connection's socket, keyed by
+//! a connection id, so shutdown can unblock its reader. A connection
+//! thread removes its own entry when it ends (a drop guard covers every
+//! return path), and the acceptor joins the connection threads that
+//! have finished as it accepts, so a long-lived server holds file
+//! descriptors and thread handles only for the connections that are
+//! still open.
+//!
 //! ## Shutdown
 //!
 //! [`Server::shutdown`] (also run on drop) flips the shutdown flag,
@@ -49,6 +59,7 @@ use rotind_obs::{
     QueryBudget,
 };
 use rotind_ts::StepCounter;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,6 +135,27 @@ fn lock_metrics(shared: &Shared) -> MutexGuard<'_, MetricsRegistry> {
     shared.metrics.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// Socket clones of the live connections, keyed by connection id.
+type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+fn lock_conns(conns: &Conns) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    conns.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Removes a connection's socket clone from [`Conns`] when its thread
+/// ends, whichever way it returns, so the clone's file descriptor is
+/// closed with the connection.
+struct ConnEntry {
+    conns: Conns,
+    id: u64,
+}
+
+impl Drop for ConnEntry {
+    fn drop(&mut self) {
+        lock_conns(&self.conns).remove(&self.id);
+    }
+}
+
 /// A running query service bound to a loop-back port.
 ///
 /// Dropping the server shuts it down; [`Server::shutdown`] does the
@@ -133,7 +165,7 @@ pub struct Server {
     shared: Arc<Shared>,
     sender: Option<SyncSender<Job>>,
     queue_rx: Option<Arc<Mutex<Receiver<Job>>>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -159,7 +191,7 @@ impl Server {
                 thread::spawn(move || worker_loop(&shared, &rx))
             })
             .collect();
-        let conns = Arc::new(Mutex::new(Vec::new()));
+        let conns = Conns::default();
         let acceptor = {
             let shared = Arc::clone(&shared);
             let sender = sender.clone();
@@ -198,11 +230,8 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         // Unblock connection threads stuck reading their sockets.
-        {
-            let mut conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-            for stream in conns.drain(..) {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+        for (_, stream) in lock_conns(&self.conns).drain() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         // With no workers (test configurations) the queued jobs are
         // dropped here, which closes their reply channels and releases
@@ -243,26 +272,44 @@ fn acceptor_loop(
     shared: &Arc<Shared>,
     listener: &TcpListener,
     sender: &SyncSender<Job>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
+    conns: &Conns,
 ) {
-    let mut handles = Vec::new();
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id: u64 = 0;
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     break;
                 }
+                // Join the connection threads that have ended (`join`
+                // returns at once for them), so only live ones keep a
+                // handle here.
+                let (ended, live): (Vec<_>, Vec<_>) = std::mem::take(&mut handles)
+                    .into_iter()
+                    .partition(JoinHandle::is_finished);
+                handles = live;
+                for handle in ended {
+                    let _ = handle.join();
+                }
                 // Request/response streams are latency-bound: without
                 // this, replies sit in Nagle's buffer waiting for the
                 // client's delayed ACK (~20 ms per round trip).
                 let _ = stream.set_nodelay(true);
                 lock_metrics(shared).counter_add("rotind_serve_connections_total", 1);
+                let id = next_id;
+                next_id = next_id.wrapping_add(1);
                 if let Ok(clone) = stream.try_clone() {
-                    conns.lock().unwrap_or_else(|p| p.into_inner()).push(clone);
+                    lock_conns(conns).insert(id, clone);
                 }
+                let entry = ConnEntry {
+                    conns: Arc::clone(conns),
+                    id,
+                };
                 let shared = Arc::clone(shared);
                 let sender = sender.clone();
                 handles.push(thread::spawn(move || {
+                    let _entry = entry;
                     connection_loop(&shared, &sender, stream)
                 }));
             }

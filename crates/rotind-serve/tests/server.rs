@@ -394,3 +394,51 @@ fn shutdown_is_clean_and_idempotent() {
     );
     drop(server); // drop after explicit shutdown is fine too
 }
+
+/// Entries of a `/proc/self` directory: open file descriptors (`fd`)
+/// or live threads (`task`) of this process.
+#[cfg(target_os = "linux")]
+fn proc_entries(dir: &str) -> usize {
+    std::fs::read_dir(format!("/proc/self/{dir}"))
+        .map(|entries| entries.count())
+        .unwrap_or(0)
+}
+
+/// A long-lived server holds nothing per closed connection: after 2,000
+/// connect → ping → disconnect cycles, the process's open file
+/// descriptors and threads return to within a small constant of their
+/// counts before the loop. (The counts are process-wide and other tests
+/// run in parallel, so the check polls until a deadline.)
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_fds_and_threads() {
+    const CYCLES: usize = 2_000;
+    const SLACK: usize = 32;
+    let snapshot = IndexSnapshot::new(database(4, 16)).unwrap();
+    let mut server = Server::start(snapshot, config(1)).unwrap();
+    Client::connect(server.addr()).unwrap().ping().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let (fds_before, tasks_before) = (proc_entries("fd"), proc_entries("task"));
+    for _ in 0..CYCLES {
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.ping().unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let (fds, tasks) = loop {
+        let counts = (proc_entries("fd"), proc_entries("task"));
+        let settled = counts.0 <= fds_before + SLACK && counts.1 <= tasks_before + SLACK;
+        if settled || std::time::Instant::now() > deadline {
+            break counts;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        fds <= fds_before + SLACK,
+        "open fds grew from {fds_before} to {fds} over {CYCLES} connections"
+    );
+    assert!(
+        tasks <= tasks_before + SLACK,
+        "threads grew from {tasks_before} to {tasks} over {CYCLES} connections"
+    );
+    server.shutdown();
+}

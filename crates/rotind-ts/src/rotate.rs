@@ -111,6 +111,7 @@ impl<'a> RotationView<'a> {
 
     /// Copy the rotated series into `buf` (cleared and refilled),
     /// avoiding a fresh allocation in per-rotation hot loops.
+    // lint: panic-exempt(shift is reduced mod the base length at construction)
     pub fn copy_into(&self, buf: &mut Vec<f64>) {
         buf.clear();
         buf.extend_from_slice(&self.base[self.shift..]);

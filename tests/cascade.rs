@@ -11,7 +11,7 @@ use rotind::distance::lcss::LcssParams;
 use rotind::distance::measure::Measure;
 use rotind::distance::rotation::search_database;
 use rotind::envelope::lb_keogh::{
-    lb_improved, lb_keogh, lb_keogh_reordered_early_abandon_at, lb_kim,
+    extend_abandon_order, lb_improved, lb_keogh, lb_keogh_reordered_early_abandon_at, lb_kim,
 };
 use rotind::envelope::Wedge;
 use rotind::index::engine::{Invariance, RotationQuery};
@@ -142,10 +142,17 @@ proptest! {
     ) {
         let matrix = RotationMatrix::full(&base).unwrap();
         let wedge = Wedge::from_rows(&matrix, &rows).widened(band);
+        let mut order = Vec::new();
+        extend_abandon_order(wedge.upper(), wedge.lower(), &mut order);
         let natural = lb_keogh(&q, &wedge, &mut StepCounter::new());
-        let reordered =
-            lb_keogh_reordered_early_abandon_at(&q, &wedge, f64::INFINITY, &mut StepCounter::new())
-                .expect("infinite threshold never abandons");
+        let reordered = lb_keogh_reordered_early_abandon_at(
+            &q,
+            &wedge,
+            &order,
+            f64::INFINITY,
+            &mut StepCounter::new(),
+        )
+        .expect("infinite threshold never abandons");
         prop_assert!((natural - reordered).abs() < 1e-9, "{} != {}", natural, reordered);
     }
 
@@ -286,5 +293,42 @@ fn lcss_stays_outside_the_cascade() {
     nearest_traced(&engine, &db, &mut trace);
     for tier in CascadeTier::ALL {
         assert_eq!(trace.tier_tested(tier), 0, "{tier:?} fired under LCSS");
+    }
+}
+
+/// `reorder` applies under Euclidean distance only: under DTW, at band 0
+/// and above, the default cascade and the same cascade with `reorder`
+/// off give the same answers for the same number of steps.
+#[test]
+fn reorder_has_no_effect_under_dtw() {
+    let (db, query) = sine_db(32, 64);
+    for band in [0usize, 5] {
+        let measure = Measure::Dtw(DtwParams::new(band));
+        let run = |config: CascadeConfig| {
+            let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure)
+                .unwrap()
+                .with_cascade(config);
+            let mut counter = StepCounter::new();
+            let hits = engine
+                .search(
+                    &db,
+                    QueryKind::KNearest(3),
+                    &mut counter,
+                    &mut NoopObserver,
+                    &mut NoBudget,
+                    None,
+                )
+                .unwrap()
+                .into_inner();
+            (hits, counter.steps())
+        };
+        let natural = CascadeConfig {
+            reorder: false,
+            ..CascadeConfig::all()
+        };
+        let (with, with_steps) = run(CascadeConfig::all());
+        let (without, without_steps) = run(natural);
+        assert_eq!(with, without, "band {band}: answers differ");
+        assert_eq!(with_steps, without_steps, "band {band}: steps differ");
     }
 }

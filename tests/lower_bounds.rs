@@ -186,7 +186,7 @@ proptest! {
         let tree = WedgeTree::new(RotationMatrix::full(&base).unwrap(), band);
         for node in 0..tree.dendrogram().num_nodes() {
             for leaf in tree.dendrogram().members(node) {
-                let series = tree.leaf_series(leaf);
+                let series = tree.matrix().row(leaf).to_vec();
                 prop_assert!(tree.wedge(node).contains(&series));
                 prop_assert!(tree.lb_wedge(node).contains(&series));
             }
