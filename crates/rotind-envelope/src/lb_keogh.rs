@@ -265,8 +265,8 @@ fn total_order_key(x: f64) -> u64 {
 /// Reusable projection + sliding-window buffers for the envelope bounds
 /// that need per-call working storage: the `LB_Improved` second pass and
 /// the widened LCSS envelope. Owned by the caller (the engine keeps one
-/// per candidate context) so the query hot path performs no per-call
-/// allocation.
+/// per scan, or per parallel worker) so the query hot path performs no
+/// per-call allocation.
 #[derive(Debug, Default)]
 pub struct ImprovedScratch {
     proj: Vec<f64>,

@@ -17,9 +17,10 @@ use std::f64::consts::PI;
 /// Chirp term `e^{−iπ·j²/n}` evaluated stably via `j² mod 2n`.
 #[inline]
 fn chirp(j: usize, n: usize) -> Complex {
-    // j² mod 2n in u128 to avoid overflow for large n.
+    // j² mod 2n in u128 to avoid overflow for large n (the transform
+    // never asks for n = 0, where the remainder would be undefined).
     let m = (2 * n) as u128;
-    let sq = (j as u128 * j as u128) % m;
+    let sq = (j as u128 * j as u128).checked_rem(m).unwrap_or(0);
     Complex::cis(-PI * sq as f64 / n as f64)
 }
 
@@ -45,13 +46,16 @@ pub fn bluestein(input: &[Complex]) -> Vec<Complex> {
     // convolution.
     let mut a = vec![Complex::ZERO; m];
     let mut b = vec![Complex::ZERO; m];
-    for j in 0..n {
+    for (j, ((a_j, b_j), &x)) in a.iter_mut().zip(b.iter_mut()).zip(input).enumerate() {
         let w = chirp(j, n);
-        a[j] = input[j] * w;
-        b[j] = w.conj();
+        *a_j = x * w;
+        *b_j = w.conj();
     }
-    for j in 1..n {
-        b[m - j] = b[j];
+    // b[m − j] = b[j] for j in 1..n: the last n − 1 slots, reversed,
+    // take b[1..n] (m ≥ 2n − 1 keeps the two ranges apart).
+    let (head, tail) = b.split_at_mut(m - n + 1);
+    for (dst, src) in tail.iter_mut().rev().zip(head.iter().skip(1)) {
+        *dst = *src;
     }
 
     fft_pow2(&mut a, false);
@@ -61,7 +65,11 @@ pub fn bluestein(input: &[Complex]) -> Vec<Complex> {
     }
     fft_pow2(&mut a, true);
 
-    (0..n).map(|k| a[k] * chirp(k, n)).collect()
+    a.iter()
+        .take(n)
+        .enumerate()
+        .map(|(k, &z)| z * chirp(k, n))
+        .collect()
 }
 
 /// Inverse DFT of arbitrary length (normalised by `1/n`).

@@ -25,6 +25,7 @@ pub fn next_power_of_two(n: usize) -> usize {
 /// # Panics
 ///
 /// Panics when `data.len()` is not a power of two.
+// lint: panic-exempt(documented precondition: the serve path reaches this only through bluestein, which passes power-of-two buffers)
 pub fn fft_pow2(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(
@@ -50,13 +51,14 @@ pub fn fft_pow2(data: &mut [Complex], inverse: bool) {
     while len <= n {
         let ang = sign * TAU / len as f64;
         let wlen = Complex::cis(ang);
-        for start in (0..n).step_by(len) {
+        for block in data.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(len / 2);
             let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let a = data[start + k];
-                let b = data[start + k + len / 2] * w;
-                data[start + k] = a + b;
-                data[start + k + len / 2] = a - b;
+            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                let a = *x;
+                let b = *y * w;
+                *x = a + b;
+                *y = a - b;
                 w *= wlen;
             }
         }

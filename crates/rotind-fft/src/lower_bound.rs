@@ -14,22 +14,43 @@
 //! of Figures 19/21/22) and as the vantage-point-tree metric of the disk
 //! index (Figure 24). Truncating to the first `D` bins drops non-negative
 //! terms, so every prefix is still admissible.
+//!
+//! For real input the spectrum is conjugate-symmetric, `|X_{n−k}| =
+//! |X_k|`, so a prefix of `D ≤ ⌈n/2⌉` bins stands for `2D − 1` distinct
+//! bins of the sum: the DC bin once, every other bin twice.
+//! [`folded_magnitude_features`] scales bins `1..D` by `√2`, so the plain
+//! Euclidean distance between two folded vectors is that tighter bound.
 
-use crate::spectrum::magnitudes;
+use crate::spectrum::{magnitude_features, magnitudes};
 use rotind_ts::StepCounter;
 
 /// Euclidean distance between two (possibly truncated) magnitude vectors;
 /// an admissible lower bound to the rotation-invariant Euclidean distance
 /// between the underlying series. One step is charged per coefficient.
 pub fn magnitude_distance(qm: &[f64], cm: &[f64], counter: &mut StepCounter) -> f64 {
-    let d = qm.len().min(cm.len());
     let mut acc = 0.0;
-    for k in 0..d {
-        let diff = qm[k] - cm[k];
+    for (q, c) in qm.iter().zip(cm) {
+        let diff = q - c;
         acc += diff * diff;
         counter.tick();
     }
     acc.sqrt()
+}
+
+/// The first `d` Parseval-normalised magnitudes of a real series, folded
+/// over the conjugate-symmetric half of the spectrum: `d` is clamped to
+/// `⌈n/2⌉`, and bins `1..d` are scaled by `√2` because each stands for
+/// itself and its mirror bin `n − k` (distinct from every kept bin under
+/// that clamp). The Euclidean distance between two folded vectors is the
+/// magnitude bound over `2d − 1` bins, still at most the
+/// rotation-invariant Euclidean distance. Magnitudes are unchanged by a
+/// circular shift and by reversal, so the features are too.
+pub fn folded_magnitude_features(xs: &[f64], d: usize) -> Vec<f64> {
+    let mut features = magnitude_features(xs, d.min(xs.len().div_ceil(2)));
+    for m in features.iter_mut().skip(1) {
+        *m *= std::f64::consts::SQRT_2;
+    }
+    features
 }
 
 /// The paper's cost model for one FFT-lower-bound test: `n·log₂(n)` steps
@@ -73,7 +94,6 @@ pub fn fourier_lower_bound(q: &[f64], c: &[f64], counter: &mut StepCounter) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spectrum::magnitude_features;
     use rotind_ts::rotate::rotated;
 
     fn euclidean(a: &[f64], b: &[f64]) -> f64 {
@@ -121,6 +141,49 @@ mod tests {
             assert!(lb <= exact + 1e-7, "d = {d}");
             assert!(lb + 1e-9 >= last, "prefix bound is monotone in d");
             last = lb;
+        }
+    }
+
+    #[test]
+    fn folded_features_lower_bound_and_tighten_the_prefix() {
+        for n in [1usize, 2, 7, 8, 31, 64, 251] {
+            let q = signal(n, 0.3);
+            let c = signal(n, 2.2);
+            let mirrored: Vec<f64> = c.iter().rev().copied().collect();
+            let exact = min_rotation_ed(&q, &c).min(min_rotation_ed(&q, &mirrored));
+            for d in [1usize, 4, 16, 500] {
+                let (qf, cf) = (
+                    folded_magnitude_features(&q, d),
+                    folded_magnitude_features(&c, d),
+                );
+                assert_eq!(qf.len(), d.min(n.div_ceil(2)), "n = {n}, d = {d}");
+                let folded = magnitude_distance(&qf, &cf, &mut StepCounter::new());
+                let plain = magnitude_distance(
+                    &magnitude_features(&q, d),
+                    &magnitude_features(&c, d),
+                    &mut StepCounter::new(),
+                );
+                assert!(
+                    folded <= exact + 1e-7,
+                    "n = {n}, d = {d}: {folded} > {exact}"
+                );
+                if d <= n.div_ceil(2) {
+                    assert!(folded + 1e-9 >= plain, "n = {n}, d = {d}: fold loosened");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folded_features_ignore_rotation_and_reversal() {
+        let c = signal(45, 0.7);
+        let base = folded_magnitude_features(&c, 16);
+        let reversed: Vec<f64> = c.iter().rev().copied().collect();
+        for other in [rotated(&c, 11), reversed] {
+            let f = folded_magnitude_features(&other, 16);
+            for (a, b) in base.iter().zip(&f) {
+                assert!((a - b).abs() < 1e-9);
+            }
         }
     }
 

@@ -20,11 +20,12 @@
 //! [`CascadeConfig`] and, for the CI ablation matrix, via the
 //! `ROTIND_CASCADE` environment variable.
 
-use crate::reduced::{Paa, PaaEnvelope};
+use crate::reduced::{MagnitudeTable, Paa, PaaEnvelope, MAGNITUDE_DIMS};
 use rotind_distance::measure::Measure;
-use rotind_envelope::lb_keogh::{extend_abandon_order, ImprovedScratch};
+use rotind_envelope::lb_keogh::extend_abandon_order;
 use rotind_envelope::WedgeTree;
 use rotind_ts::StepCounter;
+use std::sync::{Arc, OnceLock};
 
 /// Default reduced-space dimensionality for tier 2 (segments per item).
 /// Small on purpose: the tier has to amortise `D` steps per tested wedge
@@ -281,25 +282,18 @@ impl BoundCascade {
 
 /// Per-candidate lazy state for one H-Merge call: the candidate's PAA
 /// projection is only computed (and charged, `n` steps) if some wedge
-/// actually reaches tier 2, plus the reusable projection/sliding-window
-/// buffers the tier-4 second pass (and the LCSS envelope bound) fill per
-/// node — owned here so the scan allocates nothing per wedge.
+/// actually reaches tier 2. The walk's working buffers live with the
+/// scan, not here (`crate::hmerge::WalkBuffers`).
 pub(crate) struct CandidateCtx {
     paa: Option<Paa>,
     /// True when the projection arrived pre-built from a cache (used
     /// only for the cache's built/reused accounting).
     seeded: bool,
-    /// Scratch for `lb_improved_second_pass` / the widened LCSS bound.
-    pub(crate) improved: ImprovedScratch,
 }
 
 impl CandidateCtx {
     pub(crate) fn new() -> Self {
-        CandidateCtx {
-            paa: None,
-            seeded: false,
-            improved: ImprovedScratch::new(),
-        }
+        Self::with(None)
     }
 
     /// A context pre-seeded with an already-built projection (or
@@ -307,11 +301,7 @@ impl CandidateCtx {
     /// cached state.
     pub(crate) fn with(paa: Option<Paa>) -> Self {
         let seeded = paa.is_some();
-        CandidateCtx {
-            paa,
-            seeded,
-            improved: ImprovedScratch::new(),
-        }
+        CandidateCtx { paa, seeded }
     }
 
     /// Surrender the (possibly still unbuilt) projection, so a cache
@@ -339,8 +329,10 @@ impl CandidateCtx {
     }
 }
 
-/// A per-database cache of candidate PAA projections, shared across the
-/// queries of a batch (or the lifetime of a serve worker).
+/// A per-database cache of query-independent candidate data, shared
+/// across the queries of a batch (or the lifetime of a serve worker):
+/// each candidate's tier-2 PAA projection, and the database's
+/// [`MagnitudeTable`] that orders Euclidean scans best-first.
 ///
 /// Tier 2 charges a lazy `O(n)` projection per candidate per query —
 /// but `Paa::of(candidate, dims)` is *query-independent*, so a server
@@ -352,28 +344,58 @@ impl CandidateCtx {
 /// unchanged — the cached value is bit-identical to a fresh build —
 /// only later queries' step counts drop by the amortized projections.
 ///
-/// The cache is single-threaded by design (`&mut` access, no locks):
-/// a serve worker owns one and reuses it across its whole job stream.
+/// The magnitude table is built, uncharged, on the first Euclidean
+/// search through the cache (one FFT per item). Caches from one
+/// [`crate::IndexSnapshot::paa_cache`] share a single table, so every
+/// worker of a server uses the table the first Euclidean query built;
+/// a worker whose first Euclidean query arrives during that build waits
+/// for it. A cache from [`BatchPaaCache::new`] builds its own. The
+/// table belongs to the database the cache was made for: a cache must
+/// not be moved to another database of the same size.
+///
+/// The slots are single-threaded by design (`&mut` access, no locks):
+/// a serve worker owns one cache and reuses it across its whole job
+/// stream.
 #[derive(Debug, Clone)]
 pub struct BatchPaaCache {
     dims: usize,
     slots: Vec<Option<Paa>>,
     reused: u64,
     built: u64,
+    magnitudes: Arc<OnceLock<MagnitudeTable>>,
 }
 
 impl BatchPaaCache {
     /// An empty cache for a database of `db_len` items, projecting at
     /// `dims` segments (must match the engine's
     /// [`CascadeConfig::dims`]; the cached entry points reject a
-    /// mismatch).
+    /// mismatch, and a `db_len` other than the database's size).
     pub fn new(db_len: usize, dims: usize) -> Self {
+        Self::sharing(db_len, dims, Arc::default())
+    }
+
+    /// An empty cache that shares `magnitudes` — the table slot of the
+    /// snapshot handing it out — with every other cache of that
+    /// snapshot.
+    pub(crate) fn sharing(
+        db_len: usize,
+        dims: usize,
+        magnitudes: Arc<OnceLock<MagnitudeTable>>,
+    ) -> Self {
         BatchPaaCache {
             dims,
             slots: vec![None; db_len],
             reused: 0,
             built: 0,
+            magnitudes,
         }
+    }
+
+    /// The magnitude table of `database`, the database this cache was
+    /// made for: built on first use, then shared (see the type docs).
+    pub(crate) fn magnitudes(&self, database: &[Vec<f64>]) -> &MagnitudeTable {
+        self.magnitudes
+            .get_or_init(|| MagnitudeTable::build(database, MAGNITUDE_DIMS))
     }
 
     /// The reduced-space dimensionality this cache projects at.

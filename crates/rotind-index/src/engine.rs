@@ -10,7 +10,7 @@
 
 use crate::cascade::{BatchPaaCache, BoundCascade, CandidateCtx, CascadeConfig};
 use crate::error::SearchError;
-use crate::hmerge::{h_merge, h_merge_cascade, HMergeOutcome};
+use crate::hmerge::{h_merge, h_merge_cascade, HMergeOutcome, WalkBuffers};
 use crate::planner::KPlanner;
 use crate::snapshot::QueryKind;
 use rotind_distance::measure::Measure;
@@ -20,6 +20,7 @@ use rotind_obs::{
 };
 use rotind_ts::rotate::{Rotation, RotationMatrix};
 use rotind_ts::{StepCounter, TsError};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Which rotations of the query are admitted as matches.
@@ -245,35 +246,54 @@ impl RotationQuery {
     }
 
     /// The sequential scan behind every query kind: one pass over
-    /// `database` in order, each item compared by H-Merge under the
+    /// `database`, each visited item compared by H-Merge under the
     /// dynamically tuned `K`.
     ///
-    /// - [`QueryKind::KNearest`] keeps the `k` best (ties broken by
-    ///   database order) and prunes against the `k`-th best distance
+    /// - [`QueryKind::KNearest`] keeps the `k` best, ordered by
+    ///   `(distance, index)`, and prunes against the `k`-th best distance
     ///   once `k` hits are held; [`QueryKind::Nearest`] is k-NN at
     ///   `k = 1`, so its answer has at most one element.
     /// - [`QueryKind::Range`] prunes against the fixed radius and
     ///   returns every item within it (inclusive), in database order.
     ///
+    /// **Visiting order.** Under Euclidean distance through a `cache`,
+    /// every item first gets a rotation-invariant lower bound from the
+    /// cache's [`MagnitudeTable`](crate::reduced::MagnitudeTable) of
+    /// folded Fourier magnitudes (built on first use, uncharged). A k-NN
+    /// scan then visits items best-first, by ascending `(bound, index)`,
+    /// and stops at the first item whose bound exceeds the `k`-th best
+    /// distance — the paper's `NNSearch` (Table 7). A range scan keeps
+    /// database order and skips every item whose bound exceeds the
+    /// radius. Both dismissals are strict, and an item at exactly the
+    /// `k`-th distance displaces the `k`-th hit only when its index is
+    /// lower, so the answers are exactly the database-order scan's. DTW,
+    /// LCSS and uncached scans visit every item in database order.
+    ///
     /// `counter` receives the `num_steps` cost (the metric of Figures
-    /// 19–23). `observer` sees every wedge test, prune, early abandon
-    /// and planner decision; it never changes the answer or the step
-    /// count (`tests/observability.rs`). Pass [`NoopObserver`] and
+    /// 19–23), including the bounds: `fft_cost_model(n)` for the query's
+    /// features and one step per coefficient per item. `observer` sees
+    /// every wedge test, prune, early abandon and planner decision; it
+    /// never changes the answer or the step count
+    /// (`tests/observability.rs`). Pass [`NoopObserver`] and
     /// [`NoBudget`] for the plain scan: both monomorphize away.
     ///
     /// The budget is checked at every dismissal boundary — before each
-    /// database item here, and before each popped wedge inside H-Merge.
+    /// visited item here, and before each popped wedge inside H-Merge.
     /// On exhaustion the partial answer holds exact distances for every
     /// admitted item, but may miss closer items that were never (or
-    /// only partially) scanned; a range partial covers the scanned
-    /// prefix of the database.
+    /// only partially) scanned. A k-NN partial covers the items visited
+    /// so far, in bound order when the bounds apply; a range partial
+    /// covers a prefix of the database, filtered by the bounds when they
+    /// apply.
     ///
-    /// `cache` shares a [`BatchPaaCache`] of candidate PAA projections
-    /// across queries. Results are bit-identical to the uncached scan
-    /// (the projection is query-independent); only the step counts of
+    /// `cache` shares a [`BatchPaaCache`] of query-independent candidate
+    /// data across queries. Its PAA projections leave results
+    /// bit-identical to the uncached scan, and only the step counts of
     /// queries after the first drop, by the amortized `O(n)`
-    /// projections. The cache must have been built at this engine's
-    /// cascade `dims`.
+    /// projections. The cache must cover this `database` (the same
+    /// length; the table is built from the first database searched
+    /// through it) at this engine's cascade `dims`; a mismatch in either
+    /// is an [`SearchError::InvalidParam`].
     pub fn search<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
@@ -284,7 +304,7 @@ impl RotationQuery {
         mut cache: Option<&mut BatchPaaCache>,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
         if let Some(cache) = cache.as_deref() {
-            self.check_cache(cache)?;
+            self.check_cache(cache, database.len())?;
         }
         // The k of a k-NN query; a range query (`k = 0` here) keeps
         // every hit.
@@ -307,22 +327,41 @@ impl RotationQuery {
         self.check_all(database)?;
 
         observer.on_phase_start(ProfilePhase::Query, counter.steps());
+        // One magnitude bound per item where a table applies (the query
+        // is finite: engine construction rejects anything else);
+        // otherwise none, and every item's bound reads as 0.
+        let bounds = match cache.as_deref() {
+            Some(cache) if matches!(self.measure, Measure::Euclidean) => cache
+                .magnitudes(database)
+                .lower_bounds(self.tree.matrix().base(), counter),
+            _ => Vec::new(),
+        };
+        let best_first = k > 0 && !bounds.is_empty();
+        let mut visits: Vec<(f64, usize)> = (0..database.len())
+            .map(|index| (bounds.get(index).copied().unwrap_or(0.0), index))
+            .collect();
+        if best_first {
+            visits.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
         let mut scan = ScanState::new(
             &self.tree,
             &self.cascade,
             self.k_policy,
             self.probe_intervals,
         );
-        // k-NN: the k best by distance, sorted; range: every hit, in
+        // k-NN: the k best by (distance, index); range: every hit, in
         // database order.
         let mut hits: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        for (index, item) in database.iter().enumerate() {
+        for (lb, index) in visits {
             // Dismissal boundary: stop admitting new candidates once the
             // budget trips (the sticky hook also cuts the wedge walk
             // below, so at most one partial walk runs after a trip).
             if !budget.check(counter.steps()) {
                 break;
             }
+            let Some(item) = database.get(index) else {
+                continue;
+            };
             // The threshold: H-Merge admits inclusively (`d == radius`
             // matches), so a radius is passed straight through — no
             // epsilon padding. k-NN prunes only once k hits are held.
@@ -331,6 +370,15 @@ impl RotationQuery {
                 _ if hits.len() == k => hits.last().map_or(f64::INFINITY, |h| h.distance),
                 _ => f64::INFINITY,
             };
+            // Strict dismissal by the item's magnitude bound. In
+            // best-first order every later bound is at least this one,
+            // so none of them can be admitted either.
+            if lb > bsf {
+                if best_first {
+                    break;
+                }
+                continue;
+            }
             let mut ctx = match cache.as_deref_mut() {
                 Some(cache) => cache.take(index),
                 None => CandidateCtx::new(),
@@ -350,6 +398,11 @@ impl RotationQuery {
             let Some(outcome) = compared else {
                 continue;
             };
+            debug_assert!(
+                lb <= outcome.distance,
+                "unsound magnitude bound: {lb} exceeds the distance {} of item {index}",
+                outcome.distance
+            );
             let hit = Neighbor {
                 index,
                 distance: outcome.distance,
@@ -360,17 +413,15 @@ impl RotationQuery {
                 continue;
             }
             // H-Merge admits inclusively, so with k hits held an item at
-            // exactly the k-th distance comes back `Some`; it cannot
-            // displace the (lower-index) incumbent, so skip it rather
-            // than churn the list and the planner. `>=` here is not a
-            // false dismissal: the tie at exactly `bsf` is already held
-            // by a lower index.
-            // rotind-lint: allow(strict-dismissal)
-            if hits.len() == k && outcome.distance >= bsf {
+            // exactly the k-th distance comes back `Some`. It displaces
+            // the k-th hit only when its index is lower — which database
+            // order never visits — so ties resolve by index in any
+            // visiting order, without churning the list and the planner.
+            if hits.len() == k && hits.last().is_some_and(|kth| rank(&hit, kth).is_ge()) {
                 continue;
             }
             hits.push(hit);
-            hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+            hits.sort_by(rank);
             hits.truncate(k);
             scan.notify_improvement_observed(observer);
         }
@@ -416,7 +467,7 @@ impl RotationQuery {
         self.search(database, kind, counter, observer, budget, Some(cache))
     }
 
-    fn check_cache(&self, cache: &BatchPaaCache) -> Result<(), SearchError> {
+    fn check_cache(&self, cache: &BatchPaaCache, db_len: usize) -> Result<(), SearchError> {
         let dims = self.cascade.config().dims;
         if cache.dims() != dims {
             return Err(SearchError::invalid_param(
@@ -424,6 +475,15 @@ impl RotationQuery {
                 format!(
                     "BatchPaaCache built at dims {} but this engine projects at dims {dims}",
                     cache.dims()
+                ),
+            ));
+        }
+        if cache.len() != db_len {
+            return Err(SearchError::invalid_param(
+                "cache",
+                format!(
+                    "BatchPaaCache covers {} items but the database holds {db_len}",
+                    cache.len()
                 ),
             ));
         }
@@ -450,17 +510,24 @@ impl RotationQuery {
     }
 }
 
+/// The order of k-NN hits: by distance, ties by database index.
+fn rank(a: &Neighbor, b: &Neighbor) -> Ordering {
+    a.distance
+        .total_cmp(&b.distance)
+        .then(a.index.cmp(&b.index))
+}
+
 /// Per-scan state: the K planner, a cache of dendrogram cuts, and the
-/// buffer DTW and LCSS leaves copy their rotation into.
+/// H-Merge walk buffers every candidate reuses.
 /// `pub(crate)` so the parallel scan (`crate::parallel`) can give each
-/// worker thread its own independent planner, cut cache and buffer.
+/// worker thread its own independent planner, cut cache and buffers.
 pub(crate) struct ScanState<'a> {
     tree: &'a WedgeTree,
     cascade: &'a BoundCascade,
     planner: KPlanner,
     fixed_k: Option<usize>,
     cuts: HashMap<usize, Vec<usize>>,
-    leaf: Vec<f64>,
+    walk: WalkBuffers,
 }
 
 impl<'a> ScanState<'a> {
@@ -481,13 +548,8 @@ impl<'a> ScanState<'a> {
             planner,
             fixed_k,
             cuts: HashMap::new(),
-            leaf: Vec::new(),
+            walk: WalkBuffers::default(),
         }
-    }
-
-    fn cut(&mut self, k: usize) -> &[usize] {
-        let tree = self.tree;
-        self.cuts.entry(k).or_insert_with(|| tree.cut_nodes(k))
     }
 
     pub(crate) fn notify_improvement_observed<O: SearchObserver>(&mut self, observer: &mut O) {
@@ -523,20 +585,23 @@ impl<'a> ScanState<'a> {
             Some(k) => k,
             None => self.planner.next_k(),
         };
-        let cut = self.cut(k).to_vec();
+        // Disjoint field borrows: the cut stays in the cache while the
+        // walk runs in the scan's own buffers.
+        let tree = self.tree;
+        let cut = self.cuts.entry(k).or_insert_with(|| tree.cut_nodes(k));
         let before = *counter;
         let outcome = h_merge_cascade(
             item,
-            self.tree,
+            tree,
             self.cascade,
-            &cut,
+            cut,
             bsf,
             measure,
             counter,
             observer,
             budget,
             ctx,
-            &mut self.leaf,
+            &mut self.walk,
         );
         if self.fixed_k.is_none() {
             self.planner

@@ -1,5 +1,6 @@
 //! Error type for search and indexing operations.
 
+use rotind_ts::TsError;
 use std::fmt;
 
 /// Errors from the search engine and the disk index.
@@ -24,6 +25,9 @@ pub enum SearchError {
         /// Series length of every database item.
         database: usize,
     },
+    /// The query series was rejected when the engine was built: it is
+    /// empty or holds a NaN or infinite sample.
+    InvalidQuery(TsError),
     /// An invalid parameter (e.g. `k = 0` for k-NN).
     InvalidParam {
         /// Parameter name.
@@ -59,6 +63,7 @@ impl fmt::Display for SearchError {
                 f,
                 "query has length {query}, but the database series have length {database}"
             ),
+            SearchError::InvalidQuery(e) => write!(f, "invalid query: {e}"),
             SearchError::InvalidParam { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
@@ -91,6 +96,10 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "query has length 8, but the database series have length 16"
+        );
+        assert_eq!(
+            SearchError::InvalidQuery(TsError::NonFinite { index: 2 }).to_string(),
+            "invalid query: sample at index 2 is NaN or infinite"
         );
         assert_eq!(
             SearchError::invalid_param("k", "must be >= 1").to_string(),

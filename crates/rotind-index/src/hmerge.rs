@@ -16,7 +16,7 @@ use crate::cascade::{BoundCascade, CandidateCtx};
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::{
     lb_improved_second_pass, lb_keogh_early_abandon_at, lb_keogh_reordered_early_abandon_at,
-    lb_kim, lcss_distance_lower_bound, lcss_distance_lower_bound_with,
+    lb_kim, lcss_distance_lower_bound, lcss_distance_lower_bound_with, ImprovedScratch,
 };
 use rotind_envelope::WedgeTree;
 use rotind_obs::{BudgetHook, CascadeTier, NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -45,6 +45,18 @@ pub struct HMergeOutcome {
 #[inline]
 fn rotation_key(r: Rotation) -> (bool, usize) {
     (r.mirrored, r.shift)
+}
+
+/// The working buffers of an H-Merge walk: the wedge stack, the row DTW
+/// and LCSS leaves copy their rotation into, and the LB_Improved /
+/// widened-LCSS scratch. A scan keeps one set for all its candidates
+/// (one per parallel worker), so once they have grown to the tree's
+/// depth and the series length a walk allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct WalkBuffers {
+    stack: Vec<(usize, usize)>,
+    leaf: Vec<f64>,
+    improved: ImprovedScratch,
 }
 
 /// Result of bounding one wedge node against the threshold (used by the
@@ -141,7 +153,7 @@ pub fn h_merge(
         &mut NoopObserver,
         &mut NoBudget,
         &mut CandidateCtx::new(),
-        &mut Vec::new(),
+        &mut WalkBuffers::default(),
     )
 }
 
@@ -161,6 +173,7 @@ fn node_tier_bound<O: SearchObserver>(
     tree: &WedgeTree,
     cascade: &BoundCascade,
     ctx: &mut CandidateCtx,
+    improved: &mut ImprovedScratch,
     node: usize,
     level: usize,
     best_so_far: f64,
@@ -291,7 +304,7 @@ fn node_tier_bound<O: SearchObserver>(
             tree.band(),
             lb * lb,
             best_so_far,
-            &mut ctx.improved,
+            improved,
             counter,
         );
         observer.on_phase_end(ProfilePhase::Tier(CascadeTier::Improved), counter.steps());
@@ -320,9 +333,8 @@ fn node_tier_bound<O: SearchObserver>(
 
 /// The H-Merge core behind every scan: [`h_merge`] under an arbitrary
 /// [`BoundCascade`], an observer, a budget, a caller-owned
-/// [`CandidateCtx`] and a caller-owned leaf buffer (`leaf`, which DTW
-/// and LCSS leaves fill with their rotation; a caller that keeps it
-/// across candidates allocates it once per scan).
+/// [`CandidateCtx`] and caller-owned [`WalkBuffers`] (a caller that
+/// keeps them across candidates allocates them once per scan).
 ///
 /// With [`BoundCascade::legacy`] it reproduces the historical
 /// single-bound scan step-for-step; with richer configurations extra
@@ -367,7 +379,7 @@ fn node_tier_bound<O: SearchObserver>(
 /// projection is query-independent, so the cached walk is
 /// result-identical to a fresh one — only the step accounting of later
 /// queries shrinks.
-#[allow(clippy::too_many_arguments)] // the walk inputs plus observer, budget, ctx and leaf buffer
+#[allow(clippy::too_many_arguments)] // the walk inputs plus observer, budget, ctx and buffers
                                      // lint: panic-exempt(candidate length is validated against the snapshot at admission; the assert documents the contract)
 pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     candidate: &[f64],
@@ -380,7 +392,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     observer: &mut O,
     budget: &mut B,
     ctx: &mut CandidateCtx,
-    leaf: &mut Vec<f64>,
+    buffers: &mut WalkBuffers,
 ) -> Option<HMergeOutcome> {
     assert_eq!(
         candidate.len(),
@@ -390,7 +402,14 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     observer.on_phase_start(ProfilePhase::WedgeMerge, counter.steps());
     let mut best: Option<HMergeOutcome> = None;
     let mut best_so_far = r;
-    let mut stack: Vec<(usize, usize)> = cut.iter().map(|&node| (node, 0)).collect();
+    let WalkBuffers {
+        stack,
+        leaf,
+        improved,
+    } = buffers;
+    // A walk cut short by the budget may leave wedges behind.
+    stack.clear();
+    stack.extend(cut.iter().map(|&node| (node, 0)));
     while let Some((node, level)) = stack.pop() {
         // Dismissal boundary: a tripped budget abandons the remaining
         // wedges. The hook is sticky, so the caller can read the trip
@@ -406,7 +425,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
                     candidate,
                     tree.wedge(node),
                     p,
-                    &mut ctx.improved,
+                    improved,
                     counter,
                 );
                 if lb <= best_so_far {
@@ -422,6 +441,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
                 tree,
                 cascade,
                 ctx,
+                improved,
                 node,
                 level,
                 best_so_far,
@@ -596,7 +616,7 @@ mod tests {
             observer,
             &mut NoBudget,
             &mut CandidateCtx::new(),
-            &mut Vec::new(),
+            &mut WalkBuffers::default(),
         )
     }
 

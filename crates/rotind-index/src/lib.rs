@@ -26,13 +26,15 @@
 //! * [`radius`] — the CAS-min shared best-so-far those scans use,
 //!   model-checked under loom (`--features loom-tests`, DESIGN.md §14);
 //! * [`snapshot`] — the immutable, `Arc`-shared database handle a
-//!   long-lived query service owns, with a batch-level cache of
-//!   candidate PAA projections (DESIGN.md §15);
+//!   long-lived query service owns, handing out batch-level caches of
+//!   candidate PAA projections that share one magnitude table, which
+//!   orders Euclidean scans best-first (DESIGN.md §15);
 //! * [`baselines`] — the rival methods of Figures 19–23: brute force,
 //!   early abandon, the FFT magnitude filter and the convolution trick;
 //! * [`reduced`] — reduced representations for disk-based indexing:
 //!   Fourier magnitudes (Euclidean) and PAA projections of the wedge
-//!   envelopes (DTW), both admissible;
+//!   envelopes (DTW), both admissible, and the folded-magnitude table
+//!   behind the serve path's best-first Euclidean scan;
 //! * [`vptree`] — a vantage-point tree over the reduced space (Table 7),
 //!   searched with any 1-Lipschitz lower-bound function;
 //! * [`disk`] — the simulated disk and the fraction-retrieved accounting

@@ -8,22 +8,24 @@
 //! instead of once per query; and [`IndexSnapshot::execute`] is the
 //! single entry point the serve crate drives, handing a [`QuerySpec`]
 //! to the engine's one sequential scan, [`RotationQuery::search`] —
-//! optionally through a [`BatchPaaCache`] so the tier-2 candidate
+//! optionally through a [`BatchPaaCache`], so the tier-2 candidate
 //! projections are amortized across the queries of a worker instead of
-//! rebuilt per query.
+//! rebuilt per query, and Euclidean queries visit candidates best-first
+//! by the snapshot's shared [`MagnitudeTable`].
 //!
 //! Results are bit-identical to calling [`RotationQuery`] directly:
-//! `execute` adds only the query-length check, ownership and dispatch
-//! (the serve integration tests replay fixed query sets both ways and
-//! assert equality).
+//! `execute` adds only the query checks, ownership and dispatch (the
+//! serve integration tests replay fixed query sets both ways and assert
+//! equality).
 
 use crate::cascade::{BatchPaaCache, CascadeConfig};
 use crate::engine::{Invariance, Neighbor, RotationQuery};
 use crate::error::SearchError;
+use crate::reduced::MagnitudeTable;
 use rotind_distance::measure::Measure;
 use rotind_obs::{BudgetHook, BudgetOutcome, SearchObserver};
-use rotind_ts::StepCounter;
-use std::sync::Arc;
+use rotind_ts::{StepCounter, TsError};
+use std::sync::{Arc, OnceLock};
 
 /// What a query asks for: the request shape of both scans,
 /// [`RotationQuery::search`] and [`RotationQuery::search_parallel`].
@@ -53,12 +55,15 @@ pub struct QuerySpec {
 
 /// A validated, immutable, shareable database handle.
 ///
-/// Cloning a snapshot clones the [`Arc`], not the data — the server's
-/// worker threads each hold one handle to the same database.
+/// Cloning a snapshot clones the [`Arc`]s, not the data — the server's
+/// worker threads each hold one handle to the same database, and to the
+/// same slot for its [`MagnitudeTable`], which the first Euclidean query
+/// through any of the snapshot's caches fills (see [`BatchPaaCache`]).
 #[derive(Debug, Clone)]
 pub struct IndexSnapshot {
     database: Arc<Vec<Vec<f64>>>,
     series_len: usize,
+    magnitudes: Arc<OnceLock<MagnitudeTable>>,
 }
 
 impl IndexSnapshot {
@@ -81,6 +86,7 @@ impl IndexSnapshot {
         Ok(IndexSnapshot {
             database: Arc::new(database),
             series_len,
+            magnitudes: Arc::default(),
         })
     }
 
@@ -105,12 +111,17 @@ impl IndexSnapshot {
         self.series_len
     }
 
-    /// A fresh candidate-projection cache sized for this snapshot, at
-    /// the dimensionality the engine's default cascade configuration
-    /// (`ROTIND_CASCADE`) will project at. One per worker thread; see
-    /// [`BatchPaaCache`].
+    /// A fresh candidate cache sized for this snapshot, at the
+    /// dimensionality the engine's default cascade configuration
+    /// (`ROTIND_CASCADE`) will project at. One per worker thread; every
+    /// cache of one snapshot shares its [`MagnitudeTable`], built once
+    /// on the first Euclidean query. See [`BatchPaaCache`].
     pub fn paa_cache(&self) -> BatchPaaCache {
-        BatchPaaCache::new(self.database.len(), CascadeConfig::from_env().dims)
+        BatchPaaCache::sharing(
+            self.database.len(),
+            CascadeConfig::from_env().dims,
+            Arc::clone(&self.magnitudes),
+        )
     }
 
     /// Run one query against the snapshot under a budget, optionally
@@ -123,8 +134,18 @@ impl IndexSnapshot {
     /// bit-identical to calling the engine directly. The query length is
     /// checked against the snapshot before the engine is built, so a
     /// malformed query cannot make the `O(n²)` build allocate for a
-    /// length the snapshot never holds. Engine construction is not
-    /// counted in `counter`, matching direct engine use.
+    /// length the snapshot never holds; an empty query or one with a NaN
+    /// or infinite sample is a [`SearchError::InvalidQuery`]. Engine
+    /// construction is not counted in `counter`, matching direct engine
+    /// use.
+    ///
+    /// Through a `cache`, a Euclidean k-NN query visits candidates
+    /// best-first by their magnitude bound and stops at the best-so-far,
+    /// and a Euclidean range query skips candidates whose bound exceeds
+    /// the radius (see [`RotationQuery::search`]); the first such query
+    /// builds the snapshot's [`MagnitudeTable`], uncharged, and a
+    /// concurrent first query waits for that build. DTW, LCSS and
+    /// uncached queries scan in database order.
     pub fn execute<O: SearchObserver, B: BudgetHook>(
         &self,
         spec: &QuerySpec,
@@ -140,7 +161,10 @@ impl IndexSnapshot {
             });
         }
         let engine = RotationQuery::with_measure(&spec.series, spec.invariance, spec.measure)
-            .map_err(|e| SearchError::invalid_param("query", e.to_string()))?;
+            .map_err(|e| match e {
+                TsError::Empty | TsError::NonFinite { .. } => SearchError::InvalidQuery(e),
+                e => SearchError::invalid_param("query", e.to_string()),
+            })?;
         let db = self.database.as_slice();
         engine.search(db, spec.kind, counter, observer, budget, cache)
     }
@@ -291,6 +315,96 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SearchError::InvalidParam { .. }));
+    }
+
+    #[test]
+    fn execute_rejects_a_cache_of_another_size() {
+        let snap = IndexSnapshot::new(database(5, 16)).unwrap();
+        let mut wrong = BatchPaaCache::new(snap.len() + 1, CascadeConfig::from_env().dims);
+        let spec = QuerySpec {
+            series: signal(16, 0.0),
+            invariance: Invariance::Rotation,
+            measure: Measure::Euclidean,
+            kind: QueryKind::Nearest,
+        };
+        let err = snap
+            .execute(
+                &spec,
+                &mut StepCounter::new(),
+                &mut NoopObserver,
+                &mut NoBudget,
+                Some(&mut wrong),
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SearchError::InvalidParam { name: "cache", .. }
+        ));
+    }
+
+    #[test]
+    fn caches_of_one_snapshot_share_one_magnitude_table() {
+        let snap = IndexSnapshot::new(database(6, 16)).unwrap();
+        let (mut a, b) = (snap.paa_cache(), snap.clone().paa_cache());
+        assert!(snap.magnitudes.get().is_none(), "built lazily, not at load");
+        let spec = QuerySpec {
+            series: signal(16, 0.3),
+            invariance: Invariance::Rotation,
+            measure: Measure::Dtw(rotind_distance::dtw::DtwParams::new(2)),
+            kind: QueryKind::Nearest,
+        };
+        let run = |spec: &QuerySpec, cache: &mut BatchPaaCache| {
+            snap.execute(
+                spec,
+                &mut StepCounter::new(),
+                &mut NoopObserver,
+                &mut NoBudget,
+                Some(cache),
+            )
+            .unwrap()
+        };
+        run(&spec, &mut a);
+        assert!(snap.magnitudes.get().is_none(), "DTW builds no table");
+        let spec = QuerySpec {
+            measure: Measure::Euclidean,
+            ..spec
+        };
+        run(&spec, &mut a);
+        let built = snap
+            .magnitudes
+            .get()
+            .expect("the first Euclidean query builds it");
+        assert!(std::ptr::eq(built, b.magnitudes(snap.database())));
+        assert_eq!(built.len(), snap.len());
+    }
+
+    #[test]
+    fn non_finite_query_samples_are_invalid_queries() {
+        let snap = IndexSnapshot::new(database(5, 16)).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut series = signal(16, 0.0);
+            series[3] = bad;
+            let spec = QuerySpec {
+                series,
+                invariance: Invariance::Rotation,
+                measure: Measure::Euclidean,
+                kind: QueryKind::Nearest,
+            };
+            let err = snap
+                .execute(
+                    &spec,
+                    &mut StepCounter::new(),
+                    &mut NoopObserver,
+                    &mut NoBudget,
+                    Some(&mut snap.paa_cache()),
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SearchError::InvalidQuery(TsError::NonFinite { index: 3 }),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

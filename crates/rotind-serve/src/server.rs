@@ -537,7 +537,8 @@ fn search_error_code(e: &SearchError) -> u16 {
     match e {
         SearchError::EmptyDatabase
         | SearchError::LengthMismatch { .. }
-        | SearchError::QueryLength { .. } => error_code::BAD_QUERY,
+        | SearchError::QueryLength { .. }
+        | SearchError::InvalidQuery(_) => error_code::BAD_QUERY,
         SearchError::InvalidParam { .. } => error_code::BAD_PARAM,
     }
 }

@@ -235,14 +235,30 @@ fn malformed_and_invalid_queries_are_typed_errors() {
         other => panic!("expected an error, got {other:?}"),
     }
 
-    // The connection survives errors: a good query still answers.
-    let spec = QuerySpec {
+    // A NaN or infinite sample is a bad query, as the wire protocol
+    // documents. The connection survives every error: a good query
+    // still answers.
+    let good = QuerySpec {
         series: signal(16, 0.2),
         invariance: Invariance::Rotation,
         measure: Measure::Euclidean,
         kind: QueryKind::Nearest,
     };
-    let _ = served_hits(client.query(&unbudgeted(&spec)).unwrap());
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut series = signal(16, 0.2);
+        series[5] = bad;
+        let spec = QuerySpec {
+            series,
+            invariance: Invariance::Rotation,
+            measure: Measure::Euclidean,
+            kind: QueryKind::Nearest,
+        };
+        match client.query(&unbudgeted(&spec)).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, error_code::BAD_QUERY, "{bad}"),
+            other => panic!("expected an error for {bad}, got {other:?}"),
+        }
+        let _ = served_hits(client.query(&unbudgeted(&good)).unwrap());
+    }
     server.shutdown();
 }
 

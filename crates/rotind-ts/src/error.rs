@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Errors produced while constructing or transforming time series.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TsError {
     /// A series with zero samples was supplied where data is required.
     Empty,

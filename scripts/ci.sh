@@ -215,22 +215,26 @@ if ROTIND_QUICK=1 ROTIND_REGRESS_INJECT=1.2 \
     exit 1
 fi
 
-echo "==> benchmark package lane (.servebench tests + one traced smoke run)"
+echo "==> benchmark package lane (.servebench tests + traced smoke runs)"
 # The benchmark (see BENCHMARK.json) is a package of its own outside the
 # workspace, so nothing above builds it: a change to any library API it
 # calls would break the benchmark while this script stays green. Its
 # build goes to target/servebench, so nothing is written under
-# .servebench/. The smoke run must exit 0 with every reply correct.
+# .servebench/. Each smoke run must exit 0 with every reply correct.
 CARGO_TARGET_DIR=target/servebench \
     cargo test --release --offline --manifest-path .servebench/Cargo.toml
-BENCH_RESULT="$(CARGO_TARGET_DIR=target/servebench \
-    cargo run --quiet --release --offline --manifest-path .servebench/Cargo.toml -- \
-    --workload ed-rot-n251 --seed 3 --seconds 1 --trace 1 | tail -n 1)"
-python3 - "$BENCH_RESULT" <<'PY'
+# The mix workload sends 1-NN, 3-NN and range queries under three
+# invariances, so it covers every best-first and bound-filtered path.
+for workload in ed-rot-n251 serve-mix-n32; do
+    BENCH_RESULT="$(CARGO_TARGET_DIR=target/servebench \
+        cargo run --quiet --release --offline --manifest-path .servebench/Cargo.toml -- \
+        --workload "$workload" --seed 3 --seconds 1 --trace 1 | tail -n 1)"
+    python3 - "$workload" "$BENCH_RESULT" <<'PY'
 import json, sys
-doc = json.loads(sys.argv[1])
-assert doc["failed"] == 0, f"benchmark smoke run: {doc['failed']} wrong replies"
-print(f"servebench smoke: {doc['attempted']} replies, 0 failed")
+workload, doc = sys.argv[1], json.loads(sys.argv[2])
+assert doc["failed"] == 0, f"benchmark smoke run {workload}: {doc['failed']} wrong replies"
+print(f"servebench smoke {workload}: {doc['attempted']} replies, 0 failed")
 PY
+done
 
 echo "==> CI green"

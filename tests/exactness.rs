@@ -6,8 +6,11 @@
 use proptest::prelude::*;
 use rotind::distance::rotation::{search_database, test_all_rotations};
 use rotind::distance::{DtwParams, LcssParams, Measure};
-use rotind::index::engine::{Invariance, KPolicy, RotationQuery};
-use rotind::ts::rotate::RotationMatrix;
+use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery};
+use rotind::index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
+use rotind::index::BatchPaaCache;
+use rotind::obs::{NoBudget, NoopObserver, ProfilePhase, SearchObserver};
+use rotind::ts::rotate::{mirror, rotated, Rotation, RotationMatrix};
 use rotind::ts::StepCounter;
 
 fn series_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -24,6 +27,71 @@ fn measures() -> Vec<Measure> {
         Measure::Dtw(DtwParams::new(2)),
         Measure::Lcss(LcssParams::new(0.5, 2)),
     ]
+}
+
+fn invariances(max_shift: usize) -> [Invariance; 4] {
+    [
+        Invariance::Rotation,
+        Invariance::RotationMirror,
+        Invariance::RotationLimited { max_shift },
+        Invariance::RotationLimitedMirror { max_shift },
+    ]
+}
+
+/// `db` with planted ties: two exact rotations of the query (zero
+/// distance), a rotated mirror image (zero under the mirror
+/// invariances), and duplicates of two items (ties at a positive
+/// distance), spread through the database so ties cross index order.
+fn planted(query: &[f64], mut db: Vec<Vec<f64>>, s1: usize, s2: usize) -> Vec<Vec<f64>> {
+    let n = query.len();
+    db.insert(s1 % (db.len() + 1), rotated(query, s2 % n));
+    db.push(rotated(&mirror(query), s1 % n));
+    db.insert(s2 % db.len(), db[0].clone());
+    db.push(rotated(query, (s1 + s2) % n));
+    let last = db.len() - 1;
+    db.insert(s1 % db.len(), db[last / 2].clone());
+    db
+}
+
+/// Every hit as (index, distance bits, rotation): equal only when the
+/// answers are bit-identical.
+fn exact(hits: &[Neighbor]) -> Vec<(usize, u64, Rotation)> {
+    hits.iter()
+        .map(|h| (h.index, h.distance.to_bits(), h.rotation))
+        .collect()
+}
+
+/// An unbudgeted [`RotationQuery::search`], through `cache` if given.
+fn search(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    kind: QueryKind,
+    observer: &mut impl SearchObserver,
+    cache: Option<&mut BatchPaaCache>,
+) -> Vec<Neighbor> {
+    engine
+        .search(
+            db,
+            kind,
+            &mut StepCounter::new(),
+            observer,
+            &mut NoBudget,
+            cache,
+        )
+        .unwrap()
+        .into_inner()
+}
+
+/// Counts the H-Merge walks a scan opens — one per visited item.
+#[derive(Default)]
+struct WedgeMerges(usize);
+
+impl SearchObserver for WedgeMerges {
+    fn on_phase_start(&mut self, phase: ProfilePhase, _steps: u64) {
+        if phase == ProfilePhase::WedgeMerge {
+            self.0 += 1;
+        }
+    }
 }
 
 proptest! {
@@ -168,5 +236,196 @@ proptest! {
             .sum::<f64>()
             .sqrt();
         prop_assert!((direct - hit.distance).abs() < 1e-9);
+    }
+
+    /// The best-first Euclidean order (a cache's magnitude table) and
+    /// the snapshot path return exactly the uncached database-order
+    /// answers — index, distance bits and rotation — for every
+    /// invariance and query kind, ties at zero and at positive distance
+    /// included.
+    ///
+    /// With `integral` set, every sample is rounded to an integer, so
+    /// sums of squares are exact and distinct items tie exactly at
+    /// positive distances while their bounds differ — the case where
+    /// best-first order meets a tie at a higher index first.
+    #[test]
+    fn bound_order_is_bit_identical_to_database_order(
+        query in series_strategy(16),
+        db in db_strategy(16, 9),
+        s1 in 0usize..64,
+        s2 in 0usize..64,
+        max_shift in 0usize..6,
+        radius in 0.0f64..12.0,
+        integral in 0usize..2,
+    ) {
+        let round = |xs: &[f64]| -> Vec<f64> {
+            xs.iter().map(|x| if integral == 1 { x.round() } else { *x }).collect()
+        };
+        let query = round(&query);
+        let db: Vec<Vec<f64>> = db.iter().map(|item| round(item)).collect();
+        let db = planted(&query, db, s1, s2);
+        let m = db.len();
+        let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+        for invariance in invariances(max_shift) {
+            let engine = RotationQuery::new(&query, invariance).unwrap();
+            let dims = engine.cascade().config().dims;
+            let third = search(&engine, &db, QueryKind::KNearest(3), &mut NoopObserver, None);
+            let tie_radius = third.last().map_or(radius, |h| h.distance);
+            for kind in [
+                QueryKind::Nearest,
+                QueryKind::KNearest(1),
+                QueryKind::KNearest(3),
+                QueryKind::KNearest(m + 2),
+                QueryKind::Range(radius),
+                QueryKind::Range(tie_radius),
+            ] {
+                let plain = search(&engine, &db, kind, &mut NoopObserver, None);
+                let mut cache = BatchPaaCache::new(m, dims);
+                let cached = search(&engine, &db, kind, &mut NoopObserver, Some(&mut cache));
+                prop_assert_eq!(exact(&cached), exact(&plain), "{:?} {:?}", invariance, kind);
+                let spec = QuerySpec {
+                    series: query.clone(),
+                    invariance,
+                    measure: Measure::Euclidean,
+                    kind,
+                };
+                let executed = snapshot
+                    .execute(
+                        &spec,
+                        &mut StepCounter::new(),
+                        &mut NoopObserver,
+                        &mut NoBudget,
+                        Some(&mut snapshot.paa_cache()),
+                    )
+                    .unwrap()
+                    .into_inner();
+                prop_assert_eq!(exact(&executed), exact(&plain), "{:?} {:?}", invariance, kind);
+            }
+        }
+    }
+
+    /// DTW and LCSS ignore the magnitude table: through a cache they
+    /// scan in database order and return exactly the uncached answers.
+    #[test]
+    fn cached_elastic_measures_are_bit_identical(
+        query in series_strategy(14),
+        db in db_strategy(14, 8),
+        s1 in 0usize..64,
+        s2 in 0usize..64,
+        radius in 0.0f64..12.0,
+    ) {
+        let db = planted(&query, db, s1, s2);
+        for measure in measures().into_iter().skip(1) {
+            let engine =
+                RotationQuery::with_measure(&query, Invariance::RotationMirror, measure).unwrap();
+            let dims = engine.cascade().config().dims;
+            for kind in [QueryKind::Nearest, QueryKind::KNearest(3), QueryKind::Range(radius)] {
+                let mut opened = WedgeMerges::default();
+                let plain = search(&engine, &db, kind, &mut NoopObserver, None);
+                let mut cache = BatchPaaCache::new(db.len(), dims);
+                let cached = search(&engine, &db, kind, &mut opened, Some(&mut cache));
+                prop_assert_eq!(exact(&cached), exact(&plain), "{:?} {:?}", measure, kind);
+                prop_assert_eq!(opened.0, db.len(), "{:?} skipped an item", measure);
+            }
+        }
+    }
+}
+
+/// A diverse database (its items differ in amplitude and frequency, so
+/// their Fourier magnitudes differ) with the query planted, rotated, at
+/// index 41.
+fn planted_match_database(query: &[f64], m: usize) -> Vec<Vec<f64>> {
+    let n = query.len();
+    let mut db: Vec<Vec<f64>> = (0..m)
+        .map(|k| {
+            let (amp, w) = (0.5 + 0.05 * k as f64, 0.1 + 0.017 * k as f64);
+            (0..n)
+                .map(|i| amp * (i as f64 * w + k as f64).sin())
+                .collect()
+        })
+        .collect();
+    db[41] = rotated(query, 9);
+    db
+}
+
+#[test]
+fn ordered_knn_stops_before_visiting_every_item() {
+    let n = 32;
+    let m = 60;
+    let query: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin() * 2.0).collect();
+    let db = planted_match_database(&query, m);
+    let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
+    let dims = engine.cascade().config().dims;
+    for kind in [QueryKind::Nearest, QueryKind::KNearest(3)] {
+        let mut all = WedgeMerges::default();
+        let plain = search(&engine, &db, kind, &mut all, None);
+        assert_eq!(all.0, m, "the uncached scan visits every item");
+        let mut opened = WedgeMerges::default();
+        let mut cache = BatchPaaCache::new(m, dims);
+        let ordered = search(&engine, &db, kind, &mut opened, Some(&mut cache));
+        assert_eq!(exact(&ordered), exact(&plain), "{kind:?}");
+        assert_eq!(ordered[0].index, 41);
+        assert!(
+            opened.0 < m,
+            "{kind:?}: the best-first scan opened {} of {m} walks",
+            opened.0
+        );
+        if kind == QueryKind::Nearest {
+            // The planted match has the only zero bound, so it is
+            // visited first, and its zero distance stops the scan.
+            assert_eq!(opened.0, 1, "1-NN opened {} walks", opened.0);
+        }
+    }
+}
+
+/// The serve benchmark checks a traced pass through one cache against
+/// an untraced pass through another, both from one snapshot and fed the
+/// same queries: answers *and* step counts must agree whichever cache
+/// runs first and builds the shared magnitude table.
+#[test]
+fn two_caches_of_one_snapshot_agree_on_answers_and_steps() {
+    let n = 32;
+    let query: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin() * 2.0).collect();
+    let snapshot = IndexSnapshot::new(planted_match_database(&query, 60)).unwrap();
+    let specs: Vec<QuerySpec> = (0..8)
+        .map(|i| QuerySpec {
+            series: rotated(&query, 5 * i),
+            invariance: invariances(3)[i % 4],
+            measure: if i == 5 {
+                Measure::Dtw(DtwParams::new(2))
+            } else {
+                Measure::Euclidean
+            },
+            kind: match i % 3 {
+                0 => QueryKind::Nearest,
+                1 => QueryKind::KNearest(4),
+                _ => QueryKind::Range(1.5),
+            },
+        })
+        .collect();
+    let run = |spec: &QuerySpec, cache: &mut BatchPaaCache| {
+        let mut counter = StepCounter::new();
+        let hits = snapshot
+            .execute(
+                spec,
+                &mut counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                Some(cache),
+            )
+            .unwrap()
+            .into_inner();
+        (exact(&hits), counter.steps())
+    };
+    let (mut a, mut b) = (snapshot.paa_cache(), snapshot.paa_cache());
+    for (i, spec) in specs.iter().enumerate() {
+        let (first, second) = if i % 2 == 0 {
+            (&mut a, &mut b)
+        } else {
+            (&mut b, &mut a)
+        };
+        let x = run(spec, first);
+        let y = run(spec, second);
+        assert_eq!(x, y, "query {i}");
     }
 }
