@@ -1,7 +1,8 @@
-//! Microbenchmark of the bound-cascade accumulation kernels: the same
-//! five inner loops the cascade profile is dominated by, timed per
-//! backend — `seq` (the historical per-element scalar loops), `chunked`
-//! (the canonical lane-parallel order in autovectorizable Rust), and
+//! Microbenchmark of the scan's inner kernels: the five loops the
+//! cascade profile is dominated by plus the DTW leaf, timed per backend
+//! — `seq` (the historical per-element scalar loops), `chunked` (the
+//! canonical lane-parallel order in autovectorizable Rust; for the
+//! sliding extreme and DTW, the block and band-major kernels), and
 //! `simd` (the `std::simd` expression of the same order, present only
 //! when this binary is built with `--features simd` on nightly).
 //!
@@ -15,6 +16,7 @@
 //! Writes machine-readable `results/bench_kernels.json` for CI
 //! trending; `ROTIND_QUICK=1` shrinks iteration counts for smoke runs.
 
+use rotind_distance::dtw::{dtw_early_abandon, dtw_early_abandon_seq, DtwParams};
 use rotind_distance::kernels;
 use rotind_envelope::envelope::{sliding_max_into, sliding_max_into_seq, SlidingScratch};
 use rotind_eval::report::Table;
@@ -243,6 +245,20 @@ fn measure(quick: bool) -> Vec<Entry> {
                 _ => false,
             },
         );
+
+        // Early-abandoning DTW at band 5, the leaf of every DTW scan:
+        // seq = the historical cell-by-cell loop, chunked = the
+        // band-major kernel. There is no std::simd variant.
+        let dtw = DtwParams::new(5);
+        push_kernel(&mut entries, "dtw_band5", n, iters, samples, |be| {
+            let kernel = match be {
+                "seq" => dtw_early_abandon_seq,
+                "chunked" => dtw_early_abandon,
+                _ => return false,
+            };
+            black_box(kernel(black_box(&a), black_box(&b), dtw, r, &mut counter));
+            true
+        });
     }
     entries
 }
@@ -266,8 +282,8 @@ fn write_json(entries: &[Entry], quick: bool) -> String {
     out.push_str("{\n");
     let _ = writeln!(
         out,
-        "  \"comment\": \"bound-cascade kernel throughput; median ns/call, \
-         infinite radius (full accumulation), mixed in/out data\","
+        "  \"comment\": \"scan kernel throughput (bound cascade and DTW leaf); \
+         median ns/call, infinite radius (full accumulation), mixed in/out data\","
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"lanes\": {},", kernels::LANES);

@@ -13,14 +13,20 @@
 //! * [`dtw_early_abandon`] — the iterative form the paper advocates
 //!   (footnote 2: a recursive implementation can never abandon, the
 //!   iterative one can abandon after as few as `R` steps): if every cell
-//!   of a DP row already exceeds `r²`, the final distance must exceed `r`;
+//!   of a DP row already exceeds `r²`, the final distance must exceed `r`.
+//!   It is the leaf of every DTW scan, so it runs band-major: rows of
+//!   `2R + 1` cells indexed by offset from the diagonal, with no per-cell
+//!   bounds checks or branches on position. [`dtw_early_abandon_seq`] is
+//!   the cell-by-cell loop it replaced, kept as its identity reference;
 //! * [`dtw_path`] — full-matrix variant that also recovers the optimal
 //!   warping path, for diagnostics and the alignment figures.
 //!
 //! Cell costs are squared differences and the returned distance is the
 //! square root of the accumulated cost, commensurate with Euclidean
 //! distance (indeed `R = 0` forces the diagonal path and reproduces it
-//! exactly). One step is charged per visited cell.
+//! exactly). One step is charged per visited cell. A NaN or ±∞ sample
+//! makes the distance non-finite (+∞ or NaN) rather than failing an
+//! assertion.
 
 use rotind_ts::StepCounter;
 use std::cell::RefCell;
@@ -28,7 +34,8 @@ use std::cell::RefCell;
 thread_local! {
     /// Rolling DP rows, reused across calls: the early-abandoning DTW is
     /// invoked once per rotation per database item, and per-call
-    /// allocation dominated wall time on the big sweeps.
+    /// allocation dominated wall time on the big sweeps. The band-major
+    /// kernel uses `2R + 2` cells of each.
     static DTW_ROWS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -85,11 +92,11 @@ fn cell_cost(a: f64, b: f64) -> f64 {
 /// # Panics
 ///
 /// Panics when the series differ in length or are empty.
-// lint: panic-exempt(a DP row over finite inputs cannot exceed an infinite radius, so early abandon never returns None)
+// lint: panic-exempt(no row minimum exceeds an infinite radius, so early abandon never returns None)
 pub fn dtw(q: &[f64], c: &[f64], params: DtwParams, counter: &mut StepCounter) -> f64 {
     dtw_early_abandon(q, c, params, f64::INFINITY, counter)
-        // Invariant: a DP row can only exceed r² = ∞ if a cell is +∞,
-        // which finite inputs cannot produce.
+        // Invariant: no row minimum, +∞ included, exceeds r² = ∞, so the
+        // call never abandons, whatever the samples.
         // rotind-lint: allow(no-panic)
         .expect("DTW with infinite radius cannot abandon")
 }
@@ -98,9 +105,98 @@ pub fn dtw(q: &[f64], c: &[f64], params: DtwParams, counter: &mut StepCounter) -
 ///
 /// Returns `None` as soon as an entire DP row exceeds `r²` — every warping
 /// path must pass through each row, so the true distance necessarily
-/// exceeds `r`. `r = f64::INFINITY` computes the exact distance.
-// lint: panic-exempt(documented preconditions: the snapshot validates query length and non-emptiness at admission)
+/// exceeds `r`. `r = f64::INFINITY` computes the exact distance. A
+/// non-finite sample yields a non-finite distance (or `None`, once a row
+/// crosses a finite `r`).
+///
+/// The DP runs band-major: each row keeps only its `2R + 1` band cells,
+/// with cell `(i, j)` at offset `d = j − (i − R)`, so the vertical
+/// predecessor `(i − 1, j)` sits at `d + 1` of the previous row, the
+/// diagonal one `(i − 1, j − 1)` at `d`, and the horizontal one is carried
+/// in a local. One +∞ sentinel past the band is the vertical predecessor of
+/// the band's last offset. Values, `None`/`Some` and step counts are
+/// bit-identical to the cell-by-cell loop of [`dtw_early_abandon_seq`]:
+/// `f64::min` drops a NaN operand, so the three-way minimum is associative
+/// and commutative over these values, and the select below turns every
+/// non-finite predecessor minimum into +∞, as that loop does.
+// lint: panic-exempt(documented preconditions: the snapshot validates query length and non-emptiness at admission; every slice lies inside the rows' 2R + 2 cells and the series by the band arithmetic)
 pub fn dtw_early_abandon(
+    q: &[f64],
+    c: &[f64],
+    params: DtwParams,
+    r: f64,
+    counter: &mut StepCounter,
+) -> Option<f64> {
+    let n = q.len();
+    assert_eq!(n, c.len(), "dtw: length mismatch");
+    assert!(n > 0, "dtw: empty series");
+    let band = params.band.min(n - 1);
+    let width = 2 * band + 1;
+    let r2 = r * r;
+
+    DTW_ROWS.with(|rows| {
+        let (prev, cur) = &mut *rows.borrow_mut();
+        // Virtual row −1: 0 at offset R, the diagonal predecessor of
+        // (0, 0), and +∞ everywhere else, sentinel included.
+        prev.clear();
+        prev.resize(band, f64::INFINITY);
+        prev.push(0.0);
+        prev.resize(width + 1, f64::INFINITY);
+        // Every band cell of `cur` is written before it is read; only
+        // its sentinel needs a value.
+        cur.resize(width, f64::INFINITY);
+        cur.push(f64::INFINITY);
+
+        for (i, &qi) in q.iter().enumerate() {
+            let lo = i.saturating_sub(band);
+            let hi = (i + band).min(n - 1);
+            let (first, last) = (lo + band - i, hi + band - i);
+            // Offsets left of column 0 (the first R rows only) hold +∞:
+            // the next row reads its first diagonal predecessor there.
+            let (outside, row) = cur.split_at_mut(first);
+            outside.fill(f64::INFINITY);
+            // rotind-lint: allow(no-index)
+            let row = &mut row[..=last - first];
+            // rotind-lint: allow(no-index)
+            let (diag, up) = (&prev[first..=last], &prev[first + 1..=last + 1]);
+            let mut left = f64::INFINITY;
+            let mut row_min = f64::INFINITY;
+            // rotind-lint: allow(no-index)
+            for (((cell, &d), &u), &cj) in row.iter_mut().zip(diag).zip(up).zip(&c[lo..=hi]) {
+                // The previous-row pair stays off the carried chain.
+                let b = left.min(u.min(d));
+                let v = if b.is_finite() {
+                    b + cell_cost(qi, cj)
+                } else {
+                    f64::INFINITY
+                };
+                *cell = v;
+                left = v;
+                if v < row_min {
+                    row_min = v;
+                }
+            }
+            counter.add((hi - lo + 1) as u64);
+            // The boundary is settled in reported-distance space (the
+            // returned value is a square root): `fl(r·r)` may round below
+            // the cost of a path whose distance equals `r` exactly, so a
+            // row crossing `r²` only abandons when `√row_min > r` too.
+            // The sqrt is paid once, on the abandon path.
+            if row_min > r2 && row_min.sqrt() > r {
+                return None;
+            }
+            std::mem::swap(prev, cur);
+        }
+        // The corner (n − 1, n − 1) sits at offset R of the last row.
+        Some(finish(q, c, prev.get(band).copied()))
+    })
+}
+
+/// The cell-by-cell early-abandoning DTW that [`dtw_early_abandon`]
+/// replaced, kept as the reference its band-major kernel is
+/// identity-tested and benched against. Rows span all `n` columns, and
+/// each cell tests which of its predecessors lie inside the band.
+pub fn dtw_early_abandon_seq(
     q: &[f64],
     c: &[f64],
     params: DtwParams,
@@ -113,12 +209,10 @@ pub fn dtw_early_abandon(
     let band = params.band.min(n - 1);
     let r2 = r * r;
 
-    // Rolling rows indexed by j. The buffers are thread-local: this
-    // function runs once per rotation per database item, and per-call
-    // allocation dominated wall time on the big sweeps. Stale cells from
-    // two rows ago are never read — every `prev` access is guarded to
-    // the previous row's band, and the horizontal predecessor is carried
-    // in a local — so the rows need no per-row clearing.
+    // Rolling rows indexed by j. Stale cells from two rows ago are never
+    // read — every `prev` access is guarded to the previous row's band,
+    // and the horizontal predecessor is carried in a local — so the rows
+    // need no per-row clearing.
     DTW_ROWS.with(|rows| {
         let (prev, cur) = &mut *rows.borrow_mut();
         prev.clear();
@@ -164,23 +258,26 @@ pub fn dtw_early_abandon(
                     row_min = v;
                 }
             }
-            // The boundary is settled in reported-distance space (the
-            // returned value is a square root): `fl(r·r)` may round below
-            // the cost of a path whose distance equals `r` exactly, so a
-            // row crossing `r²` only abandons when `√row_min > r` too.
-            // The sqrt is paid once, on the abandon path.
             if row_min > r2 && row_min.sqrt() > r {
                 return None;
             }
             std::mem::swap(prev, cur);
         }
-        // Some(d) with d > r is possible (the row-min test is necessary,
-        // not sufficient, at the corner); callers compare the returned
-        // value, as in Table 2 of the paper.
-        let total = prev.last().copied().unwrap_or(f64::INFINITY);
-        debug_assert!(total.is_finite());
-        Some(total.sqrt())
+        Some(finish(q, c, prev.last().copied()))
     })
+}
+
+/// The distance of a completed DP from its corner cost. The cost is
+/// finite whenever both series are (Some(d) with d > r is possible: the
+/// row-min test is necessary, not sufficient, at the corner, so callers
+/// compare the returned value, as in Table 2 of the paper).
+fn finish(q: &[f64], c: &[f64], corner: Option<f64>) -> f64 {
+    let total = corner.unwrap_or(f64::INFINITY);
+    debug_assert!(
+        total.is_finite() || !q.iter().chain(c).all(|x| x.is_finite()),
+        "dtw: finite series gave a non-finite cost"
+    );
+    total.sqrt()
 }
 
 /// A warping path: matrix cells `(i, j)` from `(0, 0)` to `(n-1, n-1)`.

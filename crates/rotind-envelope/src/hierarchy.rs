@@ -31,7 +31,6 @@ pub struct WedgeTree {
     wedges: Vec<Wedge>,
     /// Envelopes used for lower bounding: widened copies when `band > 0`.
     lb_wedges: Option<Vec<Wedge>>,
-    band: usize,
 }
 
 impl WedgeTree {
@@ -86,7 +85,6 @@ impl WedgeTree {
             dendrogram,
             wedges,
             lb_wedges,
-            band,
         }
     }
 
@@ -98,11 +96,6 @@ impl WedgeTree {
     /// The dendrogram over the rotations.
     pub fn dendrogram(&self) -> &Dendrogram {
         &self.dendrogram
-    }
-
-    /// The DTW band the lower-bound envelopes were widened by.
-    pub fn band(&self) -> usize {
-        self.band
     }
 
     /// Number of rotations (= leaves = the maximum wedge-set size `K`).
@@ -192,7 +185,6 @@ mod tests {
         assert_eq!(t.max_k(), 16);
         assert_eq!(t.dendrogram().num_nodes(), 31);
         assert!(!t.is_leaf(t.root()));
-        assert_eq!(t.band(), 0);
     }
 
     #[test]

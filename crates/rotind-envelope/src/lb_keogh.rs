@@ -265,8 +265,8 @@ fn total_order_key(x: f64) -> u64 {
 /// Reusable projection + sliding-window buffers for the envelope bounds
 /// that need per-call working storage: the `LB_Improved` second pass and
 /// the widened LCSS envelope. Owned by the caller (the engine keeps one
-/// per scan, or per parallel worker) so the query hot path performs no
-/// per-call allocation.
+/// per scan, or per parallel worker, for its LCSS bound) so the query
+/// hot path performs no per-call allocation.
 #[derive(Debug, Default)]
 pub struct ImprovedScratch {
     proj: Vec<f64>,
@@ -284,7 +284,7 @@ impl ImprovedScratch {
 }
 
 /// `LB_Improved` (Lemire's two-pass bound, arXiv:0811.3301, generalised
-/// from single series to wedges — cascade tier 4): the first pass is
+/// from single series to wedges): the first pass is
 /// `LB_Keogh(Q, W^R)` against the band-widened envelope; the second pass
 /// projects the candidate onto that envelope (`hᵢ = clamp(qᵢ, L^R_i,
 /// U^R_i)`), widens the projection by the band, and adds the gap between

@@ -10,7 +10,12 @@
 //! | 1    | `lb_kim` (endpoints only)          | `O(1)`          | loosest |
 //! | 2    | reduced-space PAA envelope bound   | `O(D)` (+ lazy `O(n)` per candidate) | looser than LB_Keogh |
 //! | 3    | LB_Keogh, early abandon (reordered on Euclidean internal wedges) | `O(n)` worst | the paper's bound |
-//! | 4    | LB_Improved second pass (DTW only) | `O(n)`          | tightest |
+//!
+//! A wedge no tier prunes descends to its children, and a leaf evaluates
+//! the exact measure. LB_Improved's second pass
+//! ([`rotind_envelope::lb_keogh::lb_improved_second_pass`]) is not a
+//! tier: under DTW it cost more than the band-major leaf it saved
+//! (DESIGN.md §12).
 //!
 //! Every tier prunes with a *strict* comparison against an admissible
 //! bound, so the cascade can neither exclude a rotation at exactly the
@@ -38,12 +43,6 @@ pub const DEFAULT_KIM_MIN_CARDINALITY: usize = 8;
 /// Default cardinality gate for tier 2 (see [`CascadeConfig`]).
 pub const DEFAULT_REDUCED_MIN_CARDINALITY: usize = 32;
 
-/// Default cardinality gate for tier 4 (see [`CascadeConfig`]).
-pub const DEFAULT_IMPROVED_MAX_CARDINALITY: usize = 1;
-
-/// Default tightness gate for tier 4 (see [`CascadeConfig`]).
-pub const DEFAULT_IMPROVED_MIN_RATIO: f64 = 0.5;
-
 /// Which tiers of the bound cascade run, and where.
 ///
 /// The exactness of the scan never depends on this configuration — every
@@ -56,8 +55,7 @@ pub const DEFAULT_IMPROVED_MIN_RATIO: f64 = 0.5;
 /// natural-order LB_Keogh's first term elsewhere, so it earns its keep
 /// only on fat wedges where an admit is costly anyway; tier 2 must
 /// amortise a lazy `O(n)` candidate projection, so it is restricted to
-/// the fattest wedges; tier 4's second pass buys the most where a prune
-/// replaces an exact DTW evaluation, i.e. at (near-)singleton wedges.
+/// the fattest wedges.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeConfig {
     /// Tier 1: the `O(1)` endpoint (LB_Kim-style) bound.
@@ -66,10 +64,6 @@ pub struct CascadeConfig {
     pub reduced: bool,
     /// Tier 3: full LB_Keogh with early abandoning.
     pub keogh: bool,
-    /// Tier 4: the LB_Improved second pass (effective only under DTW,
-    /// where the band is positive; at band 0 the second pass is
-    /// identically zero).
-    pub improved: bool,
     /// Accumulate tier 3 in the per-wedge contribution order instead of
     /// natural position order. Applies under Euclidean distance only,
     /// and only to internal wedges: a Euclidean singleton leaf's sum
@@ -83,15 +77,6 @@ pub struct CascadeConfig {
     pub kim_min_cardinality: usize,
     /// Tier 2 runs only on wedges covering at least this many rotations.
     pub reduced_min_cardinality: usize,
-    /// Tier 4 runs only on wedges covering at most this many rotations.
-    pub improved_max_cardinality: usize,
-    /// Tier 4 runs only when the tier-3 bound is at least this fraction
-    /// of the current best-so-far — when the first pass is already
-    /// close, the second pass has a realistic chance of crossing it;
-    /// when it is far below, the `O(n)` second pass is near-certain
-    /// wasted work. (With an infinite best-so-far the tier never runs:
-    /// no finite bound can dismiss against infinity.)
-    pub improved_min_ratio: f64,
 }
 
 impl CascadeConfig {
@@ -102,13 +87,10 @@ impl CascadeConfig {
             kim: true,
             reduced: true,
             keogh: true,
-            improved: true,
             reorder: true,
             dims: DEFAULT_DIMS,
             kim_min_cardinality: DEFAULT_KIM_MIN_CARDINALITY,
             reduced_min_cardinality: DEFAULT_REDUCED_MIN_CARDINALITY,
-            improved_max_cardinality: DEFAULT_IMPROVED_MAX_CARDINALITY,
-            improved_min_ratio: DEFAULT_IMPROVED_MIN_RATIO,
         }
     }
 
@@ -119,43 +101,24 @@ impl CascadeConfig {
         CascadeConfig {
             kim: false,
             reduced: false,
-            keogh: false,
-            improved: false,
+            keogh: true,
             reorder: false,
             dims: DEFAULT_DIMS,
             kim_min_cardinality: 0,
             reduced_min_cardinality: 0,
-            improved_max_cardinality: usize::MAX,
-            improved_min_ratio: 0.0,
         }
-        .with_keogh()
-    }
-
-    fn with_keogh(mut self) -> Self {
-        self.keogh = true;
-        self
     }
 
     /// Parse a `ROTIND_CASCADE` value: a single-tier name
-    /// (`kim`/`reduced`/`keogh`/`improved`) or `all`. Single-tier
-    /// configurations run their tier on *every* wedge (no cardinality
-    /// gates) so the CI exactness matrix exercises each tier in
-    /// isolation; `keogh` selects the reordered tier-3 scan (which
-    /// reorders Euclidean internal wedges only), and
-    /// `improved` runs LB_Improved whole (its first pass is LB_Keogh,
-    /// attributed to the Improved tier).
+    /// (`kim`/`reduced`/`keogh`) or `all`. Single-tier configurations
+    /// run their tier on *every* wedge (no cardinality gates) so the CI
+    /// exactness matrix exercises each tier in isolation; `keogh`
+    /// selects the reordered tier-3 scan (which reorders Euclidean
+    /// internal wedges only).
     pub fn parse(s: &str) -> Option<Self> {
         let off = CascadeConfig {
-            kim: false,
-            reduced: false,
             keogh: false,
-            improved: false,
-            reorder: false,
-            dims: DEFAULT_DIMS,
-            kim_min_cardinality: 0,
-            reduced_min_cardinality: 0,
-            improved_max_cardinality: usize::MAX,
-            improved_min_ratio: 0.0,
+            ..Self::legacy()
         };
         match s {
             "kim" => Some(CascadeConfig { kim: true, ..off }),
@@ -166,10 +129,6 @@ impl CascadeConfig {
             "keogh" => Some(CascadeConfig {
                 keogh: true,
                 reorder: true,
-                ..off
-            }),
-            "improved" => Some(CascadeConfig {
-                improved: true,
                 ..off
             }),
             "all" => Some(Self::all()),
@@ -456,9 +415,9 @@ mod tests {
 
     #[test]
     fn parse_recognises_every_ci_value_and_rejects_garbage() {
-        for name in ["kim", "reduced", "keogh", "improved", "all"] {
+        for name in ["kim", "reduced", "keogh", "all"] {
             let c = CascadeConfig::parse(name).unwrap_or_else(|| panic!("{name} must parse"));
-            let tiers = [c.kim, c.reduced, c.keogh, c.improved];
+            let tiers = [c.kim, c.reduced, c.keogh];
             if name == "all" {
                 assert_eq!(c, CascadeConfig::all());
             } else {
@@ -466,6 +425,8 @@ mod tests {
             }
         }
         assert_eq!(CascadeConfig::parse(""), None);
+        // Tier 4 left the cascade; its old CI value is garbage now.
+        assert_eq!(CascadeConfig::parse("improved"), None);
         assert_eq!(CascadeConfig::parse("keogh,kim"), None);
         assert_eq!(CascadeConfig::parse("ALL"), None);
     }
@@ -473,7 +434,7 @@ mod tests {
     #[test]
     fn legacy_is_natural_order_keogh_only() {
         let c = CascadeConfig::legacy();
-        assert!(c.keogh && !c.kim && !c.reduced && !c.improved && !c.reorder);
+        assert!(c.keogh && !c.kim && !c.reduced && !c.reorder);
     }
 
     #[test]

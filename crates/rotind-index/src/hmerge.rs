@@ -15,8 +15,8 @@
 use crate::cascade::{BoundCascade, CandidateCtx};
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::{
-    lb_improved_second_pass, lb_keogh_early_abandon_at, lb_keogh_reordered_early_abandon_at,
-    lb_kim, lcss_distance_lower_bound, lcss_distance_lower_bound_with, ImprovedScratch,
+    lb_keogh_early_abandon_at, lb_keogh_reordered_early_abandon_at, lb_kim,
+    lcss_distance_lower_bound, lcss_distance_lower_bound_with, ImprovedScratch,
 };
 use rotind_envelope::WedgeTree;
 use rotind_obs::{BudgetHook, CascadeTier, NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -48,15 +48,15 @@ fn rotation_key(r: Rotation) -> (bool, usize) {
 }
 
 /// The working buffers of an H-Merge walk: the wedge stack, the row DTW
-/// and LCSS leaves copy their rotation into, and the LB_Improved /
-/// widened-LCSS scratch. A scan keeps one set for all its candidates
-/// (one per parallel worker), so once they have grown to the tree's
-/// depth and the series length a walk allocates nothing.
+/// and LCSS leaves copy their rotation into, and the widened-LCSS
+/// scratch. A scan keeps one set for all its candidates (one per
+/// parallel worker), so once they have grown to the tree's depth and the
+/// series length a walk allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct WalkBuffers {
     stack: Vec<(usize, usize)>,
     leaf: Vec<f64>,
-    improved: ImprovedScratch,
+    lcss: ImprovedScratch,
 }
 
 /// Result of bounding one wedge node against the threshold (used by the
@@ -166,14 +166,13 @@ pub fn h_merge(
 /// case).
 // Admissibility: every tier delegates to a witnessed lb_* kernel in
 // rotind-envelope (lb_kim / PaaEnvelope::min_dist via PaaWedgeSet's
-// argument / lb_keogh_early_abandon_at / lb_improved_second_pass).
+// argument / lb_keogh_early_abandon_at).
 #[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade
 fn node_tier_bound<O: SearchObserver>(
     candidate: &[f64],
     tree: &WedgeTree,
     cascade: &BoundCascade,
     ctx: &mut CandidateCtx,
-    improved: &mut ImprovedScratch,
     node: usize,
     level: usize,
     best_so_far: f64,
@@ -221,31 +220,17 @@ fn node_tier_bound<O: SearchObserver>(
         }
     }
 
-    // Tier 4 runs only under a positive warping band: at band 0 the
-    // LB_Improved second pass is identically zero. Its gate is inverted
-    // — the second pass buys the most where a prune replaces an exact
-    // DTW evaluation, i.e. at (near-)singleton wedges.
-    let improved_applies =
-        config.improved && tree.band() > 0 && cardinality <= config.improved_max_cardinality;
-
-    // Tier 3: LB_Keogh with early abandoning. It also runs when only
-    // tier 4 is configured (LB_Improved's first pass IS LB_Keogh, then
-    // attributed to the Improved tier) and always at a Euclidean
-    // singleton leaf, whose natural-order sum is the exact distance —
-    // never reordered, so the scan stays bit-identical to the legacy
-    // engine.
-    if !(config.keogh || improved_applies || euclid_leaf) {
+    // Tier 3: LB_Keogh with early abandoning. It always runs at a
+    // Euclidean singleton leaf, whose natural-order sum is the exact
+    // distance — never reordered, so the scan stays bit-identical to the
+    // legacy engine.
+    if !(config.keogh || euclid_leaf) {
         // Only pre-filters are configured and none pruned: descend on
         // the trivial zero bound (exactness never needs tier 3 — leaves
         // still evaluate the exact measure).
         observer.on_wedge_tested(level, 0.0, best_so_far, false);
         return Some(0.0);
     }
-    let keogh_tier = if config.keogh || !improved_applies {
-        CascadeTier::Keogh
-    } else {
-        CascadeTier::Improved
-    };
     // A Euclidean singleton leaf's accumulation IS the exact distance
     // (Section 4.1), so its phase is `distance`, not a tier — the
     // profile tree attributes that work to where it economically
@@ -255,7 +240,7 @@ fn node_tier_bound<O: SearchObserver>(
     let keogh_phase = if euclid_leaf {
         ProfilePhase::Distance
     } else {
-        ProfilePhase::Tier(keogh_tier)
+        ProfilePhase::Tier(CascadeTier::Keogh)
     };
     observer.on_phase_start(keogh_phase, counter.steps());
     // The cascade holds an order exactly for the nodes it reorders
@@ -271,7 +256,7 @@ fn node_tier_bound<O: SearchObserver>(
     let lb = match keogh {
         Ok(lb) => lb,
         Err(position) => {
-            observer.on_cascade_tier(keogh_tier, true);
+            observer.on_cascade_tier(CascadeTier::Keogh, true);
             // The exact bound is unknown after an early abandon; the
             // crossed threshold is reported in its place.
             observer.on_wedge_tested(level, best_so_far, best_so_far, true);
@@ -284,51 +269,9 @@ fn node_tier_bound<O: SearchObserver>(
         // exact distance and on_leaf_distance will fire for it.
         return Some(lb);
     }
-    if keogh_tier == CascadeTier::Keogh {
-        observer.on_cascade_tier(CascadeTier::Keogh, false);
-    }
-
-    // Tier 4: LB_Improved second pass, only after tier 3 failed to prune
-    // and only when the first pass got close enough to the best-so-far
-    // that the second pass has a realistic chance of crossing it. (With
-    // an infinite best-so-far the product is infinite — or NaN at ratio
-    // zero — and the comparison is false: nothing dismisses against
-    // infinity, so skipping is free.)
-    let run_improved = improved_applies && lb >= config.improved_min_ratio * best_so_far;
-    if run_improved {
-        observer.on_phase_start(ProfilePhase::Tier(CascadeTier::Improved), counter.steps());
-        let second = lb_improved_second_pass(
-            candidate,
-            tree.wedge(node),
-            lb_wedge,
-            tree.band(),
-            lb * lb,
-            best_so_far,
-            improved,
-            counter,
-        );
-        observer.on_phase_end(ProfilePhase::Tier(CascadeTier::Improved), counter.steps());
-        match second {
-            Some(lb) => {
-                observer.on_cascade_tier(CascadeTier::Improved, false);
-                observer.on_wedge_tested(level, lb, best_so_far, false);
-                Some(lb)
-            }
-            None => {
-                observer.on_cascade_tier(CascadeTier::Improved, true);
-                observer.on_wedge_tested(level, best_so_far, best_so_far, true);
-                None
-            }
-        }
-    } else {
-        if keogh_tier == CascadeTier::Improved {
-            // Improved-only configuration with the tier-4 gate closed:
-            // the admitted first pass is still the Improved tier's work.
-            observer.on_cascade_tier(CascadeTier::Improved, false);
-        }
-        observer.on_wedge_tested(level, lb, best_so_far, false);
-        Some(lb)
-    }
+    observer.on_cascade_tier(CascadeTier::Keogh, false);
+    observer.on_wedge_tested(level, lb, best_so_far, false);
+    Some(lb)
 }
 
 /// The H-Merge core behind every scan: [`h_merge`] under an arbitrary
@@ -402,11 +345,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     observer.on_phase_start(ProfilePhase::WedgeMerge, counter.steps());
     let mut best: Option<HMergeOutcome> = None;
     let mut best_so_far = r;
-    let WalkBuffers {
-        stack,
-        leaf,
-        improved,
-    } = buffers;
+    let WalkBuffers { stack, leaf, lcss } = buffers;
     // A walk cut short by the budget may leave wedges behind.
     stack.clear();
     stack.extend(cut.iter().map(|&node| (node, 0)));
@@ -421,13 +360,8 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
         let bound = match measure {
             // LCSS has a single similarity-count bound; no tiers apply.
             Measure::Lcss(p) => {
-                let lb = lcss_distance_lower_bound_with(
-                    candidate,
-                    tree.wedge(node),
-                    p,
-                    improved,
-                    counter,
-                );
+                let lb =
+                    lcss_distance_lower_bound_with(candidate, tree.wedge(node), p, lcss, counter);
                 if lb <= best_so_far {
                     observer.on_wedge_tested(level, lb, best_so_far, false);
                     Some(lb)
@@ -441,7 +375,6 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
                 tree,
                 cascade,
                 ctx,
-                improved,
                 node,
                 level,
                 best_so_far,

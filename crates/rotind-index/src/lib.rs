@@ -18,8 +18,8 @@
 //!   [`engine::RotationQuery::search`];
 //! * [`cascade`] — the tiered admissible-bound cascade the engine runs
 //!   per (candidate, wedge) pair: the `O(1)` endpoint bound, the
-//!   reduced-space PAA bound, reordered early-abandoning LB_Keogh and
-//!   the LB_Improved second pass (DESIGN.md §12);
+//!   reduced-space PAA bound and reordered early-abandoning LB_Keogh
+//!   (DESIGN.md §12);
 //! * [`parallel`] — the chunked multi-threaded scan
 //!   ([`engine::RotationQuery::search_parallel`]) sharing an atomic
 //!   best-so-far, bit-identical to the sequential scan (DESIGN.md §10);

@@ -20,7 +20,11 @@ pub enum CascadeTier {
     Reduced,
     /// Tier 3: full LB_Keogh with (reordered) early abandoning.
     Keogh,
-    /// Tier 4: the LB_Improved second pass.
+    /// Tier 4: the LB_Improved second pass. The engine's cascade no
+    /// longer runs it (under DTW it cost more than the leaf DTW it
+    /// saved), so no engine reports it and its `tier.improved.*` metrics
+    /// read 0 under every measure. The variant stays because trace and
+    /// benchmark consumers index their tier slots by [`CascadeTier::ALL`].
     Improved,
 }
 
@@ -44,7 +48,8 @@ impl CascadeTier {
         }
     }
 
-    /// Stable lowercase name (matches the `ROTIND_CASCADE` env values).
+    /// Stable lowercase name (matches the `ROTIND_CASCADE` env values,
+    /// except `improved`, which that variable no longer accepts).
     #[inline]
     pub fn name(self) -> &'static str {
         match self {

@@ -105,7 +105,7 @@ ROTIND_THREADS=4 cargo test -q --test exactness --test parallel
 # Every cascade tier in isolation, then the full cascade: each
 # configuration must return the brute-force answers (exactness only —
 # single-tier configurations are deliberately not step-competitive).
-for c in kim reduced keogh improved all; do
+for c in kim reduced keogh all; do
     echo "==> exactness + cascade suites under ROTIND_CASCADE=$c"
     ROTIND_CASCADE=$c cargo test -q --test exactness --test cascade
 done
@@ -224,8 +224,9 @@ echo "==> benchmark package lane (.servebench tests + traced smoke runs)"
 CARGO_TARGET_DIR=target/servebench \
     cargo test --release --offline --manifest-path .servebench/Cargo.toml
 # The mix workload sends 1-NN, 3-NN and range queries under three
-# invariances, so it covers every best-first and bound-filtered path.
-for workload in ed-rot-n251 serve-mix-n32; do
+# invariances, so it covers every best-first and bound-filtered path;
+# the DTW workload checks replies whose leaf is the band-major DTW.
+for workload in ed-rot-n251 serve-mix-n32 dtw-knn-n128; do
     BENCH_RESULT="$(CARGO_TARGET_DIR=target/servebench \
         cargo run --quiet --release --offline --manifest-path .servebench/Cargo.toml -- \
         --workload "$workload" --seed 3 --seconds 1 --trace 1 | tail -n 1)"

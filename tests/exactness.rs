@@ -429,3 +429,70 @@ fn two_caches_of_one_snapshot_agree_on_answers_and_steps() {
         assert_eq!(x, y, "query {i}");
     }
 }
+
+/// A DTW k-NN search over a database whose first items hold +∞ (or −∞)
+/// and NaN samples completes, in debug builds too, and returns the
+/// brute-force answer whenever at least k items are finite. Such an
+/// item's distance is +∞ or NaN, so it ranks behind every finite item;
+/// the first k items are scanned at an infinite radius, so their leaf
+/// DTW runs to the non-finite corner.
+#[test]
+fn dtw_knn_with_non_finite_items_equals_brute_force() {
+    let (n, m) = (12, 6);
+    let query: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 2.0).collect();
+    let clean: Vec<Vec<f64>> = (0..m)
+        .map(|k| {
+            (0..n)
+                .map(|i| ((i + 2 * k) as f64 * 0.55).cos() * (1.0 + 0.1 * k as f64))
+                .collect()
+        })
+        .collect();
+    let measure = Measure::Dtw(DtwParams::new(2));
+    let matrix = RotationMatrix::full(&query).unwrap();
+    let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure).unwrap();
+    let bits = |hits: &[(usize, f64)]| -> Vec<(usize, u64)> {
+        hits.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+    };
+    for k in 1..=3 {
+        for inf_item in 0..k {
+            for nan_item in [(inf_item + 1) % m, m - 1] {
+                for (infinity, nan_at) in [
+                    (f64::INFINITY, 0),
+                    (f64::NEG_INFINITY, 5),
+                    (f64::INFINITY, n - 1),
+                ] {
+                    let mut db = clean.clone();
+                    db[inf_item][3] = infinity;
+                    db[nan_item][nan_at] = f64::NAN;
+                    let got: Vec<(usize, f64)> = engine
+                        .k_nearest(&db, k)
+                        .unwrap()
+                        .iter()
+                        .map(|h| (h.index, h.distance))
+                        .collect();
+                    let mut oracle: Vec<(usize, f64)> = db
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, item)| {
+                            let hit = test_all_rotations(
+                                item,
+                                &matrix,
+                                f64::INFINITY,
+                                measure,
+                                &mut StepCounter::new(),
+                            )?;
+                            hit.distance.is_finite().then_some((i, hit.distance))
+                        })
+                        .collect();
+                    oracle.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                    oracle.truncate(k);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&oracle),
+                        "k = {k}, {infinity} in item {inf_item}, NaN at {nan_item}[{nan_at}]"
+                    );
+                }
+            }
+        }
+    }
+}

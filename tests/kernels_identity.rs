@@ -15,8 +15,15 @@
 //!   sums, trip positions, and steps match *bitwise*.
 //! * **van Herk vs deque bit-identity** — the block sliding-extreme
 //!   kernel agrees bit for bit with the monotonic-deque reference.
+//! * **band-major vs cell-by-cell DTW bit-identity** — the early-abandoning
+//!   DTW leaf agrees with its reference loop on value bits, `None`/`Some`
+//!   and steps, non-finite samples and every band included; and on finite
+//!   inputs it agrees bit for bit with the independent full-matrix
+//!   `dtw_path`. The brute-force oracles call the same leaf as the engine,
+//!   so these are its only independent guards.
 
 use proptest::prelude::*;
+use rotind::distance::dtw::{dtw, dtw_early_abandon, dtw_early_abandon_seq, dtw_path, DtwParams};
 use rotind::distance::kernels::{self, LANES};
 use rotind::envelope::envelope::{
     sliding_max_into, sliding_max_into_seq, sliding_min_into, sliding_min_into_seq, SlidingScratch,
@@ -98,6 +105,48 @@ fn permutation(n: usize) -> Vec<u32> {
         order.swap(0, n / 2);
     }
     order
+}
+
+/// DTW lengths: the degenerate single sample, tiny series, and lengths
+/// around the lane and block boundaries.
+const DTW_SIZES: [usize; 10] = [1, 2, 7, 8, 9, 63, 64, 65, 128, 200];
+
+/// Band selector: 0, 1, 5, the widest band `n − 1`, one past it, and the
+/// largest band the wire allows (`u32::MAX`).
+fn pick_band(sel: usize, n: usize) -> usize {
+    match sel {
+        0 => 0,
+        1 => 1,
+        2 => 5,
+        3 => n - 1,
+        4 => n,
+        _ => u32::MAX as usize,
+    }
+}
+
+/// Overwrite one or two samples of `xs` with non-finite values: 0–3
+/// leave it finite, 4 → NaN, 5 → +∞, 6 → −∞, 7 → NaN and +∞.
+fn poison(xs: &mut [f64], mode: usize, at: f64, at2: f64) {
+    let n = xs.len();
+    let pos = |frac: f64| ((n as f64 * frac) as usize).min(n - 1);
+    match mode {
+        4 => xs[pos(at)] = f64::NAN,
+        5 => xs[pos(at)] = f64::INFINITY,
+        6 => xs[pos(at)] = f64::NEG_INFINITY,
+        7 => {
+            xs[pos(at)] = f64::NAN;
+            xs[pos(at2)] = f64::INFINITY;
+        }
+        _ => {}
+    }
+}
+
+/// An early-abandoning DTW outcome: the value's bits (`None` when the
+/// call abandoned) and the steps charged.
+fn dtw_run(f: impl FnOnce(&mut StepCounter) -> Option<f64>) -> (Option<u64>, u64) {
+    let mut counter = StepCounter::new();
+    let out = f(&mut counter).map(f64::to_bits);
+    (out, counter.steps())
 }
 
 proptest! {
@@ -265,6 +314,70 @@ proptest! {
         sliding_min_into(xs, r, &mut scratch, &mut a);
         sliding_min_into_seq(xs, r, &mut scratch, &mut b);
         prop_assert_eq!(bits(&a), bits(&b), "sliding min, r = {}", r);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The band-major DTW kernel returns the reference loop's value bits,
+    /// `None`/`Some` and steps, at every length, band and radius —
+    /// radii at, and one rounding step below, the exact distance included
+    /// — with NaN and ±∞ samples in either series.
+    #[test]
+    fn dtw_band_major_matches_seq_bitwise(
+        q_pool in pool(),
+        c_pool in pool(),
+        size_idx in 0usize..DTW_SIZES.len(),
+        band_sel in 0usize..6,
+        r_sel in 0usize..5,
+        r_val in 0.0f64..60.0,
+        mode in 0usize..8,
+        poison_query in 0usize..2,
+        at in 0.0f64..1.0,
+        at2 in 0.0f64..1.0,
+    ) {
+        let n = DTW_SIZES[size_idx];
+        let params = DtwParams::new(pick_band(band_sel, n));
+        let (mut q, mut c) = (q_pool[..n].to_vec(), c_pool[..n].to_vec());
+        poison(if poison_query == 1 { &mut q } else { &mut c }, mode, at, at2);
+        let exact = dtw_early_abandon_seq(&q, &c, params, f64::INFINITY, &mut StepCounter::new())
+            .expect("an infinite radius never abandons");
+        let r = match r_sel {
+            0 => f64::INFINITY,
+            1 => 0.0,
+            2 => exact,
+            3 => exact * (1.0 - 1e-12),
+            _ => r_val,
+        };
+        let seq = dtw_run(|k| dtw_early_abandon_seq(&q, &c, params, r, k));
+        // Leave zero-cost cells of another pair in the thread-local rows:
+        // a kernel that reads a stale cell then sees a value below every
+        // legitimate predecessor, which changes its answer.
+        let zeros = vec![0.0; n];
+        dtw_early_abandon(&zeros, &zeros, params, f64::INFINITY, &mut StepCounter::new());
+        let band_major = dtw_run(|k| dtw_early_abandon(&q, &c, params, r, k));
+        prop_assert_eq!(
+            band_major, seq,
+            "n = {}, band = {}, r = {}, mode = {}", n, params.band, r, mode
+        );
+    }
+
+    /// On finite inputs the rolling-row DTW equals the independent
+    /// full-matrix `dtw_path` bit for bit.
+    #[test]
+    fn dtw_equals_full_matrix_path_bitwise(
+        q_pool in pool(),
+        c_pool in pool(),
+        size_idx in 0usize..DTW_SIZES.len(),
+        band_sel in 0usize..6,
+    ) {
+        let n = DTW_SIZES[size_idx];
+        let params = DtwParams::new(pick_band(band_sel, n));
+        let (q, c) = (&q_pool[..n], &c_pool[..n]);
+        let rolling = dtw(q, c, params, &mut StepCounter::new());
+        let (full, _) = dtw_path(q, c, params);
+        prop_assert_eq!(rolling.to_bits(), full.to_bits(), "n = {}, band = {}", n, params.band);
     }
 }
 

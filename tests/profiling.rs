@@ -40,7 +40,7 @@ fn db_strategy(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 /// CI matrix plus the tuned default (mirrors `tests/cascade.rs`).
 fn configs() -> Vec<(&'static str, CascadeConfig)> {
     let mut out = vec![("legacy", CascadeConfig::legacy())];
-    for name in ["kim", "reduced", "keogh", "improved", "all"] {
+    for name in ["kim", "reduced", "keogh", "all"] {
         out.push((name, CascadeConfig::parse(name).unwrap()));
     }
     out
