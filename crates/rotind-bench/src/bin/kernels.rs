@@ -4,7 +4,10 @@
 //! canonical lane-parallel order in autovectorizable Rust; for the
 //! sliding extreme and DTW, the block and band-major kernels), and
 //! `simd` (the `std::simd` expression of the same order, present only
-//! when this binary is built with `--features simd` on nightly).
+//! when this binary is built with `--features simd` on nightly). One
+//! build-time kernel rides along: tier 3's abandon order per wedge,
+//! `seq` the full sort and `chunked` the `ABANDON_PREFIX` head the
+//! cascade builds.
 //!
 //! Inputs are deterministic mixed in/out series (some query points
 //! inside the envelope, some out) at n = 64 / 256 / 1024, with an
@@ -19,7 +22,9 @@
 use rotind_distance::dtw::{dtw_early_abandon, dtw_early_abandon_seq, DtwParams};
 use rotind_distance::kernels;
 use rotind_envelope::envelope::{sliding_max_into, sliding_max_into_seq, SlidingScratch};
+use rotind_envelope::lb_keogh::{extend_abandon_order, extend_abandon_prefix, AbandonScratch};
 use rotind_eval::report::Table;
+use rotind_index::cascade::ABANDON_PREFIX;
 use rotind_ts::StepCounter;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -259,6 +264,29 @@ fn measure(quick: bool) -> Vec<Entry> {
             black_box(kernel(black_box(&a), black_box(&b), dtw, r, &mut counter));
             true
         });
+
+        // Tier 3's abandon order of one wedge, built per internal wedge
+        // at engine build: seq = the full keyed sort, chunked = the
+        // sorted ABANDON_PREFIX head the cascade stores, then the other
+        // positions in order. There is no std::simd variant.
+        let mut scratch = AbandonScratch::default();
+        let mut order_out = Vec::with_capacity(n);
+        push_kernel(&mut entries, "abandon_order", n, iters, samples, |be| {
+            order_out.clear();
+            match be {
+                "seq" => extend_abandon_order(black_box(&upper), black_box(&lower), &mut order_out),
+                "chunked" => extend_abandon_prefix(
+                    black_box(&upper),
+                    black_box(&lower),
+                    ABANDON_PREFIX,
+                    &mut scratch,
+                    &mut order_out,
+                ),
+                _ => return false,
+            }
+            black_box(&order_out);
+            true
+        });
     }
     entries
 }
@@ -282,8 +310,9 @@ fn write_json(entries: &[Entry], quick: bool) -> String {
     out.push_str("{\n");
     let _ = writeln!(
         out,
-        "  \"comment\": \"scan kernel throughput (bound cascade and DTW leaf); \
-         median ns/call, infinite radius (full accumulation), mixed in/out data\","
+        "  \"comment\": \"scan kernel throughput (bound cascade and DTW leaf) and the \
+         tier-3 abandon-order build; median ns/call, infinite radius (full \
+         accumulation), mixed in/out data\","
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"lanes\": {},", kernels::LANES);

@@ -52,7 +52,7 @@ impl Linkage {
 /// # Panics
 ///
 /// Panics for an empty matrix (there is nothing to cluster).
-// lint: panic-exempt(documented precondition: the index builder always clusters a non-empty rotation matrix)
+// lint: panic-exempt(documented precondition: the index builder always clusters a non-empty rotation matrix; the chain is non-empty where it is read)
 pub fn cluster(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
     let m = matrix.len();
     assert!(m > 0, "cluster: empty distance matrix");
@@ -60,12 +60,14 @@ pub fn cluster(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
         return Dendrogram::from_raw_merges(1, Vec::new());
     }
 
-    // Working copy of the distance matrix, updated in place as clusters
-    // merge; `size[i]` is the cardinality of the cluster currently
-    // represented by slot i; `active[i]` marks live slots.
-    let mut dist = matrix.clone();
+    // Row-major `m × m` working copy of the distance matrix, both
+    // triangles updated in place as clusters merge, so a nearest-
+    // neighbour scan reads one contiguous row. `size[i]` is the
+    // cardinality of the cluster currently represented by slot i;
+    // `live` lists the live slots in ascending order.
+    let mut dist = matrix.to_square();
     let mut size = vec![1usize; m];
-    let mut active = vec![true; m];
+    let mut live: Vec<usize> = (0..m).collect();
     let mut merges: Vec<RawMerge> = Vec::with_capacity(m - 1);
 
     // NN-chain stack.
@@ -73,9 +75,9 @@ pub fn cluster(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
 
     for _ in 0..m - 1 {
         if chain.is_empty() {
-            let start = active
-                .iter()
-                .position(|&a| a)
+            let start = live
+                .first()
+                .copied()
                 .expect("at least two active clusters remain");
             chain.push(start);
         }
@@ -83,34 +85,33 @@ pub fn cluster(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
         // neighbours.
         loop {
             let top = *chain.last().expect("chain is non-empty");
-            let mut nearest = usize::MAX;
-            let mut nearest_d = f64::INFINITY;
+            let row = dist.get(top * m..(top + 1) * m).unwrap_or_default();
             // Prefer the previous chain element on ties so reciprocity is
             // detected deterministically.
-            let prev = if chain.len() >= 2 {
-                Some(chain[chain.len() - 2])
-            } else {
-                None
+            let prev = chain
+                .len()
+                .checked_sub(2)
+                .and_then(|i| chain.get(i))
+                .copied();
+            let (mut nearest, mut nearest_d) = match prev.and_then(|p| Some((p, *row.get(p)?))) {
+                Some(first) => first,
+                None => (usize::MAX, f64::INFINITY),
             };
-            if let Some(p) = prev {
-                nearest = p;
-                nearest_d = dist.get(top, p);
-            }
-            #[allow(clippy::needless_range_loop)] // index used across multiple slices
-            for k in 0..m {
-                if k == top || !active[k] || Some(k) == prev {
+            for &k in &live {
+                if k == top || Some(k) == prev {
                     continue;
                 }
-                let d = dist.get(top, k);
-                if d < nearest_d {
-                    nearest_d = d;
-                    nearest = k;
+                if let Some(&d) = row.get(k) {
+                    if d < nearest_d {
+                        nearest_d = d;
+                        nearest = k;
+                    }
                 }
             }
             debug_assert_ne!(nearest, usize::MAX);
             if Some(nearest) == prev {
                 // Reciprocal nearest neighbours found: merge `top` and
-                // `nearest`.
+                // `nearest`, at the distance just read between them.
                 chain.pop();
                 chain.pop();
                 let (a, b) = (top, nearest);
@@ -120,18 +121,28 @@ pub fn cluster(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
                     height: nearest_d,
                 });
                 // Merge b into a's slot.
-                let (na, nb) = (size[a] as f64, size[b] as f64);
-                let dab = dist.get(a, b);
-                for k in 0..m {
-                    if k == a || k == b || !active[k] {
+                let slot_size = |slot: usize| size.get(slot).copied().unwrap_or(0);
+                let (na, nb) = (slot_size(a) as f64, slot_size(b) as f64);
+                for &k in &live {
+                    if k == a || k == b {
                         continue;
                     }
-                    let updated =
-                        linkage.update(dist.get(a, k), dist.get(b, k), dab, na, nb, size[k] as f64);
-                    dist.set(a, k, updated);
+                    let (Some(&dak), Some(&dbk)) = (dist.get(a * m + k), dist.get(b * m + k))
+                    else {
+                        continue;
+                    };
+                    let updated = linkage.update(dak, dbk, nearest_d, na, nb, slot_size(k) as f64);
+                    for cell in [a * m + k, k * m + a] {
+                        if let Some(d) = dist.get_mut(cell) {
+                            *d = updated;
+                        }
+                    }
                 }
-                size[a] += size[b];
-                active[b] = false;
+                let merged = slot_size(a) + slot_size(b);
+                if let Some(sa) = size.get_mut(a) {
+                    *sa = merged;
+                }
+                live.retain(|&k| k != b);
                 break;
             }
             chain.push(nearest);
@@ -168,6 +179,159 @@ pub fn cluster_series(series: &[Vec<f64>], linkage: Linkage) -> Dendrogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rotation_shift::rotation_distance_matrix;
+    use proptest::prelude::*;
+    use rotind_ts::rotate::RotationMatrix;
+
+    const LINKAGES: [Linkage; 4] = [
+        Linkage::Single,
+        Linkage::Complete,
+        Linkage::Average,
+        Linkage::Ward,
+    ];
+
+    /// The condensed-matrix NN-chain loop that [`cluster`] replaced,
+    /// kept as its reference: every read goes through
+    /// [`DistanceMatrix::get`] and every slot of `0..m` is visited.
+    #[allow(clippy::needless_range_loop)] // k indexes `active`, `size` and the matrix
+    fn cluster_condensed(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
+        let m = matrix.len();
+        assert!(m > 0, "cluster: empty distance matrix");
+        if m == 1 {
+            return Dendrogram::from_raw_merges(1, Vec::new());
+        }
+        let mut dist = matrix.clone();
+        let mut size = vec![1usize; m];
+        let mut active = vec![true; m];
+        let mut merges: Vec<RawMerge> = Vec::with_capacity(m - 1);
+        let mut chain: Vec<usize> = Vec::with_capacity(m);
+        for _ in 0..m - 1 {
+            if chain.is_empty() {
+                chain.push(active.iter().position(|&a| a).unwrap());
+            }
+            loop {
+                let top = *chain.last().unwrap();
+                let mut nearest = usize::MAX;
+                let mut nearest_d = f64::INFINITY;
+                let prev = (chain.len() >= 2).then(|| chain[chain.len() - 2]);
+                if let Some(p) = prev {
+                    nearest = p;
+                    nearest_d = dist.get(top, p);
+                }
+                for k in 0..m {
+                    if k == top || !active[k] || Some(k) == prev {
+                        continue;
+                    }
+                    let d = dist.get(top, k);
+                    if d < nearest_d {
+                        nearest_d = d;
+                        nearest = k;
+                    }
+                }
+                if Some(nearest) == prev {
+                    chain.pop();
+                    chain.pop();
+                    let (a, b) = (top, nearest);
+                    merges.push(RawMerge {
+                        a,
+                        b,
+                        height: nearest_d,
+                    });
+                    let (na, nb) = (size[a] as f64, size[b] as f64);
+                    let dab = dist.get(a, b);
+                    for k in 0..m {
+                        if k == a || k == b || !active[k] {
+                            continue;
+                        }
+                        let updated = linkage.update(
+                            dist.get(a, k),
+                            dist.get(b, k),
+                            dab,
+                            na,
+                            nb,
+                            size[k] as f64,
+                        );
+                        dist.set(a, k, updated);
+                    }
+                    size[a] += size[b];
+                    active[b] = false;
+                    break;
+                }
+                chain.push(nearest);
+            }
+        }
+        Dendrogram::from_raw_merges(m, merges)
+    }
+
+    /// Every merge as (left, right, height bits): equal only when the
+    /// dendrograms are identical.
+    fn merge_bits(dendrogram: &Dendrogram) -> Vec<(usize, usize, u64)> {
+        dendrogram
+            .merges()
+            .iter()
+            .map(|mg| (mg.left, mg.right, mg.height.to_bits()))
+            .collect()
+    }
+
+    fn assert_same_merges(matrix: &DistanceMatrix) {
+        for linkage in LINKAGES {
+            assert_eq!(
+                merge_bits(&cluster(matrix, linkage)),
+                merge_bits(&cluster_condensed(matrix, linkage)),
+                "{linkage:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random matrices, continuous or quantized to `levels` values
+        /// so that many entries tie exactly: the square working matrix
+        /// reproduces every merge.
+        #[test]
+        fn square_working_matrix_equals_condensed_reference(
+            m in 1usize..=40,
+            levels in 0u64..8,
+            codes in prop::collection::vec(0u64..u64::MAX, 40 * 39 / 2),
+        ) {
+            let mut values = codes.iter();
+            let matrix = DistanceMatrix::from_fn(m, |_, _| {
+                let code = values.next().copied().unwrap_or(0);
+                match levels {
+                    0 => (code >> 11) as f64 / (1u64 << 53) as f64 * 10.0,
+                    _ => (code % levels) as f64 * 0.5,
+                }
+            });
+            assert_same_merges(&matrix);
+        }
+
+        /// Rotation matrices: circulant, and tie-heavy when the series
+        /// is periodic or its samples coarsely quantized, under the
+        /// full, mirrored and limited rotation sets.
+        #[test]
+        fn rotation_matrices_cluster_identically(
+            n in 2usize..=40,
+            period in 1usize..=8,
+            quantize in 0usize..2,
+            samples in prop::collection::vec(-4.0f64..4.0, 40),
+            max_shift in 0usize..20,
+        ) {
+            let series: Vec<f64> = (0..n)
+                .map(|i| {
+                    let x = samples[i % period.min(n)];
+                    if quantize == 1 { x.round() } else { x }
+                })
+                .collect();
+            for rotations in [
+                RotationMatrix::full(&series),
+                RotationMatrix::with_mirror(&series),
+                RotationMatrix::limited(&series, max_shift % n),
+            ] {
+                assert_same_merges(&rotation_distance_matrix(&rotations.unwrap()));
+            }
+        }
+    }
 
     /// Two tight groups far apart: every linkage must split them at K=2.
     fn two_blobs() -> DistanceMatrix {

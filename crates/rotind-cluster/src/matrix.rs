@@ -77,6 +77,31 @@ impl DistanceMatrix {
         self.data[idx] = value;
     }
 
+    /// The full matrix, row-major `m × m` (both triangles and a zero
+    /// diagonal): the working layout of [`crate::linkage::cluster`],
+    /// whose nearest-neighbour scans then read one contiguous row.
+    pub(crate) fn to_square(&self) -> Vec<f64> {
+        let m = self.m;
+        let mut square = vec![0.0; m * m];
+        let mut rest = self.data.as_slice();
+        for i in 0..m {
+            // Row i of the condensed triangle holds (i, j) for j > i.
+            let Some((row, tail)) = rest.split_at_checked(m - i - 1) else {
+                break;
+            };
+            rest = tail;
+            let start = i * m + i + 1;
+            if let Some(upper) = square.get_mut(start..start + row.len()) {
+                upper.copy_from_slice(row);
+            }
+            let column = square.iter_mut().skip(start + m - 1).step_by(m);
+            for (cell, &v) in column.zip(row) {
+                *cell = v;
+            }
+        }
+        square
+    }
+
     /// The largest off-diagonal entry (0.0 for m < 2).
     pub fn max_value(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
@@ -121,6 +146,20 @@ mod tests {
         let m1 = DistanceMatrix::zeros(1);
         assert_eq!(m1.len(), 1);
         assert_eq!(m1.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn square_layout_mirrors_get() {
+        for m in 0..7 {
+            let dm = DistanceMatrix::from_fn(m, |i, j| (i * 10 + j) as f64 + 0.5);
+            let square = dm.to_square();
+            assert_eq!(square.len(), m * m);
+            for i in 0..m {
+                for j in 0..m {
+                    assert_eq!(square[i * m + j], dm.get(i, j), "m {m} ({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -177,8 +177,9 @@ pub fn lb_kim(q: &[f64], wedge: &Wedge, counter: &mut StepCounter) -> f64 {
 
 /// Reordered early-abandoning `LB_Keogh` (cascade tier 3): identical sum
 /// to [`lb_keogh_early_abandon_at`], but the terms are accumulated in
-/// the position order `order` (a permutation of `0..q.len()`, normally
-/// the wedge's [`extend_abandon_order`]) so the `r` threshold is
+/// the position order `order` (a permutation of `0..q.len()`; the
+/// cascade passes the wedge's [`extend_abandon_prefix`], whose head is
+/// the head of [`extend_abandon_order`]) so the `r` threshold is
 /// typically crossed after a handful of terms. `Err(k)` reports the
 /// number of *terms* consumed (not a series position). The completed sum
 /// is mathematically the same as the natural-order one but may differ in
@@ -224,17 +225,86 @@ pub fn lb_keogh_reordered_early_abandon_at(
 ///
 /// Each position's key is computed once and the keys are sorted as
 /// integers, which is `O(n log n)` with no float work in the
-/// comparisons.
+/// comparisons. The cascade builds [`extend_abandon_prefix`] instead;
+/// this full order is its tested reference.
 pub fn extend_abandon_order(upper: &[f64], lower: &[f64], out: &mut Vec<u32>) {
     debug_assert_eq!(upper.len(), lower.len());
-    let mut keys: Vec<(u64, u64, u32)> = upper
+    let mut keys: Vec<AbandonKey> = abandon_keys(upper, lower).collect();
+    keys.sort_unstable();
+    out.extend(keys.iter().map(|&(_, _, i)| i));
+}
+
+/// The integer sort key of one position of the abandon order: the
+/// inverted zero-gap key (so larger gaps sort first), the width key,
+/// then the position.
+type AbandonKey = (u64, u64, u32);
+
+/// Every position's [`AbandonKey`], in position order.
+fn abandon_keys<'a>(upper: &'a [f64], lower: &'a [f64]) -> impl Iterator<Item = AbandonKey> + 'a {
+    upper
         .iter()
         .zip(lower)
         .zip(0u32..)
         .map(|((&u, &l), i)| (!total_order_key(zero_gap(u, l)), total_order_key(u - l), i))
-        .collect();
-    keys.sort_unstable();
-    out.extend(keys.iter().map(|&(_, _, i)| i));
+}
+
+/// Working storage for [`extend_abandon_prefix`], reused across the
+/// wedges of one build so the per-wedge calls allocate nothing once
+/// the buffers have grown to the series length.
+#[derive(Debug, Default)]
+pub struct AbandonScratch {
+    keys: Vec<AbandonKey>,
+    /// The head's positions in ascending order.
+    taken: Vec<u32>,
+}
+
+/// Append to `out` a permutation of the positions of `[lower, upper]`
+/// whose first `min(prefix, n)` entries are the first entries of
+/// [`extend_abandon_order`], followed by every other position in
+/// ascending order. With `prefix >= n` it *is* that order.
+///
+/// Early abandoning reads only the head of the order: the accumulation
+/// either crosses its threshold within the first few terms or sums
+/// every term, and a completed sum of non-negative terms is the same
+/// bound in any order up to float rounding. So the cascade keeps the
+/// sorted head and leaves the tail in position order. The head is
+/// selected in `O(n)` and sorted in `O(p log p)`, so an order costs
+/// `O(n + p log p)` instead of the full sort's `O(n log n)`.
+pub fn extend_abandon_prefix(
+    upper: &[f64],
+    lower: &[f64],
+    prefix: usize,
+    scratch: &mut AbandonScratch,
+    out: &mut Vec<u32>,
+) {
+    debug_assert_eq!(upper.len(), lower.len());
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend(abandon_keys(upper, lower));
+    let n = keys.len();
+    if prefix >= n {
+        keys.sort_unstable();
+        out.extend(keys.iter().map(|&(_, _, i)| i));
+        return;
+    }
+    // The keys are distinct (the position breaks every tie), so after
+    // the selection the first `prefix` keys are exactly the smallest.
+    keys.select_nth_unstable(prefix);
+    let head = keys.get_mut(..prefix).unwrap_or_default();
+    head.sort_unstable();
+    out.extend(head.iter().map(|&(_, _, i)| i));
+    // The tail is the runs of positions between the head's, which
+    // extend as whole ranges rather than one tested position at a time.
+    let taken = &mut scratch.taken;
+    taken.clear();
+    taken.extend(head.iter().map(|&(_, _, i)| i));
+    taken.sort_unstable();
+    let mut next = 0;
+    for &i in taken.iter() {
+        out.extend(next..i);
+        next = i + 1;
+    }
+    out.extend(next..n as u32);
 }
 
 /// Distance of the interval `[l, u]` from zero (0 when it straddles it).
@@ -821,6 +891,42 @@ mod tests {
             let mut keyed = Vec::new();
             extend_abandon_order(&upper, &lower, &mut keyed);
             prop_assert_eq!(keyed, reference_abandon_order(&upper, &lower));
+        }
+
+        /// The prefix order appends a permutation whose first
+        /// `min(prefix, n)` entries are the comparator's and whose rest
+        /// ascends; with `prefix >= n` it is the full keyed order. The
+        /// scratch arrives dirty from a call on a longer envelope.
+        #[test]
+        fn prefix_order_keeps_the_reference_head(
+            family in 0u8..3,
+            n in 1usize..=300,
+            prefix_code in 0usize..=301,
+            codes in prop::collection::vec(0u64..u64::MAX, 600),
+        ) {
+            let prefix = prefix_code % (n + 2);
+            let value = |&code: &u64| envelope_value(family, code);
+            let upper: Vec<f64> = codes[..n].iter().map(value).collect();
+            let lower: Vec<f64> = codes[n..2 * n].iter().map(value).collect();
+            let mut scratch = AbandonScratch::default();
+            let wide: Vec<f64> = codes.iter().map(value).collect();
+            let (wide_upper, wide_lower) = wide.split_at(300);
+            extend_abandon_prefix(wide_upper, wide_lower, prefix / 2, &mut scratch, &mut Vec::new());
+            let mut out = vec![u32::MAX];
+            extend_abandon_prefix(&upper, &lower, prefix, &mut scratch, &mut out);
+            prop_assert_eq!(out[0], u32::MAX, "must append");
+            let order = &out[1..];
+            let mut seen = order.to_vec();
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..n as u32).collect::<Vec<_>>());
+            let head = prefix.min(n);
+            prop_assert_eq!(&order[..head], &reference_abandon_order(&upper, &lower)[..head]);
+            prop_assert!(order[head..].windows(2).all(|pair| pair[0] < pair[1]));
+            if prefix >= n {
+                let mut full = Vec::new();
+                extend_abandon_order(&upper, &lower, &mut full);
+                prop_assert_eq!(order, &full[..]);
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! |------|-------|----------------|-----------|
 //! | 1    | `lb_kim` (endpoints only)          | `O(1)`          | loosest |
 //! | 2    | reduced-space PAA envelope bound   | `O(D)` (+ lazy `O(n)` per candidate) | looser than LB_Keogh |
-//! | 3    | LB_Keogh, early abandon (reordered on Euclidean internal wedges) | `O(n)` worst | the paper's bound |
+//! | 3    | LB_Keogh, early abandon (largest expected terms first on Euclidean internal wedges) | `O(n)` worst | the paper's bound |
 //!
 //! A wedge no tier prunes descends to its children, and a leaf evaluates
 //! the exact measure. LB_Improved's second pass
@@ -27,7 +27,7 @@
 
 use crate::reduced::{MagnitudeTable, Paa, PaaEnvelope, MAGNITUDE_DIMS};
 use rotind_distance::measure::Measure;
-use rotind_envelope::lb_keogh::extend_abandon_order;
+use rotind_envelope::lb_keogh::{extend_abandon_prefix, AbandonScratch};
 use rotind_envelope::WedgeTree;
 use rotind_ts::StepCounter;
 use std::sync::{Arc, OnceLock};
@@ -42,6 +42,13 @@ pub const DEFAULT_KIM_MIN_CARDINALITY: usize = 8;
 
 /// Default cardinality gate for tier 2 (see [`CascadeConfig`]).
 pub const DEFAULT_REDUCED_MIN_CARDINALITY: usize = 32;
+
+/// How many positions of a tier-3 abandon order are sorted by expected
+/// contribution; the rest follow in position order (see
+/// [`extend_abandon_prefix`]). 32 terms span the first three dismissal
+/// checks of the kernels' block schedule (after 8, 16 and 32 terms),
+/// where nearly every internal-wedge abandon happens (DESIGN.md §12).
+pub const ABANDON_PREFIX: usize = 32;
 
 /// Which tiers of the bound cascade run, and where.
 ///
@@ -65,11 +72,13 @@ pub struct CascadeConfig {
     /// Tier 3: full LB_Keogh with early abandoning.
     pub keogh: bool,
     /// Accumulate tier 3 in the per-wedge contribution order instead of
-    /// natural position order. Applies under Euclidean distance only,
-    /// and only to internal wedges: a Euclidean singleton leaf's sum
-    /// *is* the exact distance, and under DTW the order costs more
-    /// build and scan time than its earlier abandons save, so both keep
-    /// the natural order (see [`BoundCascade::build`]).
+    /// natural position order: the [`ABANDON_PREFIX`] largest expected
+    /// contributions first, then the other positions in order. Applies
+    /// under Euclidean distance only, and only to internal wedges: a
+    /// Euclidean singleton leaf's sum *is* the exact distance, and under
+    /// DTW the order costs more build and scan time than its earlier
+    /// abandons save, so both keep the natural order (see
+    /// [`BoundCascade::build`]).
     pub reorder: bool,
     /// Reduced-space dimensionality for tier 2.
     pub dims: usize,
@@ -152,15 +161,18 @@ impl Default for CascadeConfig {
     }
 }
 
-/// A [`CascadeConfig`] plus the per-tree data its tiers need: for tier
-/// 2, one reduced envelope per wedge-tree node, projected from the
+/// A [`CascadeConfig`] plus the per-tree data its tiers need, built
+/// only where a tier reads it: for tier 2, a reduced envelope for each
+/// wedge-tree node the cardinality gate admits, projected from the
 /// node's *lower-bound* wedge (widened by the DTW band) so the PAA bound
 /// stays admissible for DTW exactly as it is for Euclidean; for tier 3,
 /// the abandon order of every node it reorders.
 #[derive(Debug, Clone)]
 pub struct BoundCascade {
     config: CascadeConfig,
-    paa: Option<Vec<PaaEnvelope>>,
+    /// Tier-2 envelopes by node id: `Some` exactly for the nodes at or
+    /// above `reduced_min_cardinality`. Empty when tier 2 is off.
+    paa: Vec<Option<PaaEnvelope>>,
     /// Tier-3 abandon orders of the internal nodes, flat: internal node
     /// `leaves + j` owns `orders[j * n..(j + 1) * n]`. Empty when tier 3
     /// reorders nothing.
@@ -173,26 +185,44 @@ pub struct BoundCascade {
 
 impl BoundCascade {
     /// Precompute the tier data `config` needs on `tree` under
-    /// `measure`: the tier-2 envelopes of every node (when the reduced
-    /// tier is on), and the tier-3 abandon order of every internal node
-    /// when tier 3 reorders — under Euclidean distance with `keogh` and
-    /// `reorder` on. The orders cost `O(n log n)` per internal node,
-    /// `O(n² log n)` in all. Leaves, DTW and LCSS get none: tier 3 runs
-    /// there in natural order.
+    /// `measure`, and nothing the scan would not read:
+    ///
+    /// - when the reduced tier is on, the tier-2 envelope of every node
+    ///   whose lower-bound wedge covers at least
+    ///   `reduced_min_cardinality` rotations — the only nodes tier 2
+    ///   tests;
+    /// - when tier 3 reorders — under Euclidean distance with `keogh`
+    ///   and `reorder` on — the [`ABANDON_PREFIX`] abandon order of
+    ///   every internal node, `O(n)` each and `O(n²)` in all, the
+    ///   paper's startup bound. Leaves, DTW and LCSS get none: tier 3
+    ///   runs there in natural order.
     pub fn build(tree: &WedgeTree, measure: Measure, config: CascadeConfig) -> Self {
         let nodes = tree.dendrogram().num_nodes();
-        let paa = config.reduced.then(|| {
+        let paa = if config.reduced {
             (0..nodes)
-                .map(|node| PaaEnvelope::of_wedge(tree.lb_wedge(node), config.dims))
+                .map(|node| {
+                    let wedge = tree.lb_wedge(node);
+                    (wedge.cardinality() >= config.reduced_min_cardinality)
+                        .then(|| PaaEnvelope::of_wedge(wedge, config.dims))
+                })
                 .collect()
-        });
+        } else {
+            Vec::new()
+        };
         let (leaves, n) = (tree.max_k(), tree.matrix().series_len());
         let mut orders = Vec::new();
         if config.keogh && config.reorder && matches!(measure, Measure::Euclidean) {
             orders.reserve(nodes.saturating_sub(leaves) * n);
+            let mut scratch = AbandonScratch::default();
             for node in leaves..nodes {
                 let wedge = tree.lb_wedge(node);
-                extend_abandon_order(wedge.upper(), wedge.lower(), &mut orders);
+                extend_abandon_prefix(
+                    wedge.upper(),
+                    wedge.lower(),
+                    ABANDON_PREFIX,
+                    &mut scratch,
+                    &mut orders,
+                );
             }
         }
         BoundCascade {
@@ -208,7 +238,7 @@ impl BoundCascade {
     pub fn legacy() -> Self {
         BoundCascade {
             config: CascadeConfig::legacy(),
-            paa: None,
+            paa: Vec::new(),
             orders: Vec::new(),
             leaves: 0,
             n: 0,
@@ -220,13 +250,11 @@ impl BoundCascade {
         self.config
     }
 
-    /// Tier-2 envelope for `node`, when the reduced tier is on.
-    // lint: panic-exempt(paa, when present, holds one envelope per tree node, and callers pass ids of that tree)
+    /// Tier-2 envelope for `node`: present exactly when tier 2 tests
+    /// that node (the reduced tier is on and the node passes its
+    /// cardinality gate).
     pub(crate) fn paa_envelope(&self, node: usize) -> Option<&PaaEnvelope> {
-        // Invariant: `paa` (when present) holds one envelope per tree
-        // node and callers pass node ids of the same tree.
-        // rotind-lint: allow(no-index)
-        self.paa.as_deref().map(|v| &v[node])
+        self.paa.get(node).and_then(Option::as_ref)
     }
 
     /// Tier-3 abandon order for `node`: present exactly when tier 3
@@ -439,30 +467,62 @@ mod tests {
 
     #[test]
     fn build_projects_every_node_only_when_reduced_is_on() {
-        let series: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
-        let tree = WedgeTree::new(RotationMatrix::full(&series).unwrap(), 0);
-        let with = BoundCascade::build(&tree, Measure::Euclidean, CascadeConfig::all());
-        for node in 0..tree.dendrogram().num_nodes() {
-            assert!(with.paa_envelope(node).is_some(), "node {node}");
+        let series: Vec<f64> = (0..48).map(|i| (i as f64 * 0.4).sin()).collect();
+        let matrix = RotationMatrix::full(&series).unwrap();
+        for band in [0, 3] {
+            let tree = WedgeTree::new(matrix.clone(), band);
+            let nodes = 0..tree.dendrogram().num_nodes();
+            let cardinality = |node: usize| tree.lb_wedge(node).cardinality();
+            // Exactly the nodes tier 2 tests, under the default gate and
+            // under a gate equal to the root's first child's cardinality,
+            // which puts a node exactly at the gate.
+            let (first, _) = tree.children(tree.root()).unwrap();
+            for gate in [DEFAULT_REDUCED_MIN_CARDINALITY, cardinality(first)] {
+                let config = CascadeConfig {
+                    reduced_min_cardinality: gate,
+                    ..CascadeConfig::all()
+                };
+                let gated = BoundCascade::build(&tree, Measure::Euclidean, config);
+                let tested = |node: usize| cardinality(node) >= gate;
+                for node in nodes.clone() {
+                    let built = gated.paa_envelope(node).is_some();
+                    assert_eq!(built, tested(node), "gate {gate}, node {node}");
+                }
+                assert!(nodes.clone().any(tested) && !nodes.clone().all(tested));
+            }
+            // The single-tier rung has gate 0: every node.
+            let reduced = CascadeConfig::parse("reduced").unwrap();
+            let every = BoundCascade::build(&tree, Measure::Euclidean, reduced);
+            assert!(nodes.clone().all(|node| every.paa_envelope(node).is_some()));
+            let without = BoundCascade::build(&tree, Measure::Euclidean, CascadeConfig::legacy());
+            assert!(nodes
+                .clone()
+                .all(|node| without.paa_envelope(node).is_none()));
         }
-        let without = BoundCascade::build(&tree, Measure::Euclidean, CascadeConfig::legacy());
-        assert!(without.paa_envelope(0).is_none());
         assert!(BoundCascade::legacy().paa_envelope(0).is_none());
     }
 
     #[test]
     fn orders_exist_only_for_euclidean_internal_nodes() {
-        let series: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
+        // Longer than ABANDON_PREFIX, so the stored orders are truncated.
+        let series: Vec<f64> = (0..48).map(|i| (i as f64 * 0.4).sin()).collect();
         let matrix = RotationMatrix::full(&series).unwrap();
         let plain = WedgeTree::new(matrix.clone(), 0);
         let euclid = BoundCascade::build(&plain, Measure::Euclidean, CascadeConfig::all());
+        let mut scratch = AbandonScratch::default();
         for node in 0..plain.dendrogram().num_nodes() {
             match euclid.abandon_order(node) {
                 Some(order) => {
                     assert!(!plain.is_leaf(node), "leaf {node} holds an order");
                     let wedge = plain.lb_wedge(node);
                     let mut expected = Vec::new();
-                    extend_abandon_order(wedge.upper(), wedge.lower(), &mut expected);
+                    extend_abandon_prefix(
+                        wedge.upper(),
+                        wedge.lower(),
+                        ABANDON_PREFIX,
+                        &mut scratch,
+                        &mut expected,
+                    );
                     assert_eq!(order, &expected[..], "node {node}");
                 }
                 None => assert!(plain.is_leaf(node), "internal node {node} has no order"),

@@ -98,11 +98,14 @@ pub struct Neighbor {
 /// An exact rotation-invariant query engine for one query series.
 ///
 /// Building the engine costs the paper's `O(n²)` startup (shift profiles,
-/// clustering, wedges), plus, under Euclidean distance with the default
-/// cascade, `O(n² log n)` for tier 3's abandon orders (`n − 1` sorts of
-/// `n` keys, one per internal wedge); each search over `m` items then
-/// costs an empirical `O(m·n^{1.06})` instead of the brute-force
-/// `O(m·n²)`.
+/// clustering, wedges). The default cascade stays inside that bound: under
+/// Euclidean distance tier 3's abandon orders cost `O(n)` per internal
+/// wedge (a selected and sorted [`ABANDON_PREFIX`] head, the rest in
+/// position order), and tier 2 projects envelopes only for the wedges
+/// its cardinality gate admits. Each search over `m` items then costs an
+/// empirical `O(m·n^{1.06})` instead of the brute-force `O(m·n²)`.
+///
+/// [`ABANDON_PREFIX`]: crate::cascade::ABANDON_PREFIX
 ///
 /// ```
 /// use rotind_index::engine::{Invariance, RotationQuery};
@@ -350,8 +353,9 @@ impl RotationQuery {
             self.probe_intervals,
         );
         // k-NN: the k best by (distance, index); range: every hit, in
-        // database order.
-        let mut hits: Vec<Neighbor> = Vec::with_capacity(k + 1);
+        // database order. A k-NN list never holds more than one hit per
+        // item, so a wire-sized `k` reserves no more than the database.
+        let mut hits: Vec<Neighbor> = Vec::with_capacity(k.min(database.len()) + 1);
         for (lb, index) in visits {
             // Dismissal boundary: stop admitting new candidates once the
             // budget trips (the sticky hook also cuts the wedge walk
@@ -725,6 +729,17 @@ mod tests {
         let engine = RotationQuery::new(&signal(16, 0.0), Invariance::Rotation).unwrap();
         let hits = engine.k_nearest(&db, 10).unwrap();
         assert_eq!(hits.len(), 4);
+    }
+
+    #[test]
+    fn huge_k_returns_every_item_in_rank_order() {
+        let db = database(9, 16);
+        let engine = RotationQuery::new(&signal(16, 0.0), Invariance::Rotation).unwrap();
+        let all = engine.k_nearest(&db, db.len()).unwrap();
+        let huge = engine.k_nearest(&db, usize::MAX).unwrap();
+        assert_eq!(huge, all);
+        assert_eq!(huge.len(), db.len());
+        assert!(huge.windows(2).all(|w| rank(&w[0], &w[1]).is_lt()));
     }
 
     #[test]

@@ -186,12 +186,10 @@ fn node_tier_bound<O: SearchObserver>(
     // (Proposition 2); for Euclidean they are the plain wedges
     // (Proposition 1).
     let lb_wedge = tree.lb_wedge(node);
-    // Cost-model gates (see CascadeConfig): tiers only run where the
-    // ablation bench shows they pay for themselves.
-    let cardinality = lb_wedge.cardinality();
 
-    // Tier 1: O(1) endpoint bound.
-    if config.kim && cardinality >= config.kim_min_cardinality {
+    // Tier 1: O(1) endpoint bound, gated to fat wedges by the cost model
+    // the ablation bench measured (see CascadeConfig).
+    if config.kim && lb_wedge.cardinality() >= config.kim_min_cardinality {
         observer.on_phase_start(ProfilePhase::Tier(CascadeTier::Kim), counter.steps());
         let lb = lb_kim(candidate, lb_wedge, counter);
         observer.on_phase_end(ProfilePhase::Tier(CascadeTier::Kim), counter.steps());
@@ -203,11 +201,9 @@ fn node_tier_bound<O: SearchObserver>(
         }
     }
 
-    // Tier 2: reduced-space PAA envelope bound.
-    if let Some(env) = (cardinality >= config.reduced_min_cardinality)
-        .then(|| cascade.paa_envelope(node))
-        .flatten()
-    {
+    // Tier 2: reduced-space PAA envelope bound. The build projected an
+    // envelope exactly for the nodes the tier's cardinality gate admits.
+    if let Some(env) = cascade.paa_envelope(node) {
         observer.on_phase_start(ProfilePhase::Tier(CascadeTier::Reduced), counter.steps());
         let paa = ctx.paa(candidate, config.dims, counter);
         let lb = env.min_dist(paa, counter);

@@ -79,8 +79,10 @@ pub fn top_motifs(
     }
 
     // Best-k pairs, sorted ascending; the k-th distance is the global
-    // pruning threshold for every remaining comparison.
-    let mut best: Vec<MotifPair> = Vec::with_capacity(k + 1);
+    // pruning threshold for every remaining comparison. The list never
+    // holds more than one entry per pair, whatever `k` asks for.
+    let pairs = items.len().saturating_mul(items.len() - 1) / 2;
+    let mut best: Vec<MotifPair> = Vec::with_capacity(k.min(pairs) + 1);
     for a in 0..items.len() - 1 {
         let matrix = RotationMatrix::full(&items[a])
             .map_err(|e| SearchError::invalid_param("items", e.to_string()))?;
@@ -236,5 +238,13 @@ mod tests {
             Err(SearchError::LengthMismatch { index: 1, .. })
         ));
         assert!(top_motifs(&collection(3, 8), 0, Measure::Euclidean, &mut steps()).is_err());
+    }
+
+    #[test]
+    fn huge_k_returns_every_pair() {
+        let items = collection(6, 12);
+        let motifs = top_motifs(&items, usize::MAX, Measure::Euclidean, &mut steps()).unwrap();
+        assert_eq!(motifs.len(), 6 * 5 / 2);
+        assert!(motifs.windows(2).all(|w| w[0].distance <= w[1].distance));
     }
 }

@@ -262,6 +262,43 @@ fn malformed_and_invalid_queries_are_typed_errors() {
     server.shutdown();
 }
 
+/// The wire's largest `k` reserves nothing beyond the database: the
+/// server answers every item in `(distance, index)` order, and the same
+/// connection then answers a normal query.
+#[test]
+fn huge_k_answers_every_item_and_the_connection_survives() {
+    let m = 20;
+    let db = database(m, 16);
+    let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+    let mut server = Server::start(snapshot, config(1)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let spec = QuerySpec {
+        series: signal(16, 0.2),
+        invariance: Invariance::Rotation,
+        measure: Measure::Euclidean,
+        kind: QueryKind::KNearest(u32::MAX as usize),
+    };
+    let served = served_hits(client.query(&unbudgeted(&spec)).unwrap());
+    assert_eq!(served.len(), m);
+    assert!(served.windows(2).all(|w| w[0]
+        .distance
+        .total_cmp(&w[1].distance)
+        .then(w[0].index.cmp(&w[1].index))
+        .is_lt()));
+    let every = QuerySpec {
+        kind: QueryKind::KNearest(m),
+        ..spec.clone()
+    };
+    assert_eq!(served, library_answer(&db, &every));
+    let good = QuerySpec {
+        kind: QueryKind::Nearest,
+        ..spec
+    };
+    let next = served_hits(client.query(&unbudgeted(&good)).unwrap());
+    assert_eq!(next, library_answer(&db, &good));
+    server.shutdown();
+}
+
 #[test]
 fn full_admission_queue_answers_overloaded() {
     let snapshot = IndexSnapshot::new(database(10, 16)).unwrap();

@@ -168,6 +168,10 @@ for e in entries:
     cells.setdefault((e["kernel"], e["n"]), set()).add(e["backend"])
 for (k, n), backends in cells.items():
     assert {"seq", "chunked"} <= backends, f"{k}@{n} missing a backend: {backends}"
+# The tier-3 order build (seq = full sort, chunked = the prefix the
+# cascade stores) is timed at every size.
+for n in (64, 256, 1024):
+    assert ("abandon_order", n) in cells, f"abandon_order@{n} missing"
 print(f"bench_kernels.json: {len(entries)} cells over {len(cells)} kernel/size pairs")
 PY
 

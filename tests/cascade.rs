@@ -11,9 +11,11 @@ use rotind::distance::lcss::LcssParams;
 use rotind::distance::measure::Measure;
 use rotind::distance::rotation::search_database;
 use rotind::envelope::lb_keogh::{
-    extend_abandon_order, lb_improved, lb_keogh, lb_keogh_reordered_early_abandon_at, lb_kim,
+    extend_abandon_order, extend_abandon_prefix, lb_improved, lb_keogh,
+    lb_keogh_reordered_early_abandon_at, lb_kim, AbandonScratch,
 };
 use rotind::envelope::Wedge;
+use rotind::index::cascade::ABANDON_PREFIX;
 use rotind::index::engine::{Invariance, RotationQuery};
 use rotind::index::reduced::{Paa, PaaEnvelope};
 use rotind::index::{CascadeConfig, QueryKind};
@@ -133,28 +135,45 @@ proptest! {
 
     /// Tier 3 reordering is a pure permutation of the accumulation: with
     /// an infinite threshold the reordered scan never abandons and
-    /// returns the same bound as natural-order LB_Keogh.
+    /// returns the same bound as natural-order LB_Keogh — under the full
+    /// order, and under the prefix order the cascade stores, at a length
+    /// where that order is truncated.
     #[test]
     fn reordered_keogh_equals_natural_order(
         base in series_strategy(14),
         q in series_strategy(14),
         rows in rows_strategy(14),
+        long_base in series_strategy(48),
+        long_q in series_strategy(48),
+        long_rows in rows_strategy(48),
         band in 0usize..5,
     ) {
-        let matrix = RotationMatrix::full(&base).unwrap();
-        let wedge = Wedge::from_rows(&matrix, &rows).widened(band);
-        let mut order = Vec::new();
-        extend_abandon_order(wedge.upper(), wedge.lower(), &mut order);
-        let natural = lb_keogh(&q, &wedge, &mut StepCounter::new());
-        let reordered = lb_keogh_reordered_early_abandon_at(
-            &q,
-            &wedge,
-            &order,
-            f64::INFINITY,
-            &mut StepCounter::new(),
-        )
-        .expect("infinite threshold never abandons");
-        prop_assert!((natural - reordered).abs() < 1e-9, "{} != {}", natural, reordered);
+        let mut scratch = AbandonScratch::default();
+        for (base, q, rows) in [(&base, &q, &rows), (&long_base, &long_q, &long_rows)] {
+            let matrix = RotationMatrix::full(base).unwrap();
+            let wedge = Wedge::from_rows(&matrix, rows).widened(band);
+            let (mut full, mut prefix) = (Vec::new(), Vec::new());
+            extend_abandon_order(wedge.upper(), wedge.lower(), &mut full);
+            extend_abandon_prefix(
+                wedge.upper(),
+                wedge.lower(),
+                ABANDON_PREFIX,
+                &mut scratch,
+                &mut prefix,
+            );
+            let natural = lb_keogh(q, &wedge, &mut StepCounter::new());
+            for order in [&full, &prefix] {
+                let reordered = lb_keogh_reordered_early_abandon_at(
+                    q,
+                    &wedge,
+                    order,
+                    f64::INFINITY,
+                    &mut StepCounter::new(),
+                )
+                .expect("infinite threshold never abandons");
+                prop_assert!((natural - reordered).abs() < 1e-9, "{} != {}", natural, reordered);
+            }
+        }
     }
 
     /// The headline guarantee: every cascade configuration — each CI

@@ -6,7 +6,9 @@
 use proptest::prelude::*;
 use rotind::distance::rotation::{search_database, test_all_rotations};
 use rotind::distance::{DtwParams, LcssParams, Measure};
+use rotind::index::cascade::ABANDON_PREFIX;
 use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery};
+use rotind::index::parallel::default_threads;
 use rotind::index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
 use rotind::index::BatchPaaCache;
 use rotind::obs::{NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -300,6 +302,126 @@ proptest! {
                     .unwrap()
                     .into_inner();
                 prop_assert_eq!(exact(&executed), exact(&plain), "{:?} {:?}", invariance, kind);
+            }
+        }
+    }
+
+    /// Past the abandon prefix: at lengths 33, 48 and 64, where tier 3
+    /// reads truncated abandon orders, every Euclidean answer equals the
+    /// brute-force scan's by index, distance bits and rotation, under
+    /// all four invariances — uncached, through one snapshot cache
+    /// shared by every query (the serve path), and, for the kinds the
+    /// parallel scan serves, across the `ROTIND_THREADS` workers. With
+    /// `integral` set, the samples are integers, so distinct items (and
+    /// rotations of one item) tie exactly at positive distances.
+    #[test]
+    fn truncated_abandon_orders_equal_brute_force(
+        query in series_strategy(64),
+        db in db_strategy(64, 8),
+        n_idx in 0usize..3,
+        s1 in 0usize..64,
+        s2 in 0usize..64,
+        max_shift in 0usize..12,
+        radius in 0.0f64..40.0,
+        integral in 0usize..2,
+    ) {
+        let n = [33, 48, 64][n_idx];
+        prop_assert!(n > ABANDON_PREFIX);
+        let cut = |xs: &[f64]| -> Vec<f64> {
+            xs[..n].iter().map(|x| if integral == 1 { x.round() } else { *x }).collect()
+        };
+        let query = cut(&query);
+        let db = planted(&query, db.iter().map(|item| cut(item)).collect(), s1, s2);
+        let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+        let mut cache = snapshot.paa_cache();
+        // `max_shift < 12 < n / 2`, so the limited windows never saturate.
+        for (invariance, matrix) in [
+            (Invariance::Rotation, RotationMatrix::full(&query)),
+            (Invariance::RotationMirror, RotationMatrix::with_mirror(&query)),
+            (
+                Invariance::RotationLimited { max_shift },
+                RotationMatrix::limited(&query, max_shift),
+            ),
+            (
+                Invariance::RotationLimitedMirror { max_shift },
+                RotationMatrix::limited_with_mirror(&query, max_shift),
+            ),
+        ] {
+            let matrix = matrix.unwrap();
+            let brute: Vec<(usize, u64, Rotation)> = db
+                .iter()
+                .enumerate()
+                .map(|(i, item)| {
+                    let hit = test_all_rotations(
+                        item,
+                        &matrix,
+                        f64::INFINITY,
+                        Measure::Euclidean,
+                        &mut StepCounter::new(),
+                    )
+                    .unwrap();
+                    (i, hit.distance.to_bits(), hit.rotation)
+                })
+                .collect();
+            let mut ranked = brute.clone();
+            ranked.sort_by(|a, b| {
+                f64::from_bits(a.1).total_cmp(&f64::from_bits(b.1)).then(a.0.cmp(&b.0))
+            });
+            let third = f64::from_bits(ranked[2].1);
+            let engine = RotationQuery::new(&query, invariance).unwrap();
+            for kind in [
+                QueryKind::Nearest,
+                QueryKind::KNearest(3),
+                QueryKind::Range(radius),
+                QueryKind::Range(third),
+            ] {
+                let expected: Vec<(usize, u64, Rotation)> = match kind {
+                    QueryKind::Nearest => ranked[..1].to_vec(),
+                    QueryKind::KNearest(k) => ranked[..k].to_vec(),
+                    QueryKind::Range(r) => brute
+                        .iter()
+                        .filter(|hit| f64::from_bits(hit.1) <= r)
+                        .copied()
+                        .collect(),
+                };
+                let plain = search(&engine, &db, kind, &mut NoopObserver, None);
+                prop_assert_eq!(exact(&plain), expected.clone(), "{:?} {:?}", invariance, kind);
+                let spec = QuerySpec {
+                    series: query.clone(),
+                    invariance,
+                    measure: Measure::Euclidean,
+                    kind,
+                };
+                let executed = snapshot
+                    .execute(
+                        &spec,
+                        &mut StepCounter::new(),
+                        &mut NoopObserver,
+                        &mut NoBudget,
+                        Some(&mut cache),
+                    )
+                    .unwrap()
+                    .into_inner();
+                prop_assert_eq!(exact(&executed), expected.clone(), "{:?} {:?}", invariance, kind);
+                if kind != QueryKind::KNearest(3) {
+                    let (outcome, _) = engine
+                        .search_parallel(
+                            &db,
+                            kind,
+                            default_threads(),
+                            &mut StepCounter::new(),
+                            &mut NoopObserver,
+                            None,
+                        )
+                        .unwrap();
+                    prop_assert_eq!(
+                        exact(&outcome.into_inner()),
+                        expected,
+                        "{:?} {:?} parallel",
+                        invariance,
+                        kind
+                    );
+                }
             }
         }
     }
