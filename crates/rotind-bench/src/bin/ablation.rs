@@ -54,7 +54,7 @@ fn run() -> Result<(), BenchError> {
         }
         Ok(total / queries.len() as u64)
     };
-    let dynamic = run_policy(KPolicy::Dynamic)?;
+    let dynamic = run_policy(KPolicy::dynamic())?;
     k_table.push_row(["dynamic".to_string(), dynamic.to_string(), fmt_ratio(1.0)]);
     let mut ks: Vec<usize> = [1usize, 2, 4, 8, 16, 32, 64, n]
         .into_iter()

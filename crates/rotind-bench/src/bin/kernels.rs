@@ -12,9 +12,11 @@
 //! Inputs are deterministic mixed in/out series (some query points
 //! inside the envelope, some out) at n = 64 / 256 / 1024, with an
 //! infinite radius so every call runs the full accumulation — this
-//! measures sustained kernel throughput, not abandon luck. Each cell
-//! reports the median ns/call over repeated samples and its speedup
-//! against the scalar backend.
+//! measures sustained kernel throughput, not abandon luck. A kernel's
+//! backends are timed in turn within every sample, so a change in the
+//! host's speed lands on all of them alike, and each cell reports its
+//! fastest sample's ns/call (`SAMPLES` samples at full scale) and its
+//! speedup against the scalar backend.
 //!
 //! Writes machine-readable `results/bench_kernels.json` for CI
 //! trending; `ROTIND_QUICK=1` shrinks iteration counts for smoke runs.
@@ -33,6 +35,12 @@ use std::time::Instant;
 
 /// Sizes the acceptance criteria are stated at.
 const SIZES: [usize; 3] = [64, 256, 1024];
+
+/// Interleaved samples per cell at full scale.
+const SAMPLES: usize = 41;
+
+/// Interleaved samples per cell under `ROTIND_QUICK`.
+const QUICK_SAMPLES: usize = 5;
 
 /// One timed cell.
 struct Entry {
@@ -68,31 +76,12 @@ fn permutation(n: usize) -> Vec<u32> {
     (0..n).map(|i| ((i * 7919) % n) as u32).collect()
 }
 
-/// Median ns/call of `f` over `samples` timed batches of `iters` calls
-/// (after one warmup batch).
-fn bench_ns(iters: u32, samples: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters {
-        f();
-    }
-    let mut per_call: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .collect();
-    per_call.sort_by(f64::total_cmp);
-    // samples is a positive constant, so the median index is in range.
-    // rotind-lint: allow(no-index)
-    per_call[per_call.len() / 2]
-}
-
-/// Time the three backends of one kernel at one size and append the
-/// rows. `run` is called with a backend tag and must execute one call
-/// of that backend's kernel; a `None` time means the backend is not
-/// compiled in (simd without the feature).
+/// Time the backends of one kernel at one size and append the rows.
+/// `run` is called with a backend tag and must execute one call of that
+/// backend's kernel, returning `false` for a backend that is not
+/// compiled in (simd without the feature). After one warmup batch each,
+/// every sample times one batch of `iters` calls of every backend in
+/// turn; a backend's time is its fastest sample's ns/call.
 fn push_kernel(
     entries: &mut Vec<Entry>,
     kernel: &'static str,
@@ -101,34 +90,46 @@ fn push_kernel(
     samples: usize,
     mut run: impl FnMut(&'static str) -> bool,
 ) {
-    let mut scalar_ns = f64::NAN;
-    for backend in ["seq", "chunked", "simd"] {
-        if !run(backend) {
-            continue;
-        }
-        let ns = bench_ns(iters, samples, || {
+    let backends: Vec<&'static str> = ["seq", "chunked", "simd"]
+        .into_iter()
+        .filter(|&backend| run(backend))
+        .collect();
+    let mut batch = |backend: &'static str| -> f64 {
+        let t = Instant::now();
+        for _ in 0..iters {
             run(backend);
-        });
-        if backend == "seq" {
-            scalar_ns = ns;
         }
+        t.elapsed().as_nanos() as f64 / f64::from(iters)
+    };
+    for &backend in &backends {
+        batch(backend);
+    }
+    let mut fastest = vec![f64::INFINITY; backends.len()];
+    for _ in 0..samples {
+        for (best, &backend) in fastest.iter_mut().zip(&backends) {
+            *best = best.min(batch(backend));
+        }
+    }
+    // `seq` is always compiled in, so it is the first backend.
+    let scalar_ns = fastest.first().copied().unwrap_or(f64::NAN);
+    for (&ns_per_call, &backend) in fastest.iter().zip(&backends) {
         entries.push(Entry {
             kernel,
             n,
             backend,
-            ns_per_call: ns,
-            speedup_vs_scalar: scalar_ns / ns,
+            ns_per_call,
+            speedup_vs_scalar: scalar_ns / ns_per_call,
         });
     }
 }
 
 fn measure(quick: bool) -> Vec<Entry> {
-    let samples = if quick { 3 } else { 7 };
+    let samples = if quick { QUICK_SAMPLES } else { SAMPLES };
     let mut entries = Vec::new();
     for n in SIZES {
         // Scale iterations so every sample touches a similar number of
         // elements regardless of n.
-        let base = if quick { 200_000 } else { 2_000_000 };
+        let base = if quick { 100_000 } else { 400_000 };
         let iters = u32::try_from((base / n).max(500)).unwrap_or(500);
 
         let a = series(n, 0.0);
@@ -311,8 +312,10 @@ fn write_json(entries: &[Entry], quick: bool) -> String {
     let _ = writeln!(
         out,
         "  \"comment\": \"scan kernel throughput (bound cascade and DTW leaf) and the \
-         tier-3 abandon-order build; median ns/call, infinite radius (full \
-         accumulation), mixed in/out data\","
+         tier-3 abandon-order build; fastest ns/call of {} samples, backends \
+         interleaved per sample, infinite radius (full accumulation), mixed \
+         in/out data\",",
+        if quick { QUICK_SAMPLES } else { SAMPLES }
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"lanes\": {},", kernels::LANES);

@@ -28,7 +28,7 @@ use rotind_bench::yardstick::{self, AllCpus};
 use rotind_bench::BenchError;
 use rotind_distance::dtw::DtwParams;
 use rotind_distance::measure::Measure;
-use rotind_index::engine::{Invariance, RotationQuery};
+use rotind_index::engine::{Invariance, KPolicy, RotationQuery, DEFAULT_K};
 use rotind_index::QueryKind;
 use rotind_obs::{NoBudget, NoopObserver};
 use rotind_shape::dataset as shapes;
@@ -89,7 +89,7 @@ fn run_entry(
     // rotind-lint: allow(no-index)
     let (wall_ns, raw_ns) = (walls[walls.len() / 2], raw[raw.len() / 2]);
     println!(
-        "  {name:<18} raw median wall = {:>10.3} ms",
+        "  {name:<22} raw median wall = {:>10.3} ms",
         raw_ns as f64 / 1e6
     );
     Ok(Measurement {
@@ -116,11 +116,13 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
     // rotind-lint: allow(no-index)
     let queries = &pool[m..];
 
-    let euclid = run_entry("euclid_nearest", true, repeats, host, || {
+    // 1-NN Euclidean scans under a K policy: the engine default, and
+    // the paper's dynamic planner, whose step count this gate keeps.
+    let euclid_under = |policy: KPolicy| -> Result<u64, BenchError> {
         let mut total = 0u64;
         for query in queries {
             let mut counter = StepCounter::new();
-            let engine = RotationQuery::new(query, Invariance::Rotation)?;
+            let engine = RotationQuery::new(query, Invariance::Rotation)?.with_k_policy(policy);
             engine.search(
                 db,
                 QueryKind::Nearest,
@@ -132,6 +134,12 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
             total += counter.steps();
         }
         Ok(total)
+    };
+    let euclid = run_entry("euclid_nearest", true, repeats, host, || {
+        euclid_under(KPolicy::Fixed(DEFAULT_K))
+    })?;
+    let euclid_dynamic = run_entry("euclid_nearest_dynamic", true, repeats, host, || {
+        euclid_under(KPolicy::dynamic())
     })?;
 
     let band = n / 25 + 1;
@@ -174,7 +182,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
         Ok(0)
     })?;
 
-    Ok(vec![euclid, dtw, parallel])
+    Ok(vec![euclid, euclid_dynamic, dtw, parallel])
 }
 
 const USAGE: &str = "regress [--update-baseline] [--baseline <path>]";
@@ -211,7 +219,7 @@ fn run() -> Result<ExitCode, BenchError> {
     }
     for e in &entries {
         println!(
-            "  {:<18} steps = {:>12}  scaled wall = {:>10.3} ms{}",
+            "  {:<22} steps = {:>12}  scaled wall = {:>10.3} ms{}",
             e.name,
             e.steps,
             e.wall_ns as f64 / 1e6,

@@ -15,6 +15,9 @@
 //! (collapsed stacks for `flamegraph.pl` / speedscope), and prints
 //! latency quantiles and the per-tier prune economics.
 //!
+//! Both passes scan under the paper's dynamic `K` planner, whose
+//! timeline is part of the report.
+//!
 //! `ROTIND_QUICK=1` bounds the database for smoke runs; the full run
 //! uses the paper's 2,000-item, n = 251 workload.
 //!
@@ -24,7 +27,7 @@
 use rotind_bench::BenchError;
 use rotind_eval::report::{fmt_ratio, Table};
 use rotind_eval::speedup::wedge_startup_steps;
-use rotind_index::engine::{Invariance, RotationQuery};
+use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
 use rotind_index::QueryKind;
 use rotind_obs::{global_span_report, MetricsRegistry, NoBudget, Profiler, QueryTrace, Span};
 use rotind_shape::dataset as shapes;
@@ -44,7 +47,8 @@ fn run() -> Result<(), BenchError> {
     for query in &pool[m..] {
         let mut counter = StepCounter::new();
         let span = Span::enter_with("trace.query", &counter);
-        let engine = RotationQuery::new(query, Invariance::Rotation)?;
+        let engine =
+            RotationQuery::new(query, Invariance::Rotation)?.with_k_policy(KPolicy::dynamic());
         engine.search(
             db,
             QueryKind::Nearest,
@@ -140,7 +144,8 @@ fn run() -> Result<(), BenchError> {
     let mut profiled_steps = 0u64;
     for query in &pool[m..] {
         let mut counter = StepCounter::new();
-        let engine = RotationQuery::new(query, Invariance::Rotation)?;
+        let engine =
+            RotationQuery::new(query, Invariance::Rotation)?.with_k_policy(KPolicy::dynamic());
         engine.search(
             db,
             QueryKind::Nearest,

@@ -17,7 +17,7 @@ use rotind_eval::speedup::{
     SearchAlgorithm, SweepPoint,
 };
 use rotind_index::disk::{IndexedDatabase, ReducedRepr};
-use rotind_index::engine::{Invariance, RotationQuery};
+use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
 use rotind_index::QueryKind;
 use rotind_lightcurve::dataset::{classification_set, light_curves};
 use rotind_obs::{NoBudget, NoopObserver, QueryTrace};
@@ -766,6 +766,8 @@ pub fn fig14() -> Table {
 /// The empirical per-comparison complexity of the wedge method: sweep
 /// the series length, measure average steps per item comparison
 /// (including the amortised wedge-build charge), fit the log-log slope.
+/// The scans run under the paper's dynamic `K` planner, as in the
+/// paper's measurement.
 pub fn scaling(quick: bool) -> Table {
     let lengths: Vec<usize> = if quick {
         vec![64, 128, 256]
@@ -786,7 +788,9 @@ pub fn scaling(quick: bool) -> Table {
         for q in 0..queries {
             let query = &ds.items[m + q];
             let mut counter = StepCounter::new();
-            let engine = RotationQuery::new(query, Invariance::Rotation).expect("valid query");
+            let engine = RotationQuery::new(query, Invariance::Rotation)
+                .expect("valid query")
+                .with_k_policy(KPolicy::dynamic());
             engine
                 .search(
                     db,

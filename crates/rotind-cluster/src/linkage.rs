@@ -49,6 +49,12 @@ impl Linkage {
 /// Agglomerate `matrix.len()` items under `linkage`, returning the full
 /// dendrogram.
 ///
+/// Any matrix gives a valid dendrogram (`m − 1` merges, every item in
+/// exactly one), including one whose entries are +∞ or NaN — the
+/// rotation distances of a query whose squared differences overflow.
+/// When no live cluster is closer than +∞ to the chain's end, the chain
+/// takes the first other live cluster.
+///
 /// # Panics
 ///
 /// Panics for an empty matrix (there is nothing to cluster).
@@ -106,6 +112,14 @@ pub fn cluster(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram {
                         nearest_d = d;
                         nearest = k;
                     }
+                }
+            }
+            // Nothing beats +∞ (every distance is +∞ or NaN, and the chain
+            // has no previous element): extend the chain to the first
+            // other live cluster.
+            if nearest == usize::MAX {
+                if let Some(&k) = live.iter().find(|&&k| k != top) {
+                    nearest = k;
                 }
             }
             debug_assert_ne!(nearest, usize::MAX);
@@ -228,6 +242,9 @@ mod tests {
                         nearest = k;
                     }
                 }
+                if nearest == usize::MAX {
+                    nearest = (0..m).find(|&k| k != top && active[k]).unwrap();
+                }
                 if Some(nearest) == prev {
                     chain.pop();
                     chain.pop();
@@ -283,8 +300,52 @@ mod tests {
         }
     }
 
+    /// A valid dendrogram of `m` leaves: `m − 1` merges, each joining two
+    /// nodes created before it, and every node but the root (leaves
+    /// included) a child of exactly one merge.
+    fn assert_valid(dendrogram: &Dendrogram, m: usize) {
+        assert_eq!(dendrogram.num_leaves(), m);
+        assert_eq!(dendrogram.merges().len(), m - 1);
+        let mut parents = vec![0usize; 2 * m - 1];
+        for (t, merge) in dendrogram.merges().iter().enumerate() {
+            for child in [merge.left, merge.right] {
+                assert!(child < m + t, "merge {t} joins the later node {child}");
+                parents[child] += 1;
+            }
+        }
+        let root = 2 * m - 2;
+        for (node, &count) in parents.iter().enumerate() {
+            assert_eq!(count, usize::from(node != root), "node {node}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Matrices whose entries are +∞ or NaN — all of them, or mixed
+        /// with finite ones, as the rotation distances of a query whose
+        /// squared differences overflow are — give a valid dendrogram
+        /// under every linkage, with the condensed reference's merges.
+        #[test]
+        fn non_finite_matrices_give_valid_dendrograms(
+            m in 1usize..=24,
+            all_infinite in 0usize..2,
+            codes in prop::collection::vec(0u64..6, 24 * 23 / 2),
+        ) {
+            let mut values = codes.iter();
+            let matrix = DistanceMatrix::from_fn(m, |_, _| {
+                match values.next().copied().unwrap_or(0) {
+                    _ if all_infinite == 1 => f64::INFINITY,
+                    0 | 1 => f64::INFINITY,
+                    2 => f64::NAN,
+                    code => code as f64,
+                }
+            });
+            for linkage in LINKAGES {
+                assert_valid(&cluster(&matrix, linkage), m);
+            }
+            assert_same_merges(&matrix);
+        }
 
         /// Random matrices, continuous or quantized to `levels` values
         /// so that many entries tie exactly: the square working matrix

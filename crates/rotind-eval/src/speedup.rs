@@ -12,13 +12,16 @@
 //! For the wedge method the paper *"include\[s\] a startup cost of O(n²),
 //! which is the time required to build the wedges"*; here that charge is
 //! `n² + 4·rotations·n` steps per query (shift profiles + envelope
-//! materialisation), amortised into the query's total.
+//! materialisation), amortised into the query's total. The wedge arm
+//! scans under the paper's dynamic `K` planner ([`KPolicy::dynamic`]),
+//! not the engine's fixed default, so its step counts are the paper's
+//! method.
 
 use rotind_distance::measure::Measure;
 use rotind_index::baselines::{
     brute_force_scan, convolution_scan, early_abandon_scan_observed, fft_scan_observed,
 };
-use rotind_index::engine::{Invariance, RotationQuery};
+use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
 use rotind_index::QueryKind;
 use rotind_obs::{LogHistogram, NoBudget, NoopObserver, QueryTrace, SearchObserver};
 use rotind_ts::rotate::RotationMatrix;
@@ -126,7 +129,8 @@ pub fn scan_steps_observed<O: SearchObserver>(
         }
         SearchAlgorithm::Wedge => {
             let engine = RotationQuery::with_measure(query, Invariance::Rotation, measure)
-                .expect("valid query");
+                .expect("valid query")
+                .with_k_policy(KPolicy::dynamic());
             engine
                 .search(
                     db,

@@ -3,15 +3,17 @@
 //! A [`RotationQuery`] packages the paper's full pipeline for one query
 //! shape: expand the query into its admitted rotations (full, mirrored
 //! and/or rotation-limited — Section 3), cluster them into a hierarchical
-//! wedge tree (Section 4.1), then scan a database with H-Merge under the
-//! dynamically tuned wedge-set size `K`. All searches are **exact**: they
-//! return precisely the answers of the brute-force Table 3 scan, verified
-//! by the property tests in `tests/`.
+//! wedge tree (Section 4.1), then scan a database with H-Merge over a
+//! wedge set of size `K` — fixed at [`DEFAULT_K`] unless the caller opts
+//! into the paper's dynamic planner ([`KPolicy`]). All searches are
+//! **exact**: they return precisely the answers of the brute-force
+//! Table 3 scan, whatever `K` is, verified by the property tests in
+//! `tests/`.
 
 use crate::cascade::{BatchPaaCache, BoundCascade, CandidateCtx, CascadeConfig};
 use crate::error::SearchError;
 use crate::hmerge::{h_merge, h_merge_cascade, HMergeOutcome, WalkBuffers};
-use crate::planner::KPlanner;
+use crate::planner::{KPlanner, PROBE_INTERVALS};
 use crate::snapshot::QueryKind;
 use rotind_distance::measure::Measure;
 use rotind_envelope::WedgeTree;
@@ -73,15 +75,46 @@ impl Invariance {
     }
 }
 
-/// How the wedge-set size `K` is chosen during a scan.
+/// The wedge-set size every engine scans at unless told otherwise.
+///
+/// Measured against the paper's planner on the registered serve
+/// workloads (release build, same host, policies interleaved per query):
+/// `K = 16` took 0.63–0.70× of the planner's Euclidean scan time
+/// (n = 251, 1-NN, best-first) and 0.93× of its DTW scan time (n = 128,
+/// band 5, 5-NN), while charging up to 21% more `num_steps`. Steps price
+/// a popped wedge at nothing, so the planner's probes favour many thin
+/// wedges, and every probe cycle runs items at `K = 1` and at one
+/// singleton wedge per rotation.
+pub const DEFAULT_K: usize = 16;
+
+/// How the wedge-set size `K` is chosen during a scan. Every policy
+/// returns the same answers — H-Merge only prunes — so the choice moves
+/// time and `num_steps`, never a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KPolicy {
-    /// The paper's controller: start at 2, re-probe when best-so-far
-    /// improves (Section 4.1). The default.
-    Dynamic,
-    /// A fixed `K` (clamped to the number of rotations); used by the
-    /// ablation benches.
+    /// A fixed `K`, clamped to `1..=` the number of rotations. The
+    /// default is `Fixed(`[`DEFAULT_K`]`)`: one cut, computed once per
+    /// scan.
     Fixed(usize),
+    /// The paper's controller (Section 4.1): start at `K = 2` and, each
+    /// time best-so-far improves, probe the values that divide
+    /// `[1, K]` and `[K, K_max]` into `probe_intervals` intervals on the
+    /// next items, adopting the one with the fewest `num_steps`. Opt in
+    /// where the paper's step counts are reproduced; see
+    /// [`KPolicy::dynamic`] for the paper's interval count.
+    Dynamic {
+        /// Intervals each side of the current `K` (at least 1).
+        probe_intervals: usize,
+    },
+}
+
+impl KPolicy {
+    /// The paper's controller at its [`PROBE_INTERVALS`] intervals.
+    pub const fn dynamic() -> Self {
+        KPolicy::Dynamic {
+            probe_intervals: PROBE_INTERVALS,
+        }
+    }
 }
 
 /// One search hit.
@@ -105,6 +138,11 @@ pub struct Neighbor {
 /// its cardinality gate admits. Each search over `m` items then costs an
 /// empirical `O(m·n^{1.06})` instead of the brute-force `O(m·n²)`.
 ///
+/// Every scan runs over a wedge set of [`DEFAULT_K`] wedges unless
+/// [`with_k_policy`](Self::with_k_policy) or
+/// [`with_probe_intervals`](Self::with_probe_intervals) selects another
+/// [`KPolicy`].
+///
 /// [`ABANDON_PREFIX`]: crate::cascade::ABANDON_PREFIX
 ///
 /// ```
@@ -125,18 +163,18 @@ pub struct RotationQuery {
     tree: WedgeTree,
     measure: Measure,
     cascade: BoundCascade,
-    pub(crate) k_policy: KPolicy,
-    pub(crate) probe_intervals: usize,
+    k_policy: KPolicy,
 }
 
 impl RotationQuery {
-    /// Engine under Euclidean distance with the dynamic-K policy.
+    /// Engine under Euclidean distance at `K = `[`DEFAULT_K`].
     pub fn new(query: &[f64], invariance: Invariance) -> Result<Self, TsError> {
         Self::with_measure(query, invariance, Measure::Euclidean)
     }
 
-    /// Engine under an arbitrary measure (Euclidean, DTW or LCSS). For
-    /// DTW the wedge envelopes are widened by the measure's band.
+    /// Engine under an arbitrary measure (Euclidean, DTW or LCSS) at
+    /// `K = `[`DEFAULT_K`]. For DTW the wedge envelopes are widened by
+    /// the measure's band.
     pub fn with_measure(
         query: &[f64],
         invariance: Invariance,
@@ -149,12 +187,11 @@ impl RotationQuery {
             tree,
             measure,
             cascade,
-            k_policy: KPolicy::Dynamic,
-            probe_intervals: crate::planner::PROBE_INTERVALS,
+            k_policy: KPolicy::Fixed(DEFAULT_K),
         })
     }
 
-    /// Replace the K policy (builder style).
+    /// Replace the K policy (builder style). Answers never depend on it.
     pub fn with_k_policy(mut self, policy: KPolicy) -> Self {
         self.k_policy = policy;
         self
@@ -173,12 +210,20 @@ impl RotationQuery {
         &self.cascade
     }
 
-    /// Set the dynamic planner's probe-interval count (builder style).
-    /// The paper reports that any value in `3..=20` changes performance
-    /// by less than 4%; the default is 5.
-    pub fn with_probe_intervals(mut self, intervals: usize) -> Self {
-        self.probe_intervals = intervals.max(1);
-        self
+    /// Scan under the paper's dynamic planner at `intervals` probe
+    /// intervals (at least 1): shorthand for
+    /// `with_k_policy(KPolicy::Dynamic { probe_intervals })`. The paper
+    /// reports that any value in `3..=20` changes performance by less
+    /// than 4%; its default is [`PROBE_INTERVALS`].
+    pub fn with_probe_intervals(self, intervals: usize) -> Self {
+        self.with_k_policy(KPolicy::Dynamic {
+            probe_intervals: intervals.max(1),
+        })
+    }
+
+    /// The K policy this engine scans under.
+    pub fn k_policy(&self) -> KPolicy {
+        self.k_policy
     }
 
     /// The measure this engine searches under.
@@ -249,8 +294,8 @@ impl RotationQuery {
     }
 
     /// The sequential scan behind every query kind: one pass over
-    /// `database`, each visited item compared by H-Merge under the
-    /// dynamically tuned `K`.
+    /// `database`, each visited item compared by H-Merge over the wedge
+    /// set the engine's [`KPolicy`] picks.
     ///
     /// - [`QueryKind::KNearest`] keeps the `k` best, ordered by
     ///   `(distance, index)`, and prunes against the `k`-th best distance
@@ -275,7 +320,8 @@ impl RotationQuery {
     /// `counter` receives the `num_steps` cost (the metric of Figures
     /// 19–23), including the bounds: `fft_cost_model(n)` for the query's
     /// features and one step per coefficient per item. `observer` sees
-    /// every wedge test, prune, early abandon and planner decision; it
+    /// every wedge test, prune and early abandon, and every planner
+    /// decision under [`KPolicy::Dynamic`]; it
     /// never changes the answer or the step count
     /// (`tests/observability.rs`). Pass [`NoopObserver`] and
     /// [`NoBudget`] for the plain scan: both monomorphize away.
@@ -346,12 +392,7 @@ impl RotationQuery {
         if best_first {
             visits.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         }
-        let mut scan = ScanState::new(
-            &self.tree,
-            &self.cascade,
-            self.k_policy,
-            self.probe_intervals,
-        );
+        let mut scan = ScanState::new(&self.tree, &self.cascade, self.k_policy);
         // k-NN: the k best by (distance, index); range: every hit, in
         // database order. A k-NN list never holds more than one hit per
         // item, so a wire-sized `k` reserves no more than the database.
@@ -521,59 +562,67 @@ fn rank(a: &Neighbor, b: &Neighbor) -> Ordering {
         .then(a.index.cmp(&b.index))
 }
 
-/// Per-scan state: the K planner, a cache of dendrogram cuts, and the
-/// H-Merge walk buffers every candidate reuses.
+/// Per-scan state: the wedge set (or sets) the policy scans over, and
+/// the H-Merge walk buffers every candidate reuses.
 /// `pub(crate)` so the parallel scan (`crate::parallel`) can give each
-/// worker thread its own independent planner, cut cache and buffers.
+/// worker thread its own independent state.
 pub(crate) struct ScanState<'a> {
     tree: &'a WedgeTree,
     cascade: &'a BoundCascade,
-    planner: KPlanner,
-    fixed_k: Option<usize>,
-    cuts: HashMap<usize, Vec<usize>>,
+    cuts: Cuts,
     walk: WalkBuffers,
 }
 
+/// The wedge sets one scan compares items against.
+enum Cuts {
+    /// [`KPolicy::Fixed`]: one cut, computed when the scan starts.
+    Fixed(Vec<usize>),
+    /// [`KPolicy::Dynamic`]: the paper's planner, and every cut it has
+    /// asked for so far, keyed by `K`.
+    Dynamic {
+        planner: KPlanner,
+        cuts: HashMap<usize, Vec<usize>>,
+    },
+}
+
 impl<'a> ScanState<'a> {
-    pub(crate) fn new(
-        tree: &'a WedgeTree,
-        cascade: &'a BoundCascade,
-        policy: KPolicy,
-        probe_intervals: usize,
-    ) -> Self {
-        let planner = KPlanner::with_intervals(tree.max_k(), probe_intervals);
-        let fixed_k = match policy {
-            KPolicy::Dynamic => None,
-            KPolicy::Fixed(k) => Some(k.clamp(1, tree.max_k())),
+    pub(crate) fn new(tree: &'a WedgeTree, cascade: &'a BoundCascade, policy: KPolicy) -> Self {
+        let cuts = match policy {
+            KPolicy::Fixed(k) => Cuts::Fixed(tree.cut_nodes(k.clamp(1, tree.max_k()))),
+            KPolicy::Dynamic { probe_intervals } => Cuts::Dynamic {
+                planner: KPlanner::with_intervals(tree.max_k(), probe_intervals),
+                cuts: HashMap::new(),
+            },
         };
         ScanState {
             tree,
             cascade,
-            planner,
-            fixed_k,
-            cuts: HashMap::new(),
+            cuts,
             walk: WalkBuffers::default(),
         }
     }
 
+    /// Tell the planner, if the scan has one, that best-so-far improved.
     pub(crate) fn notify_improvement_observed<O: SearchObserver>(&mut self, observer: &mut O) {
-        if self.fixed_k.is_none() {
-            self.planner.on_best_so_far_change_observed(observer);
+        if let Cuts::Dynamic { planner, .. } = &mut self.cuts {
+            planner.on_best_so_far_change_observed(observer);
         }
     }
 
     /// Compare one database item against the query's wedge tree under the
-    /// current best-so-far. Under the dynamic policy, probe-cycle
+    /// current best-so-far. Under a fixed `K` every item is compared
+    /// over the one cut. Under the dynamic policy, probe-cycle
     /// candidates are tried on consecutive items and their `num_steps`
-    /// reported back to the planner — no extra work is performed, so the
-    /// probe cost is (trivially) included in every experiment.
+    /// reported back to the planner — no extra comparisons are run, so
+    /// the probes' step cost is included in every experiment.
     ///
     /// Under a [`BudgetHook`], a tripped budget cuts the wedge walk at
-    /// the next popped node. The (possibly truncated) step cost is
-    /// still fed to the planner — its probes only tune future work,
-    /// never exactness. Un-budgeted callers pass [`NoBudget`]. The
-    /// caller owns the candidate context, so batch scans can reuse a
-    /// cached PAA projection (see [`BatchPaaCache`]).
+    /// the next popped node, and the item is not admitted (its distance
+    /// is unknown). The truncated step cost is still fed to the planner
+    /// — its probes only tune future work, never exactness. Un-budgeted
+    /// callers pass [`NoBudget`]. The caller owns the candidate context,
+    /// so batch scans can reuse a cached PAA projection (see
+    /// [`BatchPaaCache`]).
     #[allow(clippy::too_many_arguments)] // the scan state plus the one-candidate H-Merge inputs
     pub(crate) fn compare_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
         &mut self,
@@ -585,14 +634,16 @@ impl<'a> ScanState<'a> {
         budget: &mut B,
         ctx: &mut CandidateCtx,
     ) -> Option<HMergeOutcome> {
-        let k = match self.fixed_k {
-            Some(k) => k,
-            None => self.planner.next_k(),
-        };
-        // Disjoint field borrows: the cut stays in the cache while the
-        // walk runs in the scan's own buffers.
+        // Disjoint field borrows: the cut stays in `cuts` while the walk
+        // runs in the scan's own buffers.
         let tree = self.tree;
-        let cut = self.cuts.entry(k).or_insert_with(|| tree.cut_nodes(k));
+        let cut = match &mut self.cuts {
+            Cuts::Fixed(cut) => cut,
+            Cuts::Dynamic { planner, cuts } => {
+                let k = planner.next_k();
+                cuts.entry(k).or_insert_with(|| tree.cut_nodes(k))
+            }
+        };
         let before = *counter;
         let outcome = h_merge_cascade(
             item,
@@ -607,9 +658,8 @@ impl<'a> ScanState<'a> {
             ctx,
             &mut self.walk,
         );
-        if self.fixed_k.is_none() {
-            self.planner
-                .record_observed(counter.since(before), observer);
+        if let Cuts::Dynamic { planner, .. } = &mut self.cuts {
+            planner.record_observed(counter.since(before), observer);
         }
         outcome
     }
@@ -895,6 +945,7 @@ mod tests {
         let db = database(18, n);
         let reference = RotationQuery::new(&query, Invariance::Rotation)
             .unwrap()
+            .with_k_policy(KPolicy::dynamic())
             .nearest(&db)
             .unwrap();
         for k in [1usize, 3, 10, 20, 999] {
@@ -930,6 +981,51 @@ mod tests {
             .unwrap()
             .distance;
             assert!((d_other - oracle.distance).abs() < 1e-9);
+        }
+    }
+
+    /// `1e200·sin(0.7 i)` is finite, but every squared difference
+    /// overflows, so every rotation distance is +∞. The build must
+    /// still cluster those distances, and the scan must return exactly
+    /// what `Test_All_Rotations` returns.
+    #[test]
+    fn huge_finite_query_equals_test_all_rotations() {
+        let n = 16;
+        let query: Vec<f64> = (0..n).map(|i| 1e200 * (0.7 * i as f64).sin()).collect();
+        let db = database(6, n);
+        let matrix = RotationMatrix::full(&query).unwrap();
+        let oracle: Vec<(usize, u64, Rotation)> = db
+            .iter()
+            .enumerate()
+            .map(|(index, item)| {
+                let hit = test_all_rotations(
+                    item,
+                    &matrix,
+                    f64::INFINITY,
+                    Measure::Euclidean,
+                    &mut StepCounter::new(),
+                )
+                .unwrap();
+                (index, hit.distance.to_bits(), hit.rotation)
+            })
+            .collect();
+        assert!(oracle.iter().all(|o| f64::from_bits(o.1).is_infinite()));
+        let exact = |hits: Vec<Neighbor>| -> Vec<(usize, u64, Rotation)> {
+            hits.iter()
+                .map(|h| (h.index, h.distance.to_bits(), h.rotation))
+                .collect()
+        };
+        for policy in [KPolicy::Fixed(DEFAULT_K), KPolicy::dynamic()] {
+            let engine = RotationQuery::new(&query, Invariance::Rotation)
+                .unwrap()
+                .with_k_policy(policy);
+            // Every distance is +∞, so the ranking is database order.
+            assert_eq!(
+                exact(engine.k_nearest(&db, db.len()).unwrap()),
+                oracle,
+                "{policy:?}"
+            );
+            assert_eq!(exact(vec![engine.nearest(&db).unwrap()]), oracle[..1]);
         }
     }
 
@@ -977,7 +1073,9 @@ mod tests {
         let n = 32;
         let query = signal(n, 0.15);
         let db = database(60, n);
-        let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
+        let engine = RotationQuery::new(&query, Invariance::Rotation)
+            .unwrap()
+            .with_k_policy(KPolicy::dynamic());
         let mut plain_steps = StepCounter::new();
         let plain = scan(
             &engine,

@@ -25,8 +25,9 @@ pub enum SearchError {
         /// Series length of every database item.
         database: usize,
     },
-    /// The query series was rejected when the engine was built: it is
-    /// empty or holds a NaN or infinite sample.
+    /// The query series was rejected: it is empty, holds a NaN or
+    /// infinite sample, or is so large that its rotation distances
+    /// overflow.
     InvalidQuery(TsError),
     /// An invalid parameter (e.g. `k = 0` for k-NN).
     InvalidParam {

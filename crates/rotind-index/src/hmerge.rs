@@ -306,10 +306,10 @@ fn node_tier_bound<O: SearchObserver>(
 ///
 /// The budget is checked at every dismissal boundary (the top of the pop
 /// loop, before any bound is evaluated for the popped wedge). When it
-/// trips, the walk stops and the running best is returned — a valid
-/// *partial* result: every admitted leaf was fully evaluated, so the
-/// returned distance is exact for the rotations actually visited, just
-/// not necessarily the global minimum. With [`NoBudget`] the check
+/// trips, the walk stops and returns `None`: the wedges left on the
+/// stack may hold a closer rotation, so the running best is only an
+/// upper bound on the candidate's distance, and admitting it would put
+/// an inexact distance in a partial answer. With [`NoBudget`] the check
 /// monomorphizes to a constant `true`.
 ///
 /// The batch scans pass a context taken from a
@@ -345,11 +345,13 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     // A walk cut short by the budget may leave wedges behind.
     stack.clear();
     stack.extend(cut.iter().map(|&node| (node, 0)));
+    let mut cut_short = false;
     while let Some((node, level)) = stack.pop() {
         // Dismissal boundary: a tripped budget abandons the remaining
         // wedges. The hook is sticky, so the caller can read the trip
         // reason afterwards.
         if !budget.check(counter.steps()) {
+            cut_short = true;
             break;
         }
         let is_leaf = tree.is_leaf(node);
@@ -440,7 +442,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
         }
     }
     observer.on_phase_end(ProfilePhase::WedgeMerge, counter.steps());
-    best
+    best.filter(|_| !cut_short)
 }
 
 /// Table 6 *verbatim*: a boolean query **filter**. Returns the first

@@ -6,16 +6,19 @@
 //!   cut of the hierarchical wedge tree with `EA_LB_Keogh`, descending
 //!   into child wedges only where the bound fails to prune, and
 //!   evaluating the exact measure at single-rotation leaves;
-//! * [`planner`] — the dynamic wedge-set-size controller: start at
-//!   `K = 2` and, each time the best-so-far improves, probe the values
+//! * [`planner`] — the paper's dynamic wedge-set-size controller: start
+//!   at `K = 2` and, each time the best-so-far improves, probe the values
 //!   that evenly divide `[1, K]` and `[K, K_max]` into five intervals,
-//!   adopting the cheapest (Section 4.1);
+//!   adopting the one with the fewest steps (Section 4.1). An opt-in
+//!   ([`engine::KPolicy::Dynamic`]) for the experiments that reproduce
+//!   the paper's step counts;
 //! * [`engine`] — the user-facing [`engine::RotationQuery`]: exact
 //!   rotation-invariant nearest-neighbour / k-NN / range search over a
 //!   database, for Euclidean, DTW and LCSS, with mirror-image and
-//!   rotation-limited invariance. Every query kind
-//!   ([`snapshot::QueryKind`]) runs through one sequential scan,
-//!   [`engine::RotationQuery::search`];
+//!   rotation-limited invariance, scanning at a fixed wedge-set size
+//!   [`engine::DEFAULT_K`] by default (faster in wall time than the
+//!   planner). Every query kind ([`snapshot::QueryKind`]) runs through
+//!   one sequential scan, [`engine::RotationQuery::search`];
 //! * [`cascade`] — the tiered admissible-bound cascade the engine runs
 //!   per (candidate, wedge) pair: the `O(1)` endpoint bound, the
 //!   reduced-space PAA bound and reordered early-abandoning LB_Keogh

@@ -130,7 +130,9 @@ impl RotationQuery {
     /// The chunked scan behind every parallel query: `database` is split
     /// into balanced contiguous chunks, one per worker thread (`0` =
     /// auto, see [`default_threads`]), each scanned with its own
-    /// planner, step counter and forked observer.
+    /// wedge sets (and planner, under
+    /// [`KPolicy::Dynamic`](crate::engine::KPolicy::Dynamic)), step
+    /// counter and forked observer.
     ///
     /// - [`QueryKind::Nearest`] (and `KNearest(1)`) shares the
     ///   best-so-far between workers through a [`SharedRadius`] and
@@ -251,12 +253,7 @@ impl RotationQuery {
                     let range = range.clone();
                     let mut child = observer.fork();
                     scope.spawn(move || {
-                        let mut scan = ScanState::new(
-                            self.tree(),
-                            self.cascade(),
-                            self.k_policy,
-                            self.probe_intervals,
-                        );
+                        let mut scan = ScanState::new(self.tree(), self.cascade(), self.k_policy());
                         let mut steps = StepCounter::new();
                         let mut budget = make_budget();
                         let mut best: Option<Neighbor> = None;

@@ -131,13 +131,15 @@ impl IndexSnapshot {
     /// [`QueryKind::Nearest`] is k-NN at `k = 1` (so the answer is a
     /// zero-or-one element vector — empty only when an exhausted budget
     /// tripped before any item was admitted), and results are
-    /// bit-identical to calling the engine directly. The query length is
-    /// checked against the snapshot before the engine is built, so a
-    /// malformed query cannot make the `O(n²)` build allocate for a
-    /// length the snapshot never holds; an empty query or one with a NaN
-    /// or infinite sample is a [`SearchError::InvalidQuery`]. Engine
-    /// construction is not counted in `counter`, matching direct engine
-    /// use.
+    /// bit-identical to calling the engine directly, which scans at the
+    /// engine's default `K` ([`DEFAULT_K`](crate::engine::DEFAULT_K)).
+    /// The query length is checked against the snapshot before the
+    /// engine is built, so a malformed query cannot make the `O(n²)`
+    /// build allocate for a length the snapshot never holds. An empty
+    /// query, one with a NaN or infinite sample, and one so large that
+    /// `4·Σx²` overflows (every rotation distance would read +∞) are
+    /// each a [`SearchError::InvalidQuery`]. Engine construction is not
+    /// counted in `counter`, matching direct engine use.
     ///
     /// Through a `cache`, a Euclidean k-NN query visits candidates
     /// best-first by their magnitude bound and stops at the best-so-far,
@@ -160,6 +162,16 @@ impl IndexSnapshot {
                 database: self.series_len,
             });
         }
+        // Between two rotations Σ(a − b)² ≤ 4·Σx², so a finite 4·Σx²
+        // keeps every distance the build clusters finite. A non-finite
+        // sample is left to the build, which reports its index.
+        let energy = 4.0 * spec.series.iter().map(|x| x * x).sum::<f64>();
+        if !energy.is_finite() && spec.series.iter().all(|x| x.is_finite()) {
+            return Err(SearchError::InvalidQuery(TsError::invalid_param(
+                "query",
+                "samples so large that 4·Σx² overflows",
+            )));
+        }
         let engine = RotationQuery::with_measure(&spec.series, spec.invariance, spec.measure)
             .map_err(|e| match e {
                 TsError::Empty | TsError::NonFinite { .. } => SearchError::InvalidQuery(e),
@@ -173,6 +185,7 @@ impl IndexSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{KPolicy, DEFAULT_K};
     use rotind_obs::{NoBudget, NoopObserver, QueryBudget};
     use rotind_ts::rotate::rotated;
 
@@ -405,6 +418,106 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    /// The committed serve benchmark's traced pass builds each engine
+    /// with `RotationQuery::with_measure` and searches it through a
+    /// cache of its own, then checks the answer and the step count
+    /// against `execute`'s: they must agree, because both scan at the
+    /// engine's default `K`.
+    #[test]
+    fn execute_equals_the_default_engine_search_in_answers_and_steps() {
+        let n = 40;
+        let mut db = database(30, n);
+        let query = signal(n, 0.12);
+        db[7] = rotated(&query, 11);
+        let snap = IndexSnapshot::new(db.clone()).unwrap();
+        let (mut served, mut direct) = (snap.paa_cache(), snap.paa_cache());
+        for measure in [
+            Measure::Euclidean,
+            Measure::Dtw(rotind_distance::dtw::DtwParams::new(3)),
+            Measure::Lcss(rotind_distance::LcssParams::for_normalized(n)),
+        ] {
+            for kind in [
+                QueryKind::Nearest,
+                QueryKind::KNearest(4),
+                QueryKind::Range(2.0),
+            ] {
+                let spec = QuerySpec {
+                    series: rotated(&query, 3),
+                    invariance: Invariance::RotationMirror,
+                    measure,
+                    kind,
+                };
+                let mut executed_steps = StepCounter::new();
+                let executed = snap
+                    .execute(
+                        &spec,
+                        &mut executed_steps,
+                        &mut NoopObserver,
+                        &mut NoBudget,
+                        Some(&mut served),
+                    )
+                    .unwrap();
+                let engine =
+                    RotationQuery::with_measure(&spec.series, spec.invariance, measure).unwrap();
+                assert_eq!(engine.k_policy(), KPolicy::Fixed(DEFAULT_K));
+                let mut searched_steps = StepCounter::new();
+                let searched = engine
+                    .search(
+                        &db,
+                        kind,
+                        &mut searched_steps,
+                        &mut NoopObserver,
+                        &mut NoBudget,
+                        Some(&mut direct),
+                    )
+                    .unwrap();
+                assert_eq!(executed, searched, "{measure:?} {kind:?}");
+                assert_eq!(
+                    executed_steps.steps(),
+                    searched_steps.steps(),
+                    "{measure:?} {kind:?}"
+                );
+            }
+        }
+    }
+
+    /// A finite query whose squared differences overflow is a typed
+    /// bad query, checked before the build; one just inside the limit
+    /// passes the check and the build (a zero-step budget then stops the
+    /// scan before its first item).
+    #[test]
+    fn a_query_whose_energy_overflows_is_an_invalid_query() {
+        let n = 16;
+        let snap = IndexSnapshot::new(database(5, n)).unwrap();
+        let spec_at = |scale: f64| QuerySpec {
+            series: (0..n).map(|i| scale * (0.7 * i as f64).sin()).collect(),
+            invariance: Invariance::Rotation,
+            measure: Measure::Euclidean,
+            kind: QueryKind::Nearest,
+        };
+        let run = |spec: &QuerySpec| {
+            snap.execute(
+                spec,
+                &mut StepCounter::new(),
+                &mut NoopObserver,
+                &mut QueryBudget::max_steps(0),
+                None,
+            )
+        };
+        for scale in [1e200, 1e155, f64::MAX] {
+            let err = run(&spec_at(scale)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SearchError::InvalidQuery(TsError::InvalidParam { name: "query", .. })
+                ),
+                "{scale}: {err:?}"
+            );
+        }
+        // 4·Σx² ≈ 3·10³⁰¹ at this scale: finite, so admitted.
+        assert!(!run(&spec_at(1e150)).unwrap().is_complete());
     }
 
     #[test]

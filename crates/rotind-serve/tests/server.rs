@@ -8,8 +8,9 @@ use rotind_distance::{DtwParams, LcssParams};
 use rotind_index::engine::{Invariance, Neighbor, RotationQuery};
 use rotind_index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
 use rotind_obs::ManualClock;
-use rotind_serve::wire::error_code;
-use rotind_serve::{Client, QueryRequest, QueryStatus, Response, ServeConfig, Server};
+use rotind_serve::wire::{self, error_code};
+use rotind_serve::{Client, QueryRequest, QueryStatus, Request, Response, ServeConfig, Server};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 fn signal(n: usize, phase: f64) -> Vec<f64> {
@@ -259,6 +260,48 @@ fn malformed_and_invalid_queries_are_typed_errors() {
         }
         let _ = served_hits(client.query(&unbudgeted(&good)).unwrap());
     }
+    server.shutdown();
+}
+
+/// One query over a fresh connection whose reads time out, so a server
+/// that stops answering fails the test instead of hanging it.
+fn query_on_a_fresh_connection(addr: SocketAddr, spec: &QuerySpec) -> std::io::Result<Response> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    let request = Request::Query(unbudgeted(spec));
+    wire::write_frame(&mut stream, &wire::encode_request(&request))?;
+    let payload = wire::read_frame(&mut stream)?;
+    Ok(wire::decode_response(&payload)?)
+}
+
+/// `1e200·sin(0.7 i)` is finite, so the wire admits it, but its squared
+/// differences overflow. Such a request must get a typed `BAD_QUERY`
+/// and leave its worker alive: after more of them than there are
+/// workers, a good query still gets its answer.
+#[test]
+fn huge_finite_queries_are_bad_queries_and_every_worker_survives() {
+    let (workers, n) = (2, 16);
+    let db = database(8, n);
+    let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+    let mut server = Server::start(snapshot, config(workers)).unwrap();
+    let huge = QuerySpec {
+        series: (0..n).map(|i| 1e200 * (0.7 * i as f64).sin()).collect(),
+        invariance: Invariance::Rotation,
+        measure: Measure::Euclidean,
+        kind: QueryKind::Nearest,
+    };
+    for i in 0..2 * workers + 1 {
+        match query_on_a_fresh_connection(server.addr(), &huge).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, error_code::BAD_QUERY, "request {i}"),
+            other => panic!("request {i}: expected an error, got {other:?}"),
+        }
+    }
+    let good = QuerySpec {
+        series: signal(n, 0.2),
+        ..huge
+    };
+    let served = served_hits(query_on_a_fresh_connection(server.addr(), &good).unwrap());
+    assert_eq!(served, library_answer(&db, &good));
     server.shutdown();
 }
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rotind::distance::rotation::{search_database, test_all_rotations};
 use rotind::distance::{DtwParams, LcssParams, Measure};
 use rotind::index::cascade::ABANDON_PREFIX;
-use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery};
+use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery, DEFAULT_K};
 use rotind::index::parallel::default_threads;
 use rotind::index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
 use rotind::index::BatchPaaCache;
@@ -61,6 +61,82 @@ fn exact(hits: &[Neighbor]) -> Vec<(usize, u64, Rotation)> {
     hits.iter()
         .map(|h| (h.index, h.distance.to_bits(), h.rotation))
         .collect()
+}
+
+/// The four invariances at `max_shift` (below `query.len()`), each with
+/// the rotation matrix the brute-force oracle scans.
+fn invariance_matrices(query: &[f64], max_shift: usize) -> Vec<(Invariance, RotationMatrix)> {
+    vec![
+        (Invariance::Rotation, RotationMatrix::full(query)),
+        (
+            Invariance::RotationMirror,
+            RotationMatrix::with_mirror(query),
+        ),
+        (
+            Invariance::RotationLimited { max_shift },
+            RotationMatrix::limited(query, max_shift),
+        ),
+        (
+            Invariance::RotationLimitedMirror { max_shift },
+            RotationMatrix::limited_with_mirror(query, max_shift),
+        ),
+    ]
+    .into_iter()
+    .map(|(invariance, matrix)| (invariance, matrix.unwrap()))
+    .collect()
+}
+
+/// The brute-force answers: every item's exact distance and rotation by
+/// `Test_All_Rotations`, in database order (a range keeps that order)
+/// and ranked by (distance, index) (1-NN and k-NN read that rank).
+struct Oracle {
+    brute: Vec<(usize, u64, Rotation)>,
+    ranked: Vec<(usize, u64, Rotation)>,
+}
+
+impl Oracle {
+    fn new(db: &[Vec<f64>], matrix: &RotationMatrix, measure: Measure) -> Self {
+        let brute: Vec<(usize, u64, Rotation)> = db
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let hit = test_all_rotations(
+                    item,
+                    matrix,
+                    f64::INFINITY,
+                    measure,
+                    &mut StepCounter::new(),
+                )
+                .unwrap();
+                (i, hit.distance.to_bits(), hit.rotation)
+            })
+            .collect();
+        let mut ranked = brute.clone();
+        ranked.sort_by(|a, b| {
+            f64::from_bits(a.1)
+                .total_cmp(&f64::from_bits(b.1))
+                .then(a.0.cmp(&b.0))
+        });
+        Oracle { brute, ranked }
+    }
+
+    /// The `k`-th smallest distance (1-based).
+    fn kth(&self, k: usize) -> f64 {
+        f64::from_bits(self.ranked[k - 1].1)
+    }
+
+    fn answer(&self, kind: QueryKind) -> Vec<(usize, u64, Rotation)> {
+        match kind {
+            QueryKind::Nearest => self.ranked[..1].to_vec(),
+            QueryKind::KNearest(k) => self.ranked[..k.min(self.ranked.len())].to_vec(),
+            QueryKind::Range(r) => self
+                .brute
+                .iter()
+                .filter(|hit| f64::from_bits(hit.1) <= r)
+                .copied()
+                .collect(),
+        }
+    }
 }
 
 /// An unbudgeted [`RotationQuery::search`], through `cache` if given.
@@ -123,7 +199,9 @@ proptest! {
         let fixed = RotationQuery::new(&query, Invariance::Rotation)
             .unwrap()
             .with_k_policy(KPolicy::Fixed(k));
-        let dynamic = RotationQuery::new(&query, Invariance::Rotation).unwrap();
+        let dynamic = RotationQuery::new(&query, Invariance::Rotation)
+            .unwrap()
+            .with_k_policy(KPolicy::dynamic());
         let a = fixed.nearest(&db).unwrap();
         let b = dynamic.nearest(&db).unwrap();
         prop_assert_eq!(a.index, b.index);
@@ -335,55 +413,16 @@ proptest! {
         let snapshot = IndexSnapshot::new(db.clone()).unwrap();
         let mut cache = snapshot.paa_cache();
         // `max_shift < 12 < n / 2`, so the limited windows never saturate.
-        for (invariance, matrix) in [
-            (Invariance::Rotation, RotationMatrix::full(&query)),
-            (Invariance::RotationMirror, RotationMatrix::with_mirror(&query)),
-            (
-                Invariance::RotationLimited { max_shift },
-                RotationMatrix::limited(&query, max_shift),
-            ),
-            (
-                Invariance::RotationLimitedMirror { max_shift },
-                RotationMatrix::limited_with_mirror(&query, max_shift),
-            ),
-        ] {
-            let matrix = matrix.unwrap();
-            let brute: Vec<(usize, u64, Rotation)> = db
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let hit = test_all_rotations(
-                        item,
-                        &matrix,
-                        f64::INFINITY,
-                        Measure::Euclidean,
-                        &mut StepCounter::new(),
-                    )
-                    .unwrap();
-                    (i, hit.distance.to_bits(), hit.rotation)
-                })
-                .collect();
-            let mut ranked = brute.clone();
-            ranked.sort_by(|a, b| {
-                f64::from_bits(a.1).total_cmp(&f64::from_bits(b.1)).then(a.0.cmp(&b.0))
-            });
-            let third = f64::from_bits(ranked[2].1);
+        for (invariance, matrix) in invariance_matrices(&query, max_shift) {
+            let oracle = Oracle::new(&db, &matrix, Measure::Euclidean);
             let engine = RotationQuery::new(&query, invariance).unwrap();
             for kind in [
                 QueryKind::Nearest,
                 QueryKind::KNearest(3),
                 QueryKind::Range(radius),
-                QueryKind::Range(third),
+                QueryKind::Range(oracle.kth(3)),
             ] {
-                let expected: Vec<(usize, u64, Rotation)> = match kind {
-                    QueryKind::Nearest => ranked[..1].to_vec(),
-                    QueryKind::KNearest(k) => ranked[..k].to_vec(),
-                    QueryKind::Range(r) => brute
-                        .iter()
-                        .filter(|hit| f64::from_bits(hit.1) <= r)
-                        .copied()
-                        .collect(),
-                };
+                let expected = oracle.answer(kind);
                 let plain = search(&engine, &db, kind, &mut NoopObserver, None);
                 prop_assert_eq!(exact(&plain), expected.clone(), "{:?} {:?}", invariance, kind);
                 let spec = QuerySpec {
@@ -448,6 +487,89 @@ proptest! {
                 let cached = search(&engine, &db, kind, &mut opened, Some(&mut cache));
                 prop_assert_eq!(exact(&cached), exact(&plain), "{:?} {:?}", measure, kind);
                 prop_assert_eq!(opened.0, db.len(), "{:?} skipped an item", measure);
+            }
+        }
+    }
+
+    /// Every `K` policy returns the brute-force answer — index, distance
+    /// bits and rotation — at every length, under every measure and
+    /// invariance, for 1-NN, 3-NN and a range at exactly the third
+    /// distance: uncached, through one snapshot cache shared by every
+    /// query, and (for the kinds it serves) across the `ROTIND_THREADS`
+    /// workers of the parallel scan. At n = 12 and 20 the default cut is
+    /// nearly all single-rotation leaves, so `K = 1, 2, 4` and the
+    /// planner (which starts at `K = 2`) are what walk internal wedges
+    /// there; at n = 48 and 64 the default cut's wedges are internal
+    /// too. With `integral` set, the samples are integers, so distinct
+    /// items (and rotations of one item) tie exactly at positive
+    /// distances. A periodic query (period 1, 2 or 4, which divide every
+    /// n) has identical rotations, which cluster into zero-width
+    /// internal wedges whose Euclidean LB_Keogh *is* the exact distance:
+    /// a bound that read even slightly high there would dismiss the
+    /// range's boundary item.
+    #[test]
+    fn every_k_policy_equals_brute_force_at_every_length(
+        query in series_strategy(64),
+        db in db_strategy(64, 6),
+        n_idx in 0usize..4,
+        period_idx in 0usize..4,
+        s1 in 0usize..64,
+        s2 in 0usize..64,
+        max_shift in 0usize..6,
+        integral in 0usize..2,
+    ) {
+        let n = [12, 20, 48, 64][n_idx];
+        let period = [n, 4, 2, 1][period_idx];
+        let cut = |xs: &[f64]| -> Vec<f64> {
+            xs[..n].iter().map(|x| if integral == 1 { x.round() } else { *x }).collect()
+        };
+        let query = cut(&query);
+        let query: Vec<f64> = (0..n).map(|i| query[i % period]).collect();
+        let db = planted(&query, db.iter().map(|item| cut(item)).collect(), s1, s2);
+        let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+        let mut cache = snapshot.paa_cache();
+        let policies = [
+            KPolicy::Fixed(1),
+            KPolicy::Fixed(2),
+            KPolicy::Fixed(4),
+            KPolicy::Fixed(DEFAULT_K),
+            KPolicy::dynamic(),
+        ];
+        for measure in measures() {
+            // `max_shift < 6 <= n / 2`, so the limited windows never
+            // saturate.
+            for (invariance, matrix) in invariance_matrices(&query, max_shift) {
+                let oracle = Oracle::new(&db, &matrix, measure);
+                let built = RotationQuery::with_measure(&query, invariance, measure).unwrap();
+                for policy in policies {
+                    let engine = built.clone().with_k_policy(policy);
+                    for kind in [
+                        QueryKind::Nearest,
+                        QueryKind::KNearest(3),
+                        QueryKind::Range(oracle.kth(3)),
+                    ] {
+                        let expected = oracle.answer(kind);
+                        let at = format!("{measure:?} {invariance:?} {policy:?} {kind:?}");
+                        let plain = search(&engine, &db, kind, &mut NoopObserver, None);
+                        prop_assert_eq!(exact(&plain), expected.clone(), "{}", at);
+                        let cached = search(&engine, &db, kind, &mut NoopObserver, Some(&mut cache));
+                        prop_assert_eq!(exact(&cached), expected.clone(), "{} cached", at);
+                        if kind == QueryKind::KNearest(3) {
+                            continue;
+                        }
+                        let (outcome, _) = engine
+                            .search_parallel(
+                                &db,
+                                kind,
+                                default_threads(),
+                                &mut StepCounter::new(),
+                                &mut NoopObserver,
+                                None,
+                            )
+                            .unwrap();
+                        prop_assert_eq!(exact(&outcome.into_inner()), expected, "{} parallel", at);
+                    }
+                }
             }
         }
     }

@@ -17,7 +17,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rotind::distance::dtw::DtwParams;
 use rotind::distance::measure::Measure;
-use rotind::index::engine::{Invariance, Neighbor, RotationQuery};
+use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery};
 use rotind::index::{CascadeConfig, QueryKind};
 use rotind::obs::{
     BudgetHook, CascadeTier, LogHistogram, ManualClock, MetricsRegistry, NoBudget,
@@ -183,6 +183,9 @@ proptest! {
     /// The budget-generic scan with no budget set, the profiler, and the
     /// plain path must agree on the answer, the step count, and the
     /// per-tier prune attribution — for every cascade configuration.
+    /// Tiers 1 and 2 run only at fat internal wedges, which a default
+    /// cut at n = 18 hardly has, so the scans run under the paper's
+    /// planner (it starts at `K = 2`).
     #[test]
     fn profiler_and_unset_budget_are_neutral_sequential(
         query in series_strategy(18),
@@ -197,6 +200,7 @@ proptest! {
         for (name, config) in configs() {
             let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure)
                 .unwrap()
+                .with_k_policy(KPolicy::dynamic())
                 .with_cascade(config);
 
             let nn = QueryKind::Nearest;
@@ -264,7 +268,9 @@ proptest! {
 
     /// Parallel: the profiler as a fork/join observer and an unset
     /// shared budget keep the 4-thread scan's answer identical to the
-    /// sequential one for every cascade configuration.
+    /// sequential one for every cascade configuration, under the paper's
+    /// planner (a default cut at n = 16 is all single-rotation leaves,
+    /// where a Euclidean scan runs no tier).
     #[test]
     fn profiler_and_unset_budget_are_neutral_parallel(
         query in series_strategy(16),
@@ -273,6 +279,7 @@ proptest! {
         for (name, config) in configs() {
             let engine = RotationQuery::new(&query, Invariance::Rotation)
                 .unwrap()
+                .with_k_policy(KPolicy::dynamic())
                 .with_cascade(config);
             let sequential = vec![engine.nearest(&db).unwrap()];
             let nn = QueryKind::Nearest;
