@@ -1,11 +1,12 @@
-//! Bound-cascade ablation: run the same 1-NN workload under a ladder of
-//! [`CascadeConfig`]s — from the legacy natural-order LB_Keogh scan to
-//! the full three-tier cascade — and report, per configuration and
-//! measure, the total `num_steps`, steps and wall-clock per query, the
-//! steps-per-pair exponent (`ln(steps/pair)/ln(n)`, the paper's §5.3
-//! framing), the per-tier tested/pruned counts from [`QueryTrace`],
-//! and each tier's wall-clock and prunes-per-microsecond yield from the
-//! [`Profiler`]'s online cost accounting.
+//! Bound ablation: run the same 1-NN workload under both
+//! [`CascadeConfig`]s — the legacy natural-order LB_Keogh scan and the
+//! default, which reorders Euclidean internal wedges — and report, per
+//! configuration and measure, the total `num_steps`, steps and
+//! wall-clock per query, the steps-per-pair exponent
+//! (`ln(steps/pair)/ln(n)`, the paper's §5.3 framing), LB_Keogh's
+//! tested/pruned counts from [`QueryTrace`], and its wall-clock
+//! prunes-per-microsecond yield from the [`Profiler`]'s online cost
+//! accounting.
 //!
 //! Besides the usual CSV table, the run writes machine-readable
 //! `results/bench_cascade.json` for CI trending. `ROTIND_QUICK=1`
@@ -69,24 +70,13 @@ impl SearchObserver for TraceAndProfile<'_> {
     }
 }
 
-/// The ablation ladder: each rung adds one cascade feature, all under
-/// the tuned default gates of [`CascadeConfig::all`]; `full` adds the
-/// reduced tier. Tier 3 reorders Euclidean internal wedges only, so
-/// under DTW the `reorder` rung runs exactly the `legacy` scan (same
-/// steps and prunes; only its wall time differs, by noise). The
-/// `improved` columns read zero: the cascade no longer runs tier 4.
-fn ladder() -> Vec<(&'static str, CascadeConfig)> {
-    let full = CascadeConfig::all();
-    let kim = CascadeConfig {
-        reduced: false,
-        ..full
-    };
-    let reorder = CascadeConfig { kim: false, ..kim };
-    vec![
+/// The ablation ladder. The bound reorders Euclidean internal wedges
+/// only, so under DTW `full` runs exactly the `legacy` scan (same steps
+/// and prunes; only its wall time differs, by noise).
+fn ladder() -> [(&'static str, CascadeConfig); 2] {
+    [
         ("legacy", CascadeConfig::legacy()),
-        ("reorder", reorder),
-        ("+kim", kim),
-        ("full", full),
+        ("full", CascadeConfig::all()),
     ]
 }
 
@@ -97,10 +87,10 @@ struct Run {
     steps_per_query: f64,
     micros_per_query: f64,
     exponent: f64,
-    tier_tested: [u64; CascadeTier::ALL.len()],
-    tier_pruned: [u64; CascadeTier::ALL.len()],
-    tier_ns: [u128; CascadeTier::ALL.len()],
-    tier_prunes_per_us: [Option<f64>; CascadeTier::ALL.len()],
+    keogh_tested: u64,
+    keogh_pruned: u64,
+    keogh_ns: u128,
+    keogh_prunes_per_us: Option<f64>,
 }
 
 fn run_config(
@@ -137,17 +127,7 @@ fn run_config(
     let elapsed = start.elapsed();
     let pairs = (db.len() * queries.len()) as f64;
     let steps_per_pair = total_steps as f64 / pairs;
-    let mut tier_tested = [0u64; CascadeTier::ALL.len()];
-    let mut tier_pruned = [0u64; CascadeTier::ALL.len()];
-    let mut tier_ns = [0u128; CascadeTier::ALL.len()];
-    let mut tier_prunes_per_us = [None; CascadeTier::ALL.len()];
-    for tier in CascadeTier::ALL {
-        let cost = &profiler.tier_costs()[tier.index()];
-        tier_tested[tier.index()] = trace.tier_tested(tier);
-        tier_pruned[tier.index()] = trace.tier_pruned(tier);
-        tier_ns[tier.index()] = cost.total_ns;
-        tier_prunes_per_us[tier.index()] = cost.prunes_per_us();
-    }
+    let keogh = &profiler.tier_costs()[CascadeTier::Keogh.index()];
     Ok(Run {
         measure: measure_name,
         config: name,
@@ -155,10 +135,10 @@ fn run_config(
         steps_per_query: total_steps as f64 / queries.len() as f64,
         micros_per_query: elapsed.as_secs_f64() * 1e6 / queries.len() as f64,
         exponent: steps_per_pair.max(1.0).ln() / (n as f64).ln(),
-        tier_tested,
-        tier_pruned,
-        tier_ns,
-        tier_prunes_per_us,
+        keogh_tested: trace.tier_tested(CascadeTier::Keogh),
+        keogh_pruned: trace.tier_pruned(CascadeTier::Keogh),
+        keogh_ns: keogh.total_ns,
+        keogh_prunes_per_us: keogh.prunes_per_us(),
     })
 }
 
@@ -178,37 +158,29 @@ fn write_json(runs: &[Run], m: usize, n: usize, queries: usize) -> String {
     );
     out.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
+        let rate = if r.keogh_tested > 0 {
+            r.keogh_pruned as f64 / r.keogh_tested as f64
+        } else {
+            0.0
+        };
+        let _ = writeln!(
             out,
             "    {{ \"measure\": \"{}\", \"config\": \"{}\", \"total_steps\": {}, \
              \"steps_per_query\": {:.1}, \"micros_per_query\": {:.1}, \"exponent\": {:.4}, \
-             \"tiers\": {{",
+             \"keogh\": {{ \"tested\": {}, \"pruned\": {}, \"prune_rate\": {rate:.4}, \
+             \"ns\": {}, \"prunes_per_us\": {:.3} }} }}{}",
             json_escape_free(r.measure),
             json_escape_free(r.config),
             r.total_steps,
             r.steps_per_query,
             r.micros_per_query,
-            r.exponent
+            r.exponent,
+            r.keogh_tested,
+            r.keogh_pruned,
+            r.keogh_ns,
+            r.keogh_prunes_per_us.unwrap_or(0.0),
+            if i + 1 < runs.len() { "," } else { "" }
         );
-        for (j, tier) in CascadeTier::ALL.iter().enumerate() {
-            let tested = r.tier_tested[tier.index()];
-            let pruned = r.tier_pruned[tier.index()];
-            let rate = if tested > 0 {
-                pruned as f64 / tested as f64
-            } else {
-                0.0
-            };
-            let ns = r.tier_ns[tier.index()];
-            let prunes_per_us = r.tier_prunes_per_us[tier.index()].unwrap_or(0.0);
-            let _ = write!(
-                out,
-                "{}\"{}\": {{ \"tested\": {tested}, \"pruned\": {pruned}, \"prune_rate\": {rate:.4}, \
-                 \"ns\": {ns}, \"prunes_per_us\": {prunes_per_us:.3} }}",
-                if j > 0 { ", " } else { " " },
-                tier.name()
-            );
-        }
-        let _ = writeln!(out, " }} }}{}", if i + 1 < runs.len() { "," } else { "" });
     }
     out.push_str("  ]\n}\n");
     out
@@ -256,16 +228,10 @@ fn run() -> Result<(), BenchError> {
         "steps_per_query",
         "us_per_query",
         "exponent",
-        "kim_pruned",
-        "reduced_pruned",
+        "keogh_tested",
         "keogh_pruned",
-        "improved_pruned",
-        "kim_prunes_us",
-        "reduced_prunes_us",
         "keogh_prunes_us",
-        "improved_prunes_us",
     ]);
-    let fmt_rate = |rate: Option<f64>| rate.map_or_else(|| "-".to_string(), |r| format!("{r:.2}"));
     for r in &runs {
         table.push_row([
             r.measure.to_string(),
@@ -274,14 +240,10 @@ fn run() -> Result<(), BenchError> {
             format!("{:.1}", r.steps_per_query),
             format!("{:.1}", r.micros_per_query),
             format!("{:.4}", r.exponent),
-            r.tier_pruned[CascadeTier::Kim.index()].to_string(),
-            r.tier_pruned[CascadeTier::Reduced.index()].to_string(),
-            r.tier_pruned[CascadeTier::Keogh.index()].to_string(),
-            r.tier_pruned[CascadeTier::Improved.index()].to_string(),
-            fmt_rate(r.tier_prunes_per_us[CascadeTier::Kim.index()]),
-            fmt_rate(r.tier_prunes_per_us[CascadeTier::Reduced.index()]),
-            fmt_rate(r.tier_prunes_per_us[CascadeTier::Keogh.index()]),
-            fmt_rate(r.tier_prunes_per_us[CascadeTier::Improved.index()]),
+            r.keogh_tested.to_string(),
+            r.keogh_pruned.to_string(),
+            r.keogh_prunes_per_us
+                .map_or_else(|| "-".to_string(), |rate| format!("{rate:.2}")),
         ]);
     }
     rotind_bench::emit("bench_cascade", &table);

@@ -10,7 +10,7 @@
 //! Table 3 scan, whatever `K` is, verified by the property tests in
 //! `tests/`.
 
-use crate::cascade::{BatchPaaCache, BoundCascade, CandidateCtx, CascadeConfig};
+use crate::cascade::{BatchPaaCache, BoundCascade, CascadeConfig};
 use crate::error::SearchError;
 use crate::hmerge::{h_merge, h_merge_cascade, HMergeOutcome, WalkBuffers};
 use crate::planner::{KPlanner, PROBE_INTERVALS};
@@ -131,12 +131,11 @@ pub struct Neighbor {
 /// An exact rotation-invariant query engine for one query series.
 ///
 /// Building the engine costs the paper's `O(n²)` startup (shift profiles,
-/// clustering, wedges). The default cascade stays inside that bound: under
-/// Euclidean distance tier 3's abandon orders cost `O(n)` per internal
-/// wedge (a selected and sorted [`ABANDON_PREFIX`] head, the rest in
-/// position order), and tier 2 projects envelopes only for the wedges
-/// its cardinality gate admits. Each search over `m` items then costs an
-/// empirical `O(m·n^{1.06})` instead of the brute-force `O(m·n²)`.
+/// clustering, wedges). The LB_Keogh abandon orders stay inside that
+/// bound: under Euclidean distance they cost `O(n)` per internal wedge
+/// (a selected and sorted [`ABANDON_PREFIX`] head, the rest in position
+/// order). Each search over `m` items then costs an empirical
+/// `O(m·n^{1.06})` instead of the brute-force `O(m·n²)`.
 ///
 /// Every scan runs over a wedge set of [`DEFAULT_K`] wedges unless
 /// [`with_k_policy`](Self::with_k_policy) or
@@ -182,7 +181,7 @@ impl RotationQuery {
     ) -> Result<Self, TsError> {
         let matrix = invariance.matrix(query)?;
         let tree = WedgeTree::new(matrix, measure.warping_band());
-        let cascade = BoundCascade::build(&tree, measure, CascadeConfig::from_env());
+        let cascade = BoundCascade::build(&tree, measure, CascadeConfig::all());
         Ok(RotationQuery {
             tree,
             measure,
@@ -197,15 +196,15 @@ impl RotationQuery {
         self
     }
 
-    /// Replace the bound-cascade configuration (builder style),
-    /// rebuilding any per-tree tier data. Every configuration yields
-    /// bit-identical search results; only the work profile changes.
+    /// Replace the bound configuration (builder style), rebuilding the
+    /// abandon orders. Every configuration yields bit-identical search
+    /// results; only the work profile changes.
     pub fn with_cascade(mut self, config: CascadeConfig) -> Self {
         self.cascade = BoundCascade::build(&self.tree, self.measure, config);
         self
     }
 
-    /// The bound cascade this engine scans with.
+    /// The wedge bound this engine scans with.
     pub fn cascade(&self) -> &BoundCascade {
         &self.cascade
     }
@@ -335,14 +334,10 @@ impl RotationQuery {
     /// covers a prefix of the database, filtered by the bounds when they
     /// apply.
     ///
-    /// `cache` shares a [`BatchPaaCache`] of query-independent candidate
-    /// data across queries. Its PAA projections leave results
-    /// bit-identical to the uncached scan, and only the step counts of
-    /// queries after the first drop, by the amortized `O(n)`
-    /// projections. The cache must cover this `database` (the same
-    /// length; the table is built from the first database searched
-    /// through it) at this engine's cascade `dims`; a mismatch in either
-    /// is an [`SearchError::InvalidParam`].
+    /// `cache` carries the magnitude table across queries. It must cover
+    /// this `database` (the same length; the table is built from the
+    /// first database searched through it); a mismatch is an
+    /// [`SearchError::InvalidParam`].
     pub fn search<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
@@ -350,7 +345,7 @@ impl RotationQuery {
         counter: &mut StepCounter,
         observer: &mut O,
         budget: &mut B,
-        mut cache: Option<&mut BatchPaaCache>,
+        cache: Option<&mut BatchPaaCache>,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
         if let Some(cache) = cache.as_deref() {
             self.check_cache(cache, database.len())?;
@@ -424,23 +419,9 @@ impl RotationQuery {
                 }
                 continue;
             }
-            let mut ctx = match cache.as_deref_mut() {
-                Some(cache) => cache.take(index),
-                None => CandidateCtx::new(),
-            };
-            let compared = scan.compare_budgeted_ctx(
-                item,
-                bsf,
-                self.measure,
-                counter,
-                observer,
-                budget,
-                &mut ctx,
-            );
-            if let Some(cache) = cache.as_deref_mut() {
-                cache.put(index, ctx);
-            }
-            let Some(outcome) = compared else {
+            let Some(outcome) =
+                scan.compare_budgeted(item, bsf, self.measure, counter, observer, budget)
+            else {
                 continue;
             };
             debug_assert!(
@@ -513,16 +494,6 @@ impl RotationQuery {
     }
 
     fn check_cache(&self, cache: &BatchPaaCache, db_len: usize) -> Result<(), SearchError> {
-        let dims = self.cascade.config().dims;
-        if cache.dims() != dims {
-            return Err(SearchError::invalid_param(
-                "cache",
-                format!(
-                    "BatchPaaCache built at dims {} but this engine projects at dims {dims}",
-                    cache.dims()
-                ),
-            ));
-        }
         if cache.len() != db_len {
             return Err(SearchError::invalid_param(
                 "cache",
@@ -620,11 +591,8 @@ impl<'a> ScanState<'a> {
     /// the next popped node, and the item is not admitted (its distance
     /// is unknown). The truncated step cost is still fed to the planner
     /// — its probes only tune future work, never exactness. Un-budgeted
-    /// callers pass [`NoBudget`]. The caller owns the candidate context,
-    /// so batch scans can reuse a cached PAA projection (see
-    /// [`BatchPaaCache`]).
-    #[allow(clippy::too_many_arguments)] // the scan state plus the one-candidate H-Merge inputs
-    pub(crate) fn compare_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
+    /// callers pass [`NoBudget`].
+    pub(crate) fn compare_budgeted<O: SearchObserver, B: BudgetHook>(
         &mut self,
         item: &[f64],
         bsf: f64,
@@ -632,7 +600,6 @@ impl<'a> ScanState<'a> {
         counter: &mut StepCounter,
         observer: &mut O,
         budget: &mut B,
-        ctx: &mut CandidateCtx,
     ) -> Option<HMergeOutcome> {
         // Disjoint field borrows: the cut stays in `cuts` while the walk
         // runs in the scan's own buffers.
@@ -655,7 +622,6 @@ impl<'a> ScanState<'a> {
             counter,
             observer,
             budget,
-            ctx,
             &mut self.walk,
         );
         if let Cuts::Dynamic { planner, .. } = &mut self.cuts {
@@ -987,45 +953,58 @@ mod tests {
     /// `1e200·sin(0.7 i)` is finite, but every squared difference
     /// overflows, so every rotation distance is +∞. The build must
     /// still cluster those distances, and the scan must return exactly
-    /// what `Test_All_Rotations` returns.
+    /// what `Test_All_Rotations` returns. At `1e150` the distances are
+    /// finite but near 1e153, where the bounds' debug witnesses must
+    /// allow rounding relative to the distance.
     #[test]
     fn huge_finite_query_equals_test_all_rotations() {
         let n = 16;
-        let query: Vec<f64> = (0..n).map(|i| 1e200 * (0.7 * i as f64).sin()).collect();
         let db = database(6, n);
-        let matrix = RotationMatrix::full(&query).unwrap();
-        let oracle: Vec<(usize, u64, Rotation)> = db
-            .iter()
-            .enumerate()
-            .map(|(index, item)| {
-                let hit = test_all_rotations(
-                    item,
-                    &matrix,
-                    f64::INFINITY,
-                    Measure::Euclidean,
-                    &mut StepCounter::new(),
-                )
-                .unwrap();
-                (index, hit.distance.to_bits(), hit.rotation)
-            })
-            .collect();
-        assert!(oracle.iter().all(|o| f64::from_bits(o.1).is_infinite()));
         let exact = |hits: Vec<Neighbor>| -> Vec<(usize, u64, Rotation)> {
             hits.iter()
                 .map(|h| (h.index, h.distance.to_bits(), h.rotation))
                 .collect()
         };
-        for policy in [KPolicy::Fixed(DEFAULT_K), KPolicy::dynamic()] {
-            let engine = RotationQuery::new(&query, Invariance::Rotation)
-                .unwrap()
-                .with_k_policy(policy);
-            // Every distance is +∞, so the ranking is database order.
-            assert_eq!(
-                exact(engine.k_nearest(&db, db.len()).unwrap()),
-                oracle,
-                "{policy:?}"
-            );
-            assert_eq!(exact(vec![engine.nearest(&db).unwrap()]), oracle[..1]);
+        for scale in [1e200, 1e150] {
+            let query: Vec<f64> = (0..n).map(|i| scale * (0.7 * i as f64).sin()).collect();
+            let matrix = RotationMatrix::full(&query).unwrap();
+            let mut oracle: Vec<Neighbor> = db
+                .iter()
+                .enumerate()
+                .map(|(index, item)| {
+                    let hit = test_all_rotations(
+                        item,
+                        &matrix,
+                        f64::INFINITY,
+                        Measure::Euclidean,
+                        &mut StepCounter::new(),
+                    )
+                    .unwrap();
+                    Neighbor {
+                        index,
+                        distance: hit.distance,
+                        rotation: hit.rotation,
+                    }
+                })
+                .collect();
+            if scale == 1e200 {
+                assert!(oracle.iter().all(|o| o.distance.is_infinite()));
+            }
+            // Ranked as the engine ranks: by distance, ties (every
+            // distance at 1e200) by index.
+            oracle.sort_by(rank);
+            let oracle = exact(oracle);
+            for policy in [KPolicy::Fixed(DEFAULT_K), KPolicy::dynamic()] {
+                let engine = RotationQuery::new(&query, Invariance::Rotation)
+                    .unwrap()
+                    .with_k_policy(policy);
+                assert_eq!(
+                    exact(engine.k_nearest(&db, db.len()).unwrap()),
+                    oracle,
+                    "{scale} {policy:?}"
+                );
+                assert_eq!(exact(vec![engine.nearest(&db).unwrap()]), oracle[..1]);
+            }
         }
     }
 

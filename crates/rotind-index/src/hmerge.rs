@@ -12,11 +12,11 @@
 //! implementation keeps scanning with the running best as the abandoning
 //! threshold — exactly how `NNSearch` (Table 7) consumes it.
 
-use crate::cascade::{BoundCascade, CandidateCtx};
+use crate::cascade::BoundCascade;
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::{
-    lb_keogh_early_abandon_at, lb_keogh_reordered_early_abandon_at, lb_kim,
-    lcss_distance_lower_bound, lcss_distance_lower_bound_with, ImprovedScratch,
+    lb_keogh_early_abandon_at, lb_keogh_reordered_early_abandon_at, lcss_distance_lower_bound,
+    lcss_distance_lower_bound_with, ImprovedScratch,
 };
 use rotind_envelope::WedgeTree;
 use rotind_obs::{BudgetHook, CascadeTier, NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -60,7 +60,7 @@ pub(crate) struct WalkBuffers {
 }
 
 /// Result of bounding one wedge node against the threshold (used by the
-/// Table 6 filter; the search scan runs the tier cascade instead).
+/// Table 6 filter; the search scan runs [`node_tier_bound`] instead).
 enum NodeBound {
     /// The bound admits the subtree; the value is exact.
     Admitted(f64),
@@ -152,27 +152,24 @@ pub fn h_merge(
         counter,
         &mut NoopObserver,
         &mut NoBudget,
-        &mut CandidateCtx::new(),
         &mut WalkBuffers::default(),
     )
 }
 
-/// Run the bound cascade for one wedge node: the configured tiers in
-/// increasing cost order, each dismissing strictly against `best_so_far`
-/// before the next runs. Returns the tightest admitted bound, or `None`
-/// when some tier pruned the node (prune events already fired). For a
-/// Euclidean singleton leaf the returned value *is* the exact distance
-/// (natural-order accumulation, no admit events — the legacy special
-/// case).
-// Admissibility: every tier delegates to a witnessed lb_* kernel in
-// rotind-envelope (lb_kim / PaaEnvelope::min_dist via PaaWedgeSet's
-// argument / lb_keogh_early_abandon_at).
+/// Bound one wedge node against `best_so_far` with early-abandoning
+/// LB_Keogh, the engine's one wedge bound, accumulated in the node's
+/// abandon order where the cascade holds one. Returns the admitted
+/// bound, or `None` when the bound dismissed the node (prune events
+/// already fired). For a Euclidean singleton leaf the returned value
+/// *is* the exact distance (natural-order accumulation, no admit events
+/// — the legacy special case).
+// Admissibility: both branches delegate to a witnessed lb_* kernel in
+// rotind-envelope (lb_keogh_early_abandon_at and its reordered twin).
 #[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade
 fn node_tier_bound<O: SearchObserver>(
     candidate: &[f64],
     tree: &WedgeTree,
     cascade: &BoundCascade,
-    ctx: &mut CandidateCtx,
     node: usize,
     level: usize,
     best_so_far: f64,
@@ -180,53 +177,12 @@ fn node_tier_bound<O: SearchObserver>(
     counter: &mut StepCounter,
     observer: &mut O,
 ) -> Option<f64> {
-    let config = cascade.config();
     let euclid_leaf = tree.is_leaf(node) && matches!(measure, Measure::Euclidean);
     // For DTW the tree's lb wedges are pre-widened by the band
     // (Proposition 2); for Euclidean they are the plain wedges
     // (Proposition 1).
     let lb_wedge = tree.lb_wedge(node);
 
-    // Tier 1: O(1) endpoint bound, gated to fat wedges by the cost model
-    // the ablation bench measured (see CascadeConfig).
-    if config.kim && lb_wedge.cardinality() >= config.kim_min_cardinality {
-        observer.on_phase_start(ProfilePhase::Tier(CascadeTier::Kim), counter.steps());
-        let lb = lb_kim(candidate, lb_wedge, counter);
-        observer.on_phase_end(ProfilePhase::Tier(CascadeTier::Kim), counter.steps());
-        let pruned = lb > best_so_far;
-        observer.on_cascade_tier(CascadeTier::Kim, pruned);
-        if pruned {
-            observer.on_wedge_tested(level, lb, best_so_far, true);
-            return None;
-        }
-    }
-
-    // Tier 2: reduced-space PAA envelope bound. The build projected an
-    // envelope exactly for the nodes the tier's cardinality gate admits.
-    if let Some(env) = cascade.paa_envelope(node) {
-        observer.on_phase_start(ProfilePhase::Tier(CascadeTier::Reduced), counter.steps());
-        let paa = ctx.paa(candidate, config.dims, counter);
-        let lb = env.min_dist(paa, counter);
-        observer.on_phase_end(ProfilePhase::Tier(CascadeTier::Reduced), counter.steps());
-        let pruned = lb > best_so_far;
-        observer.on_cascade_tier(CascadeTier::Reduced, pruned);
-        if pruned {
-            observer.on_wedge_tested(level, lb, best_so_far, true);
-            return None;
-        }
-    }
-
-    // Tier 3: LB_Keogh with early abandoning. It always runs at a
-    // Euclidean singleton leaf, whose natural-order sum is the exact
-    // distance — never reordered, so the scan stays bit-identical to the
-    // legacy engine.
-    if !(config.keogh || euclid_leaf) {
-        // Only pre-filters are configured and none pruned: descend on
-        // the trivial zero bound (exactness never needs tier 3 — leaves
-        // still evaluate the exact measure).
-        observer.on_wedge_tested(level, 0.0, best_so_far, false);
-        return Some(0.0);
-    }
     // A Euclidean singleton leaf's accumulation IS the exact distance
     // (Section 4.1), so its phase is `distance`, not a tier — the
     // profile tree attributes that work to where it economically
@@ -271,15 +227,14 @@ fn node_tier_bound<O: SearchObserver>(
 }
 
 /// The H-Merge core behind every scan: [`h_merge`] under an arbitrary
-/// [`BoundCascade`], an observer, a budget, a caller-owned
-/// [`CandidateCtx`] and caller-owned [`WalkBuffers`] (a caller that
-/// keeps them across candidates allocates them once per scan).
+/// [`BoundCascade`], an observer, a budget and caller-owned
+/// [`WalkBuffers`] (a caller that keeps them across candidates
+/// allocates them once per scan).
 ///
 /// With [`BoundCascade::legacy`] it reproduces the historical
-/// single-bound scan step-for-step; with richer configurations extra
-/// tiers prune earlier but — every tier being admissible and every
-/// dismissal strict — the outcome is bit-identical (see
-/// `tests/cascade.rs`).
+/// natural-order scan step-for-step; the reordered default abandons
+/// earlier but — the bound being admissible and every dismissal strict
+/// — the outcome is bit-identical (see `tests/cascade.rs`).
 ///
 /// Event semantics:
 /// - `on_wedge_tested(level, lb, best_so_far, pruned)` fires per wedge
@@ -295,14 +250,13 @@ fn node_tier_bound<O: SearchObserver>(
 ///   (no bound was tested, a distance was computed) and lets traces pair
 ///   each leaf distance with the most recent admitted ancestor bound
 ///   for LB-tightness accounting.
-/// - Tier activity is reported through
-///   [`SearchObserver::on_cascade_tier`], *in addition to* the per-wedge
-///   events: every pruned wedge is attributed to exactly one tier (LCSS
-///   keeps its own single envelope bound outside the cascade and fires
-///   no tier events).
+/// - Every tested LB_Keogh bound is also reported as
+///   [`CascadeTier::Keogh`] through [`SearchObserver::on_cascade_tier`],
+///   so the tier's prune count equals the per-level prune count (LCSS
+///   keeps its own single envelope bound and fires no tier events).
 /// - The whole walk is bracketed in a [`ProfilePhase::WedgeMerge`]
-///   phase; tier evaluations and leaf distances report their own nested
-///   phases.
+///   phase; bound evaluations and leaf distances report their own
+///   nested phases.
 ///
 /// The budget is checked at every dismissal boundary (the top of the pop
 /// loop, before any bound is evaluated for the popped wedge). When it
@@ -311,14 +265,7 @@ fn node_tier_bound<O: SearchObserver>(
 /// upper bound on the candidate's distance, and admitting it would put
 /// an inexact distance in a partial answer. With [`NoBudget`] the check
 /// monomorphizes to a constant `true`.
-///
-/// The batch scans pass a context taken from a
-/// [`crate::cascade::BatchPaaCache`], so a candidate's tier-2 PAA
-/// projection built by one query is reused (uncharged) by the next. The
-/// projection is query-independent, so the cached walk is
-/// result-identical to a fresh one — only the step accounting of later
-/// queries shrinks.
-#[allow(clippy::too_many_arguments)] // the walk inputs plus observer, budget, ctx and buffers
+#[allow(clippy::too_many_arguments)] // the walk inputs plus observer, budget and buffers
                                      // lint: panic-exempt(candidate length is validated against the snapshot at admission; the assert documents the contract)
 pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     candidate: &[f64],
@@ -330,7 +277,6 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     counter: &mut StepCounter,
     observer: &mut O,
     budget: &mut B,
-    ctx: &mut CandidateCtx,
     buffers: &mut WalkBuffers,
 ) -> Option<HMergeOutcome> {
     assert_eq!(
@@ -372,7 +318,6 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
                 candidate,
                 tree,
                 cascade,
-                ctx,
                 node,
                 level,
                 best_so_far,
@@ -546,7 +491,6 @@ mod tests {
             counter,
             observer,
             &mut NoBudget,
-            &mut CandidateCtx::new(),
             &mut WalkBuffers::default(),
         )
     }

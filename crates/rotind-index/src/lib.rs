@@ -19,25 +19,25 @@
 //!   [`engine::DEFAULT_K`] by default (faster in wall time than the
 //!   planner). Every query kind ([`snapshot::QueryKind`]) runs through
 //!   one sequential scan, [`engine::RotationQuery::search`];
-//! * [`cascade`] — the tiered admissible-bound cascade the engine runs
-//!   per (candidate, wedge) pair: the `O(1)` endpoint bound, the
-//!   reduced-space PAA bound and reordered early-abandoning LB_Keogh
-//!   (DESIGN.md §12);
+//! * [`cascade`] — the one wedge bound the engine runs per (candidate,
+//!   wedge) pair: early-abandoning LB_Keogh, accumulated
+//!   largest-term-first on Euclidean internal wedges (DESIGN.md §12);
 //! * [`parallel`] — the chunked multi-threaded scan
 //!   ([`engine::RotationQuery::search_parallel`]) sharing an atomic
 //!   best-so-far, bit-identical to the sequential scan (DESIGN.md §10);
 //! * [`radius`] — the CAS-min shared best-so-far those scans use,
 //!   model-checked under loom (`--features loom-tests`, DESIGN.md §14);
 //! * [`snapshot`] — the immutable, `Arc`-shared database handle a
-//!   long-lived query service owns, handing out batch-level caches of
-//!   candidate PAA projections that share one magnitude table, which
-//!   orders Euclidean scans best-first (DESIGN.md §15);
+//!   long-lived query service owns, handing out handles on one shared
+//!   magnitude table, which orders Euclidean scans best-first
+//!   (DESIGN.md §15);
 //! * [`baselines`] — the rival methods of Figures 19–23: brute force,
 //!   early abandon, the FFT magnitude filter and the convolution trick;
-//! * [`reduced`] — reduced representations for disk-based indexing:
-//!   Fourier magnitudes (Euclidean) and PAA projections of the wedge
-//!   envelopes (DTW), both admissible, and the folded-magnitude table
-//!   behind the serve path's best-first Euclidean scan;
+//! * [`reduced`] — reduced representations: Fourier magnitudes
+//!   (Euclidean) and PAA projections of the wedge envelopes (DTW), both
+//!   admissible, for the disk index of Figure 24, and the
+//!   folded-magnitude table behind the serve path's best-first Euclidean
+//!   scan;
 //! * [`vptree`] — a vantage-point tree over the reduced space (Table 7),
 //!   searched with any 1-Lipschitz lower-bound function;
 //! * [`disk`] — the simulated disk and the fraction-retrieved accounting

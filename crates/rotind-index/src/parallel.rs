@@ -35,7 +35,6 @@
 //! ends, so the merged telemetry is deterministic and equals the sum of
 //! the per-thread parts.
 
-use crate::cascade::CandidateCtx;
 use crate::engine::{Neighbor, RotationQuery, ScanState};
 use crate::error::SearchError;
 use crate::radius::SharedRadius;
@@ -266,7 +265,7 @@ impl RotationQuery {
                                 break;
                             }
                             let bsf = radius.unwrap_or_else(|| shared.get());
-                            let Some(outcome) = scan.compare_budgeted_ctx(
+                            let Some(outcome) = scan.compare_budgeted(
                                 // `chunk_ranges` only yields indices below
                                 // `database.len()`, so this cannot panic.
                                 // rotind-lint: allow(no-index)
@@ -276,7 +275,6 @@ impl RotationQuery {
                                 &mut steps,
                                 &mut child,
                                 &mut budget,
-                                &mut CandidateCtx::new(),
                             ) else {
                                 continue;
                             };

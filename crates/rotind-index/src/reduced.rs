@@ -21,7 +21,9 @@
 //!
 //! Stored PAA vectors are pre-scaled by `√seg` so that the envelope
 //! distance is plain Euclidean geometry in the reduced space and is
-//! 1-Lipschitz there — the property the VP-tree search relies on.
+//! 1-Lipschitz there — the property the VP-tree search relies on. The
+//! PAA types serve only that disk index ([`crate::disk`]); the engine's
+//! wedge scan bounds with LB_Keogh alone.
 //!
 //! The serve path orders its Euclidean candidates by the same Fourier
 //! bound, folded over the conjugate-symmetric half of the spectrum
@@ -105,8 +107,7 @@ impl MagnitudeTable {
     /// infinite item) is 0, so that item is never dismissed by it.
     ///
     /// Charges `fft_cost_model(n)` for the query's features and one step
-    /// per coefficient per item, as the FFT baseline and tier 2 charge
-    /// theirs.
+    /// per coefficient per item, as the FFT baseline charges its own.
     pub fn lower_bounds(&self, query: &[f64], counter: &mut StepCounter) -> Vec<f64> {
         counter.add(fft_cost_model(query.len()));
         let features = folded_magnitude_features(query, self.dims);
@@ -195,7 +196,7 @@ pub struct PaaEnvelope {
 impl PaaEnvelope {
     /// Project a wedge onto `d` segments. Pass the *lower-bounding*
     /// wedge (already widened by the DTW band) for DTW admissibility.
-    // lint: panic-exempt(documented preconditions: wedges are non-empty and the cascade fixes d at construction)
+    // lint: panic-exempt(documented preconditions: wedges are non-empty and PaaWedgeSet fixes d at construction)
     pub fn of_wedge(wedge: &Wedge, d: usize) -> Self {
         let n = wedge.len();
         assert!(n > 0, "PaaEnvelope::of_wedge: empty wedge");
@@ -230,7 +231,7 @@ impl PaaEnvelope {
     /// rectangle — an admissible lower bound of `LB_Keogh` between the
     /// full-resolution series and wedge (per-segment Jensen argument).
     /// One step per segment.
-    // lint: panic-exempt(projection and envelope are built with the same d by the cascade constructor)
+    // lint: panic-exempt(the disk index projects items and envelopes at the same d)
     pub fn min_dist(&self, paa: &Paa, counter: &mut StepCounter) -> f64 {
         assert_eq!(self.seg, paa.seg, "PaaEnvelope::min_dist: segment mismatch");
         assert_eq!(

@@ -8,17 +8,15 @@
 //! instead of once per query; and [`IndexSnapshot::execute`] is the
 //! single entry point the serve crate drives, handing a [`QuerySpec`]
 //! to the engine's one sequential scan, [`RotationQuery::search`] —
-//! optionally through a [`BatchPaaCache`], so the tier-2 candidate
-//! projections are amortized across the queries of a worker instead of
-//! rebuilt per query, and Euclidean queries visit candidates best-first
-//! by the snapshot's shared [`MagnitudeTable`].
+//! optionally through a [`BatchPaaCache`], so Euclidean queries visit
+//! candidates best-first by the snapshot's shared [`MagnitudeTable`].
 //!
 //! Results are bit-identical to calling [`RotationQuery`] directly:
 //! `execute` adds only the query checks, ownership and dispatch (the
 //! serve integration tests replay fixed query sets both ways and assert
 //! equality).
 
-use crate::cascade::{BatchPaaCache, CascadeConfig};
+use crate::cascade::BatchPaaCache;
 use crate::engine::{Invariance, Neighbor, RotationQuery};
 use crate::error::SearchError;
 use crate::reduced::MagnitudeTable;
@@ -111,17 +109,12 @@ impl IndexSnapshot {
         self.series_len
     }
 
-    /// A fresh candidate cache sized for this snapshot, at the
-    /// dimensionality the engine's default cascade configuration
-    /// (`ROTIND_CASCADE`) will project at. One per worker thread; every
-    /// cache of one snapshot shares its [`MagnitudeTable`], built once
-    /// on the first Euclidean query. See [`BatchPaaCache`].
+    /// A handle on this snapshot's [`MagnitudeTable`], built once on
+    /// the first Euclidean query through any handle and shared by all
+    /// of them; one per worker thread. See [`BatchPaaCache`]. Kept under
+    /// this name because the committed serve benchmark calls it.
     pub fn paa_cache(&self) -> BatchPaaCache {
-        BatchPaaCache::sharing(
-            self.database.len(),
-            CascadeConfig::from_env().dims,
-            Arc::clone(&self.magnitudes),
-        )
+        BatchPaaCache::sharing(self.database.len(), Arc::clone(&self.magnitudes))
     }
 
     /// Run one query against the snapshot under a budget, optionally
@@ -300,40 +293,12 @@ mod tests {
             cached_steps <= fresh_steps,
             "cached {cached_steps} !<= fresh {fresh_steps}"
         );
-        if cache.reused() > 0 {
-            assert!(
-                cached_steps < fresh_steps,
-                "reuse must save the recharged projections"
-            );
-        }
-    }
-
-    #[test]
-    fn execute_rejects_mismatched_cache_dims() {
-        let snap = IndexSnapshot::new(database(5, 16)).unwrap();
-        let mut wrong = BatchPaaCache::new(snap.len(), CascadeConfig::from_env().dims + 1);
-        let spec = QuerySpec {
-            series: signal(16, 0.0),
-            invariance: Invariance::Rotation,
-            measure: Measure::Euclidean,
-            kind: QueryKind::Nearest,
-        };
-        let err = snap
-            .execute(
-                &spec,
-                &mut StepCounter::new(),
-                &mut NoopObserver,
-                &mut NoBudget,
-                Some(&mut wrong),
-            )
-            .unwrap_err();
-        assert!(matches!(err, SearchError::InvalidParam { .. }));
     }
 
     #[test]
     fn execute_rejects_a_cache_of_another_size() {
         let snap = IndexSnapshot::new(database(5, 16)).unwrap();
-        let mut wrong = BatchPaaCache::new(snap.len() + 1, CascadeConfig::from_env().dims);
+        let mut wrong = BatchPaaCache::new(snap.len() + 1);
         let spec = QuerySpec {
             series: signal(16, 0.0),
             invariance: Invariance::Rotation,

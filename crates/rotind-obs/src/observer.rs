@@ -14,16 +14,15 @@
 /// tiers without a dependency cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CascadeTier {
-    /// Tier 1: the `O(1)` endpoint (LB_Kim-style) bound.
+    /// Tier 1: the `O(1)` endpoint (LB_Kim-style) bound; no engine runs it.
     Kim,
-    /// Tier 2: the reduced-space (PAA) bound.
+    /// Tier 2: the reduced-space (PAA) bound; no engine runs it.
     Reduced,
     /// Tier 3: full LB_Keogh with (reordered) early abandoning.
     Keogh,
-    /// Tier 4: the LB_Improved second pass. The engine's cascade no
-    /// longer runs it (under DTW it cost more than the leaf DTW it
-    /// saved), so no engine reports it and its `tier.improved.*` metrics
-    /// read 0 under every measure. The variant stays because trace and
+    /// Tier 4: the LB_Improved second pass; no engine runs it. Tiers 1,
+    /// 2 and 4 each cost more than they saved, so their `tier.*` metrics
+    /// read 0 under every measure. The variants stay because trace and
     /// benchmark consumers index their tier slots by [`CascadeTier::ALL`].
     Improved,
 }
@@ -48,8 +47,8 @@ impl CascadeTier {
         }
     }
 
-    /// Stable lowercase name (matches the `ROTIND_CASCADE` env values,
-    /// except `improved`, which that variable no longer accepts).
+    /// Stable lowercase name, the `<name>` of the `tier.<name>.*`
+    /// metrics.
     #[inline]
     pub fn name(self) -> &'static str {
         match self {

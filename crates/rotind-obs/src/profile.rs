@@ -291,7 +291,8 @@ impl Profiler {
         &self.query_steps
     }
 
-    /// Per-tier cost rows, indexed like [`CascadeTier::ALL`].
+    /// Per-tier cost rows, indexed like [`CascadeTier::ALL`] (the engine
+    /// fills only the `Keogh` row).
     pub fn tier_costs(&self) -> &[TierCost; 4] {
         &self.tiers
     }

@@ -9,9 +9,9 @@
 //!   slices;
 //! * [`server`] — the acceptor / connection / worker threading model,
 //!   bounded admission queue with `Overloaded` backpressure,
-//!   enqueue-anchored per-query budgets, per-worker batch PAA caches,
-//!   and a Prometheus `/metrics` endpoint (plain HTTP `GET` on the
-//!   same port);
+//!   enqueue-anchored per-query budgets, a shared magnitude table that
+//!   orders Euclidean scans best-first, and a Prometheus `/metrics`
+//!   endpoint (plain HTTP `GET` on the same port);
 //! * [`client`] — a minimal blocking client used by the integration
 //!   tests and the `rotind-bench` load generator.
 //!

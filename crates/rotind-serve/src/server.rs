@@ -8,10 +8,9 @@
 //! `Ping`/`Metrics` inline; `Query` requests become [`Job`]s pushed
 //! onto a bounded [`sync_channel`](std::sync::mpsc::sync_channel).
 //! A fixed pool of *worker* threads drains that queue; each worker
-//! owns a persistent [`BatchPaaCache`] so candidate PAA projections
-//! are built once per worker and amortized across every query it
-//! serves (results stay bit-identical — the cache only removes
-//! recharges, see DESIGN.md §15).
+//! holds a [`BatchPaaCache`], its handle on the snapshot's shared
+//! magnitude table, which orders Euclidean scans best-first (results
+//! stay bit-identical to an uncached scan, see DESIGN.md §15).
 //!
 //! ## Admission control
 //!
@@ -83,7 +82,7 @@ pub struct ServeConfig {
     /// Admission queue depth; a full queue answers `Overloaded`.
     pub queue_depth: usize,
     /// Max jobs a worker drains per queue lock (batching amortizes the
-    /// lock and keeps its PAA cache hot across consecutive queries).
+    /// lock across consecutive queries).
     pub batch: usize,
     /// When set, query deadlines race this hand-advanced clock instead
     /// of the wall clock — deterministic `ExhaustedDeadline` replies.

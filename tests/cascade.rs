@@ -1,8 +1,8 @@
-//! The bound cascade's two contracts, tested end-to-end (DESIGN.md §12):
-//! every tier is **admissible** against the exact rotation-invariant
-//! distance, and — because every dismissal is strict — the cascaded scan
-//! is **bit-identical** to the legacy single-bound scan for every
-//! configuration, invariance mode and thread count.
+//! The wedge bound's two contracts, tested end-to-end (DESIGN.md §12):
+//! every bound is **admissible** against the exact rotation-invariant
+//! distance, and — because every dismissal is strict — the reordered
+//! scan is **bit-identical** to the legacy natural-order scan for every
+//! invariance mode, K policy and thread count.
 
 use proptest::prelude::*;
 use rotind::distance::dtw::{dtw, DtwParams};
@@ -12,11 +12,11 @@ use rotind::distance::measure::Measure;
 use rotind::distance::rotation::search_database;
 use rotind::envelope::lb_keogh::{
     extend_abandon_order, extend_abandon_prefix, lb_improved, lb_keogh,
-    lb_keogh_reordered_early_abandon_at, lb_kim, AbandonScratch,
+    lb_keogh_reordered_early_abandon_at, AbandonScratch,
 };
 use rotind::envelope::Wedge;
 use rotind::index::cascade::ABANDON_PREFIX;
-use rotind::index::engine::{Invariance, KPolicy, RotationQuery};
+use rotind::index::engine::{Invariance, KPolicy, RotationQuery, DEFAULT_K};
 use rotind::index::reduced::{Paa, PaaEnvelope};
 use rotind::index::{CascadeConfig, QueryKind};
 use rotind::obs::{CascadeTier, NoBudget, NoopObserver, QueryTrace};
@@ -43,14 +43,13 @@ fn measures() -> Vec<Measure> {
     ]
 }
 
-/// Every configuration the engine can run under: the `ROTIND_CASCADE`
-/// CI matrix plus the tuned default.
-fn configs() -> Vec<(&'static str, CascadeConfig)> {
-    let mut out = vec![("legacy", CascadeConfig::legacy())];
-    for name in ["kim", "reduced", "keogh", "all"] {
-        out.push((name, CascadeConfig::parse(name).unwrap()));
-    }
-    out
+/// Every configuration the engine can run under: the natural-order
+/// legacy scan and the reordered default.
+fn configs() -> [(&'static str, CascadeConfig); 2] {
+    [
+        ("legacy", CascadeConfig::legacy()),
+        ("all", CascadeConfig::all()),
+    ]
 }
 
 proptest! {
@@ -83,32 +82,9 @@ proptest! {
         }
     }
 
-    /// Tier 1 lower-bounds ED through the plain wedge and banded DTW
-    /// through the widened wedge.
-    #[test]
-    fn lb_kim_is_admissible(
-        base in series_strategy(14),
-        q in series_strategy(14),
-        rows in rows_strategy(14),
-        band in 0usize..5,
-    ) {
-        let matrix = RotationMatrix::full(&base).unwrap();
-        let plain = Wedge::from_rows(&matrix, &rows);
-        let widened = plain.widened(band);
-        let kim_ed = lb_kim(&q, &plain, &mut StepCounter::new());
-        let kim_dtw = lb_kim(&q, &widened, &mut StepCounter::new());
-        for &row in &rows {
-            let series = matrix.row(row).to_vec();
-            let ed = euclidean(&q, &series);
-            prop_assert!(kim_ed <= ed + 1e-9, "row {}: {} > {}", row, kim_ed, ed);
-            let d = dtw(&q, &series, DtwParams::new(band), &mut StepCounter::new());
-            prop_assert!(kim_dtw <= d + 1e-9, "row {}: {} > {}", row, kim_dtw, d);
-        }
-    }
-
-    /// Tier 2 (PAA projections of the wedge envelope) lower-bounds ED
-    /// through the plain wedge and banded DTW through the widened
-    /// wedge, for every dimensionality.
+    /// The PAA projection of a wedge envelope, the disk index's bound
+    /// (Figure 24), lower-bounds ED through the plain wedge and banded
+    /// DTW through the widened wedge, for every dimensionality.
     #[test]
     fn reduced_space_tier_is_admissible(
         base in series_strategy(14),
@@ -133,7 +109,7 @@ proptest! {
         }
     }
 
-    /// Tier 3 reordering is a pure permutation of the accumulation: with
+    /// LB_Keogh reordering is a pure permutation of the accumulation: with
     /// an infinite threshold the reordered scan never abandons and
     /// returns the same bound as natural-order LB_Keogh — under the full
     /// order, and under the prefix order the cascade stores, at a length
@@ -176,15 +152,12 @@ proptest! {
         }
     }
 
-    /// The headline guarantee: every cascade configuration — each CI
-    /// single-tier rung, the tuned default and the legacy scan — returns
-    /// the **same** neighbour (index, distance and reported rotation,
-    /// compared exactly) for every measure and invariance mode, both
-    /// sequentially and across thread counts; and that answer matches
-    /// the brute-force oracle. Tiers 1 and 2 run only at fat internal
-    /// wedges, which a default cut at n = 16 does not have, so every
-    /// engine here scans under the paper's planner (it starts at
-    /// `K = 2`).
+    /// The headline guarantee: both configurations — the reordered
+    /// default and the legacy scan — return the **same** neighbour
+    /// (index, distance and reported rotation, compared exactly) for
+    /// every measure and invariance mode, at the default `K` and under
+    /// the paper's planner, both sequentially and across thread counts;
+    /// and that answer matches the brute-force oracle.
     #[test]
     fn every_cascade_config_is_bit_identical(
         query in series_strategy(16),
@@ -202,7 +175,6 @@ proptest! {
         };
         let legacy = RotationQuery::with_measure(&query, invariance, measure)
             .unwrap()
-            .with_k_policy(KPolicy::dynamic())
             .with_cascade(CascadeConfig::legacy())
             .nearest(&db)
             .unwrap();
@@ -222,24 +194,28 @@ proptest! {
         prop_assert_eq!(legacy.index, oracle.index);
         prop_assert!((legacy.distance - oracle.distance).abs() < 1e-9);
 
-        for (name, config) in configs() {
-            let engine = RotationQuery::with_measure(&query, invariance, measure)
-                .unwrap()
-                .with_k_policy(KPolicy::dynamic())
-                .with_cascade(config);
-            let hit = engine.nearest(&db).unwrap();
-            prop_assert_eq!(&hit, &legacy, "config {} diverged sequentially", name);
-            for threads in [1usize, 4] {
-                let (outcome, _) = engine
-                    .search_parallel(
-                        &db, QueryKind::Nearest, threads, &mut StepCounter::new(),
-                        &mut NoopObserver, None,
-                    )
-                    .unwrap();
+        for policy in [KPolicy::Fixed(DEFAULT_K), KPolicy::dynamic()] {
+            for (name, config) in configs() {
+                let engine = RotationQuery::with_measure(&query, invariance, measure)
+                    .unwrap()
+                    .with_k_policy(policy)
+                    .with_cascade(config);
+                let hit = engine.nearest(&db).unwrap();
                 prop_assert_eq!(
-                    outcome.into_inner(), vec![legacy],
-                    "config {} diverged at {} threads", name, threads
+                    &hit, &legacy, "config {} diverged sequentially under {:?}", name, policy
                 );
+                for threads in [1usize, 4] {
+                    let (outcome, _) = engine
+                        .search_parallel(
+                            &db, QueryKind::Nearest, threads, &mut StepCounter::new(),
+                            &mut NoopObserver, None,
+                        )
+                        .unwrap();
+                    prop_assert_eq!(
+                        outcome.into_inner(), vec![legacy],
+                        "config {} diverged at {} threads under {:?}", name, threads, policy
+                    );
+                }
             }
         }
     }
@@ -276,7 +252,7 @@ fn nearest_traced(engine: &RotationQuery, db: &[Vec<f64>], trace: &mut QueryTrac
 
 /// Every pruned wedge is attributed to exactly one cascade tier: under
 /// ED and DTW the per-tier prune counts sum to the per-level prune
-/// counts, for the tuned default and for every CI rung.
+/// counts, for both configurations.
 #[test]
 fn tier_attribution_accounts_for_every_pruned_wedge() {
     let (db, query) = sine_db(32, 64);
@@ -322,8 +298,8 @@ fn lcss_stays_outside_the_cascade() {
 }
 
 /// `reorder` applies under Euclidean distance only: under DTW, at band 0
-/// and above, the default cascade and the same cascade with `reorder`
-/// off give the same answers for the same number of steps.
+/// and above, the default and the natural-order legacy configuration
+/// give the same answers for the same number of steps.
 #[test]
 fn reorder_has_no_effect_under_dtw() {
     let (db, query) = sine_db(32, 64);
@@ -347,12 +323,8 @@ fn reorder_has_no_effect_under_dtw() {
                 .into_inner();
             (hits, counter.steps())
         };
-        let natural = CascadeConfig {
-            reorder: false,
-            ..CascadeConfig::all()
-        };
         let (with, with_steps) = run(CascadeConfig::all());
-        let (without, without_steps) = run(natural);
+        let (without, without_steps) = run(CascadeConfig::legacy());
         assert_eq!(with, without, "band {band}: answers differ");
         assert_eq!(with_steps, without_steps, "band {band}: steps differ");
     }

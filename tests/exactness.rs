@@ -348,7 +348,6 @@ proptest! {
         let snapshot = IndexSnapshot::new(db.clone()).unwrap();
         for invariance in invariances(max_shift) {
             let engine = RotationQuery::new(&query, invariance).unwrap();
-            let dims = engine.cascade().config().dims;
             let third = search(&engine, &db, QueryKind::KNearest(3), &mut NoopObserver, None);
             let tie_radius = third.last().map_or(radius, |h| h.distance);
             for kind in [
@@ -360,7 +359,7 @@ proptest! {
                 QueryKind::Range(tie_radius),
             ] {
                 let plain = search(&engine, &db, kind, &mut NoopObserver, None);
-                let mut cache = BatchPaaCache::new(m, dims);
+                let mut cache = BatchPaaCache::new(m);
                 let cached = search(&engine, &db, kind, &mut NoopObserver, Some(&mut cache));
                 prop_assert_eq!(exact(&cached), exact(&plain), "{:?} {:?}", invariance, kind);
                 let spec = QuerySpec {
@@ -479,11 +478,10 @@ proptest! {
         for measure in measures().into_iter().skip(1) {
             let engine =
                 RotationQuery::with_measure(&query, Invariance::RotationMirror, measure).unwrap();
-            let dims = engine.cascade().config().dims;
             for kind in [QueryKind::Nearest, QueryKind::KNearest(3), QueryKind::Range(radius)] {
                 let mut opened = WedgeMerges::default();
                 let plain = search(&engine, &db, kind, &mut NoopObserver, None);
-                let mut cache = BatchPaaCache::new(db.len(), dims);
+                let mut cache = BatchPaaCache::new(db.len());
                 let cached = search(&engine, &db, kind, &mut opened, Some(&mut cache));
                 prop_assert_eq!(exact(&cached), exact(&plain), "{:?} {:?}", measure, kind);
                 prop_assert_eq!(opened.0, db.len(), "{:?} skipped an item", measure);
@@ -599,13 +597,12 @@ fn ordered_knn_stops_before_visiting_every_item() {
     let query: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin() * 2.0).collect();
     let db = planted_match_database(&query, m);
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
-    let dims = engine.cascade().config().dims;
     for kind in [QueryKind::Nearest, QueryKind::KNearest(3)] {
         let mut all = WedgeMerges::default();
         let plain = search(&engine, &db, kind, &mut all, None);
         assert_eq!(all.0, m, "the uncached scan visits every item");
         let mut opened = WedgeMerges::default();
-        let mut cache = BatchPaaCache::new(m, dims);
+        let mut cache = BatchPaaCache::new(m);
         let ordered = search(&engine, &db, kind, &mut opened, Some(&mut cache));
         assert_eq!(exact(&ordered), exact(&plain), "{kind:?}");
         assert_eq!(ordered[0].index, 41);
