@@ -254,7 +254,8 @@ fn measure(quick: bool) -> Vec<Entry> {
 
         // Early-abandoning DTW at band 5, the leaf of every DTW scan:
         // seq = the historical cell-by-cell loop, chunked = the
-        // band-major kernel. There is no std::simd variant.
+        // band-major kernel (finite inputs, so its finiteness pass and
+        // compare-min recurrence). There is no std::simd variant.
         let dtw = DtwParams::new(5);
         push_kernel(&mut entries, "dtw_band5", n, iters, samples, |be| {
             let kernel = match be {

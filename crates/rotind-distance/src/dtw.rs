@@ -14,10 +14,12 @@
 //!   (footnote 2: a recursive implementation can never abandon, the
 //!   iterative one can abandon after as few as `R` steps): if every cell
 //!   of a DP row already exceeds `r²`, the final distance must exceed `r`.
-//!   It is the leaf of every DTW scan, so it runs band-major: rows of
-//!   `2R + 1` cells indexed by offset from the diagonal, with no per-cell
-//!   bounds checks or branches on position. [`dtw_early_abandon_seq`] is
-//!   the cell-by-cell loop it replaced, kept as its identity reference;
+//!   It is the leaf of every DTW scan, so on finite series it runs
+//!   band-major: rows of `2R + 1` cells indexed by offset from the
+//!   diagonal, with no per-cell bounds checks, branches on position or
+//!   NaN handling. [`dtw_early_abandon_seq`] is the cell-by-cell loop it
+//!   replaced, kept as its identity reference, and every call with a NaN
+//!   or ±∞ sample runs that loop;
 //! * [`dtw_path`] — full-matrix variant that also recovers the optimal
 //!   warping path, for diagnostics and the alignment figures.
 //!
@@ -26,7 +28,8 @@
 //! distance (indeed `R = 0` forces the diagonal path and reproduces it
 //! exactly). One step is charged per visited cell. A NaN or ±∞ sample
 //! makes the distance non-finite (+∞ or NaN) rather than failing an
-//! assertion.
+//! assertion; both early-abandoning variants return the same value bits,
+//! `None`/`Some` and steps on every input.
 
 use rotind_ts::StepCounter;
 use std::cell::RefCell;
@@ -109,16 +112,24 @@ pub fn dtw(q: &[f64], c: &[f64], params: DtwParams, counter: &mut StepCounter) -
 /// non-finite sample yields a non-finite distance (or `None`, once a row
 /// crosses a finite `r`).
 ///
-/// The DP runs band-major: each row keeps only its `2R + 1` band cells,
-/// with cell `(i, j)` at offset `d = j − (i − R)`, so the vertical
+/// One branch-free pass over both series decides the kernel. A NaN or ±∞
+/// sample sends the call to the reference loop of
+/// [`dtw_early_abandon_seq`], which handles them cell by cell. Finite
+/// series run the DP band-major: each row keeps only its `2R + 1` band
+/// cells, with cell `(i, j)` at offset `d = j − (i − R)`, so the vertical
 /// predecessor `(i − 1, j)` sits at `d + 1` of the previous row, the
 /// diagonal one `(i − 1, j − 1)` at `d`, and the horizontal one is carried
 /// in a local. One +∞ sentinel past the band is the vertical predecessor of
-/// the band's last offset. Values, `None`/`Some` and step counts are
-/// bit-identical to the cell-by-cell loop of [`dtw_early_abandon_seq`]:
-/// `f64::min` drops a NaN operand, so the three-way minimum is associative
-/// and commutative over these values, and the select below turns every
-/// non-finite predecessor minimum into +∞, as that loop does.
+/// the band's last offset. Each cell is `min(left, min(up, diag)) + cost`
+/// with a plain compare-min, and values, `None`/`Some` and step counts are
+/// bit-identical to the reference loop:
+///
+/// * with finite samples `qᵢ − cⱼ` is finite or ±∞ (overflow), so every
+///   cost lies in `[+0, +∞]` and is never NaN;
+/// * so every cell lies in `[+0, +∞]`: `x·x ≥ +0` and `+0 + +0 = +0`, so
+///   −0 never arises, the NaN-dropping `f64::min` of the reference loop
+///   and a compare-min pick the same value, and `+∞ + cost = +∞` is what
+///   the reference loop's finiteness select produces.
 // lint: panic-exempt(documented preconditions: the snapshot validates query length and non-emptiness at admission; every slice lies inside the rows' 2R + 2 cells and the series by the band arithmetic)
 pub fn dtw_early_abandon(
     q: &[f64],
@@ -131,6 +142,9 @@ pub fn dtw_early_abandon(
     assert_eq!(n, c.len(), "dtw: length mismatch");
     assert!(n > 0, "dtw: empty series");
     let band = params.band.min(n - 1);
+    if has_non_finite(q) | has_non_finite(c) {
+        return cell_by_cell(q, c, band, r, counter);
+    }
     let width = 2 * band + 1;
     let r2 = r * r;
 
@@ -164,17 +178,10 @@ pub fn dtw_early_abandon(
             // rotind-lint: allow(no-index)
             for (((cell, &d), &u), &cj) in row.iter_mut().zip(diag).zip(up).zip(&c[lo..=hi]) {
                 // The previous-row pair stays off the carried chain.
-                let b = left.min(u.min(d));
-                let v = if b.is_finite() {
-                    b + cell_cost(qi, cj)
-                } else {
-                    f64::INFINITY
-                };
+                let v = lesser(left, lesser(u, d)) + cell_cost(qi, cj);
                 *cell = v;
                 left = v;
-                if v < row_min {
-                    row_min = v;
-                }
+                row_min = lesser(v, row_min);
             }
             counter.add((hi - lo + 1) as u64);
             // The boundary is settled in reported-distance space (the
@@ -192,10 +199,33 @@ pub fn dtw_early_abandon(
     })
 }
 
+/// Whether any sample is NaN or ±∞. A fold rather than a short-circuiting
+/// `any`, so the pass vectorizes: it runs once per leaf call.
+fn has_non_finite(xs: &[f64]) -> bool {
+    xs.iter().fold(false, |bad, x| bad | !x.is_finite())
+}
+
+/// The smaller of two non-NaN values, as one compare: unlike `f64::min`
+/// it carries no NaN handling, which the finite band-major DP never needs.
+#[inline]
+fn lesser(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
 /// The cell-by-cell early-abandoning DTW that [`dtw_early_abandon`]
 /// replaced, kept as the reference its band-major kernel is
 /// identity-tested and benched against. Rows span all `n` columns, and
 /// each cell tests which of its predecessors lie inside the band.
+/// [`dtw_early_abandon`] also returns this loop's result on every series
+/// with a NaN or ±∞ sample.
+///
+/// # Panics
+///
+/// Panics when the series differ in length or are empty.
 pub fn dtw_early_abandon_seq(
     q: &[f64],
     c: &[f64],
@@ -206,7 +236,21 @@ pub fn dtw_early_abandon_seq(
     let n = q.len();
     assert_eq!(n, c.len(), "dtw: length mismatch");
     assert!(n > 0, "dtw: empty series");
-    let band = params.band.min(n - 1);
+    cell_by_cell(q, c, params.band.min(n - 1), r, counter)
+}
+
+/// The body of [`dtw_early_abandon_seq`], for equal-length non-empty
+/// series and a band already capped at `n − 1`. Every predecessor read
+/// goes through `get`, and a NaN-dropping `f64::min` and a finiteness
+/// select keep NaN and ±∞ samples from poisoning other cells.
+fn cell_by_cell(
+    q: &[f64],
+    c: &[f64],
+    band: usize,
+    r: f64,
+    counter: &mut StepCounter,
+) -> Option<f64> {
+    let n = q.len();
     let r2 = r * r;
 
     // Rolling rows indexed by j. Stale cells from two rows ago are never
@@ -268,14 +312,16 @@ pub fn dtw_early_abandon_seq(
 }
 
 /// The distance of a completed DP from its corner cost. The cost is
-/// finite whenever both series are (Some(d) with d > r is possible: the
-/// row-min test is necessary, not sufficient, at the corner, so callers
-/// compare the returned value, as in Table 2 of the paper).
+/// never NaN when both series are finite; it is +∞ when every path's
+/// cost overflows, a squared difference or the sum (Some(d) with d > r is
+/// possible: the row-min test is necessary, not sufficient, at the
+/// corner, so callers compare the returned value, as in Table 2 of the
+/// paper).
 fn finish(q: &[f64], c: &[f64], corner: Option<f64>) -> f64 {
     let total = corner.unwrap_or(f64::INFINITY);
     debug_assert!(
-        total.is_finite() || !q.iter().chain(c).all(|x| x.is_finite()),
-        "dtw: finite series gave a non-finite cost"
+        !total.is_nan() || has_non_finite(q) || has_non_finite(c),
+        "dtw: finite series gave a NaN cost"
     );
     total.sqrt()
 }
@@ -505,6 +551,21 @@ mod tests {
         let a = dtw(&q, &c, DtwParams::new(2), &mut steps());
         let b = dtw(&q, &c, DtwParams::new(100), &mut steps());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn overflowing_finite_series_give_infinity() {
+        // (1e300 − (−1e300))² overflows, so every path costs +∞: finite
+        // series, a +∞ distance, and no debug-build panic.
+        let q = [1e300; 6];
+        let c = [-1e300; 6];
+        for band in [0, 2] {
+            let d = dtw(&q, &c, DtwParams::new(band), &mut steps());
+            assert_eq!(d, f64::INFINITY);
+            let seq =
+                dtw_early_abandon_seq(&q, &c, DtwParams::new(band), f64::INFINITY, &mut steps());
+            assert_eq!(seq, Some(f64::INFINITY));
+        }
     }
 
     #[test]

@@ -234,16 +234,26 @@ CARGO_TARGET_DIR=target/servebench \
 # The mix workload sends 1-NN, 3-NN and range queries under three
 # invariances, so it covers every best-first and bound-filtered path;
 # the DTW workload checks replies whose leaf is the band-major DTW.
+# Each traced run's `traced: requests=… counts: …` line is a pure
+# function of the seed, so the three are pinned in
+# results/servebench_counts.txt: a kernel or scan change that moves a
+# step or prune count fails here, and one that moves them by design
+# commits the new lines.
+BENCH_COUNTS="$SMOKE/servebench_counts.txt"
+: > "$BENCH_COUNTS"
 for workload in ed-rot-n251 serve-mix-n32 dtw-knn-n128; do
-    BENCH_RESULT="$(CARGO_TARGET_DIR=target/servebench \
+    BENCH_OUT="$(CARGO_TARGET_DIR=target/servebench \
         cargo run --quiet --release --offline --manifest-path .servebench/Cargo.toml -- \
-        --workload "$workload" --seed 3 --seconds 1 --trace 1 | tail -n 1)"
-    python3 - "$workload" "$BENCH_RESULT" <<'PY'
+        --workload "$workload" --seed 3 --seconds 1 --trace 1)"
+    grep '^traced: requests=' <<<"$BENCH_OUT" >> "$BENCH_COUNTS"
+    python3 - "$workload" "$(tail -n 1 <<<"$BENCH_OUT")" <<'PY'
 import json, sys
 workload, doc = sys.argv[1], json.loads(sys.argv[2])
 assert doc["failed"] == 0, f"benchmark smoke run {workload}: {doc['failed']} wrong replies"
 print(f"servebench smoke {workload}: {doc['attempted']} replies, 0 failed")
 PY
 done
+diff "$BENCH_COUNTS" results/servebench_counts.txt
+echo "servebench counts: match results/servebench_counts.txt"
 
 echo "==> CI green"

@@ -17,10 +17,13 @@
 //!   kernel agrees bit for bit with the monotonic-deque reference.
 //! * **band-major vs cell-by-cell DTW bit-identity** — the early-abandoning
 //!   DTW leaf agrees with its reference loop on value bits, `None`/`Some`
-//!   and steps, non-finite samples and every band included; and on finite
-//!   inputs it agrees bit for bit with the independent full-matrix
-//!   `dtw_path`. The brute-force oracles call the same leaf as the engine,
-//!   so these are its only independent guards.
+//!   and steps at every band: on series with NaN or ±∞ samples, which it
+//!   hands to that loop, and on finite series, which run its band-major
+//!   recurrence without NaN handling (huge samples whose costs overflow
+//!   to +∞, subnormals, ±0.0, constant series and exact ties included);
+//!   and on finite inputs it agrees bit for bit with the independent
+//!   full-matrix `dtw_path`. The brute-force oracles call the same leaf as
+//!   the engine, so these are its only independent guards.
 
 use proptest::prelude::*;
 use rotind::distance::dtw::{dtw, dtw_early_abandon, dtw_early_abandon_seq, dtw_path, DtwParams};
@@ -138,6 +141,43 @@ fn poison(xs: &mut [f64], mode: usize, at: f64, at2: f64) {
             xs[pos(at2)] = f64::INFINITY;
         }
         _ => {}
+    }
+}
+
+/// Kinds of finite sample, decoded by [`finite_sample`].
+const FINITE_KINDS: u64 = 6;
+
+/// A finite sample of the given kind from random bits (bit 0 is the
+/// sign): 0 → |x| < 10; 1 → |x| < 1e300, so a squared difference can
+/// overflow to +∞ beside finite cells; 2 → ±`f64::MAX`; 3 → a small
+/// integer, so costs and path sums tie exactly; 4 → a subnormal or ±0.0;
+/// 5 → ±0.0.
+fn finite_sample(kind: u64, bits: u64) -> f64 {
+    let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+    let payload = bits >> 11;
+    let unit = payload as f64 / (1u64 << 53) as f64;
+    sign * match kind {
+        0 => 10.0 * unit,
+        1 => 1e300 * unit,
+        2 => f64::MAX,
+        3 => (payload % 3) as f64,
+        4 => f64::from_bits(payload & ((1 << 52) - 1)),
+        _ => 0.0,
+    }
+}
+
+/// A finite series of length `n` from random bits. Shape 0 mixes every
+/// kind sample by sample, 1 repeats one sample (a constant series), 2 is
+/// small integers, 3 subnormals and ±0.0, and 4 huge values only.
+fn finite_series(bits: &[u64], shape: usize, n: usize) -> Vec<f64> {
+    let mixed = |b: u64| finite_sample((b >> 1) % FINITE_KINDS, b);
+    let of_kind = |kind: u64| bits[..n].iter().map(|&b| finite_sample(kind, b)).collect();
+    match shape {
+        0 => bits[..n].iter().map(|&b| mixed(b)).collect(),
+        1 => vec![mixed(bits[0]); n],
+        2 => of_kind(3),
+        3 => of_kind(4),
+        _ => of_kind(1),
     }
 }
 
@@ -320,10 +360,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// The band-major DTW kernel returns the reference loop's value bits,
+    /// The early-abandoning DTW returns the reference loop's value bits,
     /// `None`/`Some` and steps, at every length, band and radius —
     /// radii at, and one rounding step below, the exact distance included
-    /// — with NaN and ±∞ samples in either series.
+    /// — with NaN and ±∞ samples in either series. Removing its finiteness
+    /// dispatch fails this test: the band-major recurrence drops NaN
+    /// handling.
     #[test]
     fn dtw_band_major_matches_seq_bitwise(
         q_pool in pool(),
@@ -360,6 +402,53 @@ proptest! {
         prop_assert_eq!(
             band_major, seq,
             "n = {}, band = {}, r = {}, mode = {}", n, params.band, r, mode
+        );
+    }
+
+    /// On finite series the band-major recurrence, with its compare-min
+    /// and no finiteness select, returns the reference loop's value bits,
+    /// `None`/`Some` and steps: at every length, band and radius (NaN
+    /// included), with costs that overflow to +∞ next to finite cells,
+    /// subnormals, ±0.0, constant series and exact ties, and with
+    /// another pair's cells left in the thread-local rows before each call.
+    #[test]
+    fn dtw_finite_recurrence_matches_seq_bitwise(
+        q_bits in prop::collection::vec(0u64..u64::MAX, MAX_N),
+        c_bits in prop::collection::vec(0u64..u64::MAX, MAX_N),
+        q_shape in 0usize..5,
+        c_shape in 0usize..5,
+        size_idx in 0usize..DTW_SIZES.len(),
+        band_sel in 0usize..6,
+        r_sel in 0usize..7,
+        r_val in 0.0f64..60.0,
+        r_frac in 0.0f64..2.0,
+    ) {
+        let n = DTW_SIZES[size_idx];
+        let params = DtwParams::new(pick_band(band_sel, n));
+        let (q, c) = (finite_series(&q_bits, q_shape, n), finite_series(&c_bits, c_shape, n));
+        prop_assert!(q.iter().chain(&c).all(|x| x.is_finite()));
+        let exact = dtw_early_abandon_seq(&q, &c, params, f64::INFINITY, &mut StepCounter::new())
+            .expect("an infinite radius never abandons");
+        let r = match r_sel {
+            0 => f64::INFINITY,
+            1 => 0.0,
+            2 => exact,
+            3 => exact * (1.0 - 1e-12),
+            4 => r_val,
+            5 => exact * r_frac,
+            _ => f64::NAN,
+        };
+        // Zero-cost cells of another pair: a stale read sees a value
+        // below every legitimate predecessor.
+        let zeros = vec![0.0; n];
+        let dirty = || dtw_early_abandon(&zeros, &zeros, params, f64::INFINITY, &mut StepCounter::new());
+        dirty();
+        let seq = dtw_run(|k| dtw_early_abandon_seq(&q, &c, params, r, k));
+        dirty();
+        let band_major = dtw_run(|k| dtw_early_abandon(&q, &c, params, r, k));
+        prop_assert_eq!(
+            band_major, seq,
+            "n = {}, band = {}, r = {}, shapes = {}/{}", n, params.band, r, q_shape, c_shape
         );
     }
 
