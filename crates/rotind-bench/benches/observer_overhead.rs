@@ -47,7 +47,7 @@ fn bench_observer_overhead(c: &mut Criterion) {
     });
     // The profiler reads the clock at every phase boundary — the
     // costliest observer. This row bounds what `--bin trace`'s second
-    // pass and the cascade bin's fan-out observer pay.
+    // pass pays.
     group.bench_function("profiler", |b| {
         b.iter(|| nearest(&engine, black_box(&db), &mut Profiler::new()))
     });

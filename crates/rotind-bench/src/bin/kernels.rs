@@ -1,13 +1,10 @@
-//! Microbenchmark of the scan's inner kernels: the five loops the
+//! Microbenchmark of the scan's inner kernels: the four loops the
 //! cascade profile is dominated by plus the DTW leaf, timed per backend
 //! — `seq` (the historical per-element scalar loops), `chunked` (the
 //! canonical lane-parallel order in autovectorizable Rust; for the
 //! sliding extreme and DTW, the block and band-major kernels), and
 //! `simd` (the `std::simd` expression of the same order, present only
-//! when this binary is built with `--features simd` on nightly). One
-//! build-time kernel rides along: tier 3's abandon order per wedge,
-//! `seq` the full sort and `chunked` the `ABANDON_PREFIX` head the
-//! cascade builds.
+//! when this binary is built with `--features simd` on nightly).
 //!
 //! Inputs are deterministic mixed in/out series (some query points
 //! inside the envelope, some out) at n = 64 / 256 / 1024, with an
@@ -24,9 +21,7 @@
 use rotind_distance::dtw::{dtw_early_abandon, dtw_early_abandon_seq, DtwParams};
 use rotind_distance::kernels;
 use rotind_envelope::envelope::{sliding_max_into, sliding_max_into_seq, SlidingScratch};
-use rotind_envelope::lb_keogh::{extend_abandon_order, extend_abandon_prefix, AbandonScratch};
 use rotind_eval::report::Table;
-use rotind_index::cascade::ABANDON_PREFIX;
 use rotind_ts::StepCounter;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -68,12 +63,6 @@ fn envelope(n: usize) -> (Vec<f64>, Vec<f64>) {
     let upper: Vec<f64> = mid.iter().map(|x| x + 0.25).collect();
     let lower: Vec<f64> = mid.iter().map(|x| x - 0.25).collect();
     (upper, lower)
-}
-
-/// A deterministic permutation of `0..n` (7919 is prime, so the stride
-/// walk covers every index for the power-of-two sizes used here).
-fn permutation(n: usize) -> Vec<u32> {
-    (0..n).map(|i| ((i * 7919) % n) as u32).collect()
 }
 
 /// Time the backends of one kernel at one size and append the rows.
@@ -135,7 +124,6 @@ fn measure(quick: bool) -> Vec<Entry> {
         let a = series(n, 0.0);
         let b = series(n, 2.2);
         let (upper, lower) = envelope(n);
-        let order = permutation(n);
         // Interval-gap operands: a projection envelope the wedge
         // envelope partially overlaps, again a mixed zero/non-zero mix.
         let proj_mid = series(n, 0.6);
@@ -188,27 +176,6 @@ fn measure(quick: bool) -> Vec<Entry> {
                 )
             )
         });
-        push_kernel(
-            &mut entries,
-            "lb_keogh_reordered",
-            n,
-            iters,
-            samples,
-            |be| {
-                accum_kernel!(
-                    bk,
-                    be,
-                    bk::clamp_sq_abandon_ordered(
-                        black_box(&a),
-                        black_box(&upper),
-                        black_box(&lower),
-                        black_box(&order),
-                        r,
-                        &mut counter
-                    )
-                )
-            },
-        );
         push_kernel(&mut entries, "interval_gap", n, iters, samples, |be| {
             accum_kernel!(
                 bk,
@@ -266,29 +233,6 @@ fn measure(quick: bool) -> Vec<Entry> {
             black_box(kernel(black_box(&a), black_box(&b), dtw, r, &mut counter));
             true
         });
-
-        // Tier 3's abandon order of one wedge, built per internal wedge
-        // at engine build: seq = the full keyed sort, chunked = the
-        // sorted ABANDON_PREFIX head the cascade stores, then the other
-        // positions in order. There is no std::simd variant.
-        let mut scratch = AbandonScratch::default();
-        let mut order_out = Vec::with_capacity(n);
-        push_kernel(&mut entries, "abandon_order", n, iters, samples, |be| {
-            order_out.clear();
-            match be {
-                "seq" => extend_abandon_order(black_box(&upper), black_box(&lower), &mut order_out),
-                "chunked" => extend_abandon_prefix(
-                    black_box(&upper),
-                    black_box(&lower),
-                    ABANDON_PREFIX,
-                    &mut scratch,
-                    &mut order_out,
-                ),
-                _ => return false,
-            }
-            black_box(&order_out);
-            true
-        });
     }
     entries
 }
@@ -312,10 +256,9 @@ fn write_json(entries: &[Entry], quick: bool) -> String {
     out.push_str("{\n");
     let _ = writeln!(
         out,
-        "  \"comment\": \"scan kernel throughput (bound cascade and DTW leaf) and the \
-         tier-3 abandon-order build; fastest ns/call of {} samples, backends \
-         interleaved per sample, infinite radius (full accumulation), mixed \
-         in/out data\",",
+        "  \"comment\": \"scan kernel throughput (wedge bound and DTW leaf); fastest \
+         ns/call of {} samples, backends interleaved per sample, infinite radius \
+         (full accumulation), mixed in/out data\",",
         if quick { QUICK_SAMPLES } else { SAMPLES }
     );
     let _ = writeln!(out, "  \"quick\": {quick},");

@@ -25,7 +25,7 @@
 //!
 //! The workspace vendors no JSON library, so this module carries a
 //! minimal recursive-descent parser for the baseline schema (the same
-//! hand-rolled-writer idiom as `bin/cascade.rs`).
+//! hand-rolled-writer idiom as `bin/kernels.rs`).
 
 use std::fmt::Write as _;
 

@@ -2,8 +2,8 @@
 //!
 //! Every inner loop the cascade profile is dominated by — early-abandoning
 //! Euclidean distance, the `LB_Keogh` envelope clamp (`c < L[i]` /
-//! `U[i] < c` squared-error sum), its reordered gather form, and the
-//! `LB_Improved` interval-gap sum — is the same shape: a sum of
+//! `U[i] < c` squared-error sum), and the `LB_Improved` interval-gap
+//! sum — is the same shape: a sum of
 //! non-negative squared terms with a strict two-stage dismissal test
 //! (`acc > r²` **and** `√acc > r`). This module implements that shape
 //! once, in three interchangeable backends:
@@ -232,52 +232,6 @@ impl Terms for ClampTerms<'_> {
     }
 }
 
-/// [`ClampTerms`] consumed through a position permutation (the wedge's
-/// decreasing expected-contribution order): term `k` is the clamp gap at
-/// position `order[k]`. The gather is scalar — the win of this kernel is
-/// abandoning after a handful of terms, not throughput — but the
-/// arithmetic still runs on staged lanes.
-struct OrderedClampTerms<'a> {
-    q: &'a [f64],
-    upper: &'a [f64],
-    lower: &'a [f64],
-    order: &'a [u32],
-}
-
-impl Terms for OrderedClampTerms<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    // lint: panic-exempt(order is a permutation of 0..q.len(), validated at wedge construction)
-    #[inline(always)]
-    fn at(&self, k: usize) -> f64 {
-        let i = self.order[k] as usize;
-        let d = gap(self.q[i], self.upper[i], self.lower[i]);
-        d * d
-    }
-
-    // lint: panic-exempt(start + LANES <= len is the trait contract; order indexes are a permutation of 0..q.len())
-    #[inline(always)]
-    fn chunk(&self, start: usize, out: &mut [f64; LANES]) {
-        let idx = &self.order[start..start + LANES];
-        let mut q = [0.0f64; LANES];
-        let mut u = [0.0f64; LANES];
-        let mut l = [0.0f64; LANES];
-        for j in 0..LANES {
-            let i = idx[j] as usize;
-            q[j] = self.q[i];
-            u[j] = self.upper[i];
-            l[j] = self.lower[i];
-        }
-        for j in 0..LANES {
-            let d = gap(q[j], u[j], l[j]);
-            out[j] = d * d;
-        }
-    }
-}
-
 /// `LB_Improved` second-pass terms: the squared gap between the plain
 /// envelope interval `[L_j, U_j]` and the widened projection interval
 /// `[proj_lo_j, proj_up_j]`. At most one of the two differences is
@@ -447,29 +401,6 @@ mod simd_backend {
         }
     }
 
-    impl SimdTerms for OrderedClampTerms<'_> {
-        // lint: panic-exempt(order is a permutation of 0..q.len(), validated at wedge construction)
-        #[inline(always)]
-        fn chunk_v(&self, start: usize) -> f64x8 {
-            let idx = &self.order[start..start + LANES];
-            let mut q = [0.0f64; LANES];
-            let mut u = [0.0f64; LANES];
-            let mut l = [0.0f64; LANES];
-            for j in 0..LANES {
-                let i = idx[j] as usize;
-                q[j] = self.q[i];
-                u[j] = self.upper[i];
-                l[j] = self.lower[i];
-            }
-            let d = vgap(
-                f64x8::from_array(q),
-                f64x8::from_array(u),
-                f64x8::from_array(l),
-            );
-            d * d
-        }
-    }
-
     impl SimdTerms for IntervalGapTerms<'_> {
         // lint: panic-exempt(start + LANES <= len is the trait contract; from_slice checks the same bound)
         #[inline(always)]
@@ -580,32 +511,6 @@ macro_rules! backend {
             ) -> Result<f64, usize> {
                 check_len!(q.len(), upper, lower);
                 $call!(ClampTerms { q, upper, lower }, 0.0, r, counter)
-            }
-
-            /// [`clamp_sq_abandon`] consuming positions in the order given by
-            /// the permutation `order` (`Err(k)` counts *terms*, not
-            /// positions).
-            // lint: panic-exempt(length equality is validated here once; order is a permutation of 0..q.len())
-            pub fn clamp_sq_abandon_ordered(
-                q: &[f64],
-                upper: &[f64],
-                lower: &[f64],
-                order: &[u32],
-                r: f64,
-                counter: &mut StepCounter,
-            ) -> Result<f64, usize> {
-                check_len!(q.len(), upper, lower, order);
-                $call!(
-                    OrderedClampTerms {
-                        q,
-                        upper,
-                        lower,
-                        order
-                    },
-                    0.0,
-                    r,
-                    counter
-                )
             }
 
             /// `LB_Improved` second-pass accumulation: interval gaps between
@@ -779,26 +684,6 @@ mod tests {
         assert_eq!(s, reference, "seq accumulates the legacy order exactly");
         let c = chunked::clamp_sq_abandon(&q, &upper, &lower, f64::INFINITY, &mut steps()).unwrap();
         assert!(((s - c) / s.max(1e-300)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ordered_kernel_gathers_the_permutation() {
-        let n = 40;
-        let q = series(n, 2.9);
-        let (upper, lower) = envelope(n);
-        // Reverse order: same completed sum as natural up to reassociation.
-        let order: Vec<u32> = (0..n as u32).rev().collect();
-        let nat = chunked::clamp_sq_abandon(&q, &upper, &lower, f64::INFINITY, &mut steps());
-        let rev = chunked::clamp_sq_abandon_ordered(
-            &q,
-            &upper,
-            &lower,
-            &order,
-            f64::INFINITY,
-            &mut steps(),
-        );
-        let (nat, rev) = (nat.unwrap(), rev.unwrap());
-        assert!((nat - rev).abs() <= 1e-12 * nat.abs().max(1.0));
     }
 
     #[test]

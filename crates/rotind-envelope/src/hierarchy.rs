@@ -20,9 +20,8 @@ use rotind_ts::rotate::{Rotation, RotationMatrix};
 /// The construction cost is the paper's `O(n²)` wedge-build startup:
 /// `O(n²)` for the shift-profile distance matrix, `O(n²)` for NN-chain
 /// clustering, and `O(n²)` to materialise all `2·rows − 1` wedges (a
-/// wedge is its envelopes and members only; the LB_Keogh abandon orders
-/// of Euclidean internal wedges are built by the index crate's
-/// `BoundCascade`, not here).
+/// wedge is its envelopes and members only: LB_Keogh reads them in
+/// position order and needs nothing precomputed per wedge).
 #[derive(Debug, Clone)]
 pub struct WedgeTree {
     matrix: RotationMatrix,

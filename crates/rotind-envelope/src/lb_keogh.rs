@@ -132,164 +132,6 @@ pub fn lb_keogh_early_abandon_at(
     Ok(lb)
 }
 
-/// Reordered early-abandoning `LB_Keogh` (the engine's bound on Euclidean
-/// internal wedges): identical sum
-/// to [`lb_keogh_early_abandon_at`], but the terms are accumulated in
-/// the position order `order` (a permutation of `0..q.len()`; the
-/// cascade passes the wedge's [`extend_abandon_prefix`], whose head is
-/// the head of [`extend_abandon_order`]) so the `r` threshold is
-/// typically crossed after a handful of terms. `Err(k)` reports the
-/// number of *terms* consumed (not a series position). The completed sum
-/// is mathematically the same as the natural-order one but may differ in
-/// the last float bits, so exact-distance paths (Euclidean singleton
-/// leaves, where the bound *is* the returned distance) must keep the
-/// natural order.
-// lint: panic-exempt(query/wedge/order length equality is validated at snapshot admission and cascade build; the assert documents the kernel contract)
-pub fn lb_keogh_reordered_early_abandon_at(
-    q: &[f64],
-    wedge: &Wedge,
-    order: &[u32],
-    r: f64,
-    counter: &mut StepCounter,
-) -> Result<f64, usize> {
-    assert_eq!(q.len(), wedge.len(), "lb_keogh reordered: length mismatch");
-    let upper = wedge.upper();
-    let lower = wedge.lower();
-    let acc = kernels::engine::clamp_sq_abandon_ordered(q, upper, lower, order, r, counter)?;
-    let lb = acc.sqrt();
-    #[cfg(debug_assertions)]
-    {
-        let ed = |w: &[f64]| {
-            q.iter()
-                .zip(w)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt()
-        };
-        debug_assert_admissible(lb, ed(upper));
-        debug_assert_admissible(lb, ed(lower));
-    }
-    Ok(lb)
-}
-
-/// Append to `out` the positions of the envelope `[lower, upper]` in
-/// decreasing expected contribution to `LB_Keogh` — the accumulation
-/// order of [`lb_keogh_reordered_early_abandon_at`]. The primary key is
-/// the envelope's distance from zero (`gap(0, [L_i, U_i])`, descending:
-/// intervals far from the baseline force a contribution from any
-/// roughly-centred candidate), then the width `U_i − L_i` ascending
-/// (narrow intervals reject more candidates), then the index, so the
-/// permutation is unique. Both float keys compare as `f64::total_cmp`.
-///
-/// Each position's key is computed once and the keys are sorted as
-/// integers, which is `O(n log n)` with no float work in the
-/// comparisons. The cascade builds [`extend_abandon_prefix`] instead;
-/// this full order is its tested reference.
-pub fn extend_abandon_order(upper: &[f64], lower: &[f64], out: &mut Vec<u32>) {
-    debug_assert_eq!(upper.len(), lower.len());
-    let mut keys: Vec<AbandonKey> = abandon_keys(upper, lower).collect();
-    keys.sort_unstable();
-    out.extend(keys.iter().map(|&(_, _, i)| i));
-}
-
-/// The integer sort key of one position of the abandon order: the
-/// inverted zero-gap key (so larger gaps sort first), the width key,
-/// then the position.
-type AbandonKey = (u64, u64, u32);
-
-/// Every position's [`AbandonKey`], in position order.
-fn abandon_keys<'a>(upper: &'a [f64], lower: &'a [f64]) -> impl Iterator<Item = AbandonKey> + 'a {
-    upper
-        .iter()
-        .zip(lower)
-        .zip(0u32..)
-        .map(|((&u, &l), i)| (!total_order_key(zero_gap(u, l)), total_order_key(u - l), i))
-}
-
-/// Working storage for [`extend_abandon_prefix`], reused across the
-/// wedges of one build so the per-wedge calls allocate nothing once
-/// the buffers have grown to the series length.
-#[derive(Debug, Default)]
-pub struct AbandonScratch {
-    keys: Vec<AbandonKey>,
-    /// The head's positions in ascending order.
-    taken: Vec<u32>,
-}
-
-/// Append to `out` a permutation of the positions of `[lower, upper]`
-/// whose first `min(prefix, n)` entries are the first entries of
-/// [`extend_abandon_order`], followed by every other position in
-/// ascending order. With `prefix >= n` it *is* that order.
-///
-/// Early abandoning reads only the head of the order: the accumulation
-/// either crosses its threshold within the first few terms or sums
-/// every term, and a completed sum of non-negative terms is the same
-/// bound in any order up to float rounding. So the cascade keeps the
-/// sorted head and leaves the tail in position order. The head is
-/// selected in `O(n)` and sorted in `O(p log p)`, so an order costs
-/// `O(n + p log p)` instead of the full sort's `O(n log n)`.
-pub fn extend_abandon_prefix(
-    upper: &[f64],
-    lower: &[f64],
-    prefix: usize,
-    scratch: &mut AbandonScratch,
-    out: &mut Vec<u32>,
-) {
-    debug_assert_eq!(upper.len(), lower.len());
-    let keys = &mut scratch.keys;
-    keys.clear();
-    keys.extend(abandon_keys(upper, lower));
-    let n = keys.len();
-    if prefix >= n {
-        keys.sort_unstable();
-        out.extend(keys.iter().map(|&(_, _, i)| i));
-        return;
-    }
-    // The keys are distinct (the position breaks every tie), so after
-    // the selection the first `prefix` keys are exactly the smallest.
-    keys.select_nth_unstable(prefix);
-    let head = keys.get_mut(..prefix).unwrap_or_default();
-    head.sort_unstable();
-    out.extend(head.iter().map(|&(_, _, i)| i));
-    // The tail is the runs of positions between the head's, which
-    // extend as whole ranges rather than one tested position at a time.
-    let taken = &mut scratch.taken;
-    taken.clear();
-    taken.extend(head.iter().map(|&(_, _, i)| i));
-    taken.sort_unstable();
-    let mut next = 0;
-    for &i in taken.iter() {
-        out.extend(next..i);
-        next = i + 1;
-    }
-    out.extend(next..n as u32);
-}
-
-/// Distance of the interval `[l, u]` from zero (0 when it straddles it).
-#[inline]
-fn zero_gap(u: f64, l: f64) -> f64 {
-    if l > 0.0 {
-        l
-    } else if u < 0.0 {
-        -u
-    } else {
-        0.0
-    }
-}
-
-/// An unsigned key whose integer order is `f64::total_cmp`'s order:
-/// negative floats have every bit flipped, non-negative ones only the
-/// sign bit.
-#[inline]
-fn total_order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
 /// Reusable projection + sliding-window buffers for the envelope bounds
 /// that need per-call working storage: the `LB_Improved` second pass and
 /// the widened LCSS envelope. Owned by the caller (the engine keeps one
@@ -476,7 +318,6 @@ pub fn lcss_distance_lower_bound_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rotind_distance::dtw::{dtw, DtwParams};
     use rotind_distance::euclidean::euclidean;
     use rotind_distance::lcss::lcss_distance;
@@ -660,206 +501,6 @@ mod tests {
         let params = LcssParams::new(0.5, 2);
         let lb = lcss_distance_lower_bound(&q, &w, params, &mut steps());
         assert_eq!(lb, 1.0, "no position can possibly match");
-    }
-
-    /// `wedge`'s abandon order.
-    fn order_of(wedge: &Wedge) -> Vec<u32> {
-        let mut order = Vec::new();
-        extend_abandon_order(wedge.upper(), wedge.lower(), &mut order);
-        order
-    }
-
-    #[test]
-    fn reordered_keogh_matches_natural_sum_and_abandons_sooner() {
-        let c = signal(48, 0.0);
-        let m = RotationMatrix::full(&c).unwrap();
-        let w = Wedge::from_rows(&m, &[0, 3, 9, 30]);
-        let q = signal(48, 2.6);
-        let natural = lb_keogh(&q, &w, &mut steps());
-        let reordered =
-            lb_keogh_reordered_early_abandon_at(&q, &w, &order_of(&w), f64::INFINITY, &mut steps())
-                .expect("infinite radius never abandons");
-        assert!(
-            (natural - reordered).abs() < 1e-9,
-            "same sum up to fp reassociation"
-        );
-        // A far spike late in the series: natural order pays almost the
-        // whole scan, the contribution order pays one term.
-        let n = 64;
-        let mut member = vec![0.0; n];
-        member[n - 2] = 100.0;
-        let spiked = Wedge::from_single(&member, Rotation::shift(0));
-        let q0 = vec![0.0; n];
-        let mut nat = steps();
-        let pos = lb_keogh_early_abandon_at(&q0, &spiked, 1.0, &mut nat)
-            .expect_err("spike forces abandon");
-        assert_eq!(pos, n - 1);
-        let mut reo = steps();
-        let terms =
-            lb_keogh_reordered_early_abandon_at(&q0, &spiked, &order_of(&spiked), 1.0, &mut reo)
-                .expect_err("spike forces abandon");
-        assert_eq!(terms, 1, "largest contribution is accumulated first");
-        assert!(reo.steps() < nat.steps());
-    }
-
-    /// The comparator the keyed sort replaces, kept as its reference:
-    /// sort positions by `zero_gap` descending, width ascending, index.
-    fn reference_abandon_order(upper: &[f64], lower: &[f64]) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..upper.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            let gap = |i: usize| {
-                if lower[i] > 0.0 {
-                    lower[i]
-                } else if upper[i] < 0.0 {
-                    -upper[i]
-                } else {
-                    0.0
-                }
-            };
-            gap(b)
-                .total_cmp(&gap(a))
-                .then((upper[a] - lower[a]).total_cmp(&(upper[b] - lower[b])))
-                .then(a.cmp(&b))
-        });
-        order
-    }
-
-    #[test]
-    fn abandon_order_is_a_permutation_sorted_by_contribution() {
-        let c = signal(24, 0.0);
-        let m = RotationMatrix::full(&c).unwrap();
-        for w in [
-            Wedge::from_rows(&m, &[0, 5, 11]),
-            Wedge::from_single(&c, Rotation::shift(0)),
-            Wedge::from_rows(&m, &[0, 5, 11]).widened(3),
-        ] {
-            let order = order_of(&w);
-            let mut seen = order.clone();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..w.len() as u32).collect::<Vec<_>>());
-            // Primary key (distance of the envelope interval from zero)
-            // must be non-increasing along the order.
-            let gap = |i: u32| zero_gap(w.upper()[i as usize], w.lower()[i as usize]);
-            for pair in order.windows(2) {
-                assert!(gap(pair[0]) >= gap(pair[1]));
-            }
-            assert_eq!(order, reference_abandon_order(w.upper(), w.lower()));
-        }
-    }
-
-    #[test]
-    fn abandon_order_appends() {
-        let (upper, lower) = ([3.0, -1.0, 0.5], [1.0, -2.0, -0.5]);
-        let mut out = vec![7];
-        extend_abandon_order(&upper, &lower, &mut out);
-        // Gaps 1, 1, 0: the two gap-1 positions first, narrower (index 1,
-        // width 1) before wider (index 0, width 2).
-        assert_eq!(out, [7, 1, 0, 2]);
-    }
-
-    #[test]
-    fn total_order_key_sorts_like_total_cmp() {
-        let mut xs = [
-            f64::NAN,
-            -f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            1.5,
-            -1.5,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            f64::MAX,
-            f64::MIN,
-        ];
-        let mut by_key = xs;
-        xs.sort_by(f64::total_cmp);
-        by_key.sort_by_key(|&x| total_order_key(x));
-        assert_eq!(xs.map(f64::to_bits), by_key.map(f64::to_bits));
-    }
-
-    /// An envelope sample of one of three families, decoded from a
-    /// random `code`: continuous values, coarsely quantized ones (many
-    /// exact ties), and zero-heavy ones (`±0.0`, with the occasional
-    /// infinity or NaN).
-    fn envelope_value(family: u8, code: u64) -> f64 {
-        const ZERO_HEAVY: [f64; 12] = [
-            0.0,
-            -0.0,
-            0.0,
-            -0.0,
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            0.5,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        match family {
-            0 => (code >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0,
-            1 => (code % 17) as f64 * 0.5 - 4.0,
-            _ => ZERO_HEAVY[(code % ZERO_HEAVY.len() as u64) as usize],
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(192))]
-
-        /// The keyed sort yields exactly the comparator's permutation,
-        /// for every length up to 300.
-        #[test]
-        fn keyed_abandon_order_equals_reference_comparator(
-            family in 0u8..3,
-            n in 1usize..=300,
-            codes in prop::collection::vec(0u64..u64::MAX, 600),
-        ) {
-            let value = |&code: &u64| envelope_value(family, code);
-            let upper: Vec<f64> = codes[..n].iter().map(value).collect();
-            let lower: Vec<f64> = codes[n..2 * n].iter().map(value).collect();
-            let mut keyed = Vec::new();
-            extend_abandon_order(&upper, &lower, &mut keyed);
-            prop_assert_eq!(keyed, reference_abandon_order(&upper, &lower));
-        }
-
-        /// The prefix order appends a permutation whose first
-        /// `min(prefix, n)` entries are the comparator's and whose rest
-        /// ascends; with `prefix >= n` it is the full keyed order. The
-        /// scratch arrives dirty from a call on a longer envelope.
-        #[test]
-        fn prefix_order_keeps_the_reference_head(
-            family in 0u8..3,
-            n in 1usize..=300,
-            prefix_code in 0usize..=301,
-            codes in prop::collection::vec(0u64..u64::MAX, 600),
-        ) {
-            let prefix = prefix_code % (n + 2);
-            let value = |&code: &u64| envelope_value(family, code);
-            let upper: Vec<f64> = codes[..n].iter().map(value).collect();
-            let lower: Vec<f64> = codes[n..2 * n].iter().map(value).collect();
-            let mut scratch = AbandonScratch::default();
-            let wide: Vec<f64> = codes.iter().map(value).collect();
-            let (wide_upper, wide_lower) = wide.split_at(300);
-            extend_abandon_prefix(wide_upper, wide_lower, prefix / 2, &mut scratch, &mut Vec::new());
-            let mut out = vec![u32::MAX];
-            extend_abandon_prefix(&upper, &lower, prefix, &mut scratch, &mut out);
-            prop_assert_eq!(out[0], u32::MAX, "must append");
-            let order = &out[1..];
-            let mut seen = order.to_vec();
-            seen.sort_unstable();
-            prop_assert_eq!(seen, (0..n as u32).collect::<Vec<_>>());
-            let head = prefix.min(n);
-            prop_assert_eq!(&order[..head], &reference_abandon_order(&upper, &lower)[..head]);
-            prop_assert!(order[head..].windows(2).all(|pair| pair[0] < pair[1]));
-            if prefix >= n {
-                let mut full = Vec::new();
-                extend_abandon_order(&upper, &lower, &mut full);
-                prop_assert_eq!(order, &full[..]);
-            }
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Table 3 scan, whatever `K` is, verified by the property tests in
 //! `tests/`.
 
-use crate::cascade::{BatchPaaCache, BoundCascade, CascadeConfig};
+use crate::cascade::BatchPaaCache;
 use crate::error::SearchError;
 use crate::hmerge::{h_merge, h_merge_cascade, HMergeOutcome, WalkBuffers};
 use crate::planner::{KPlanner, PROBE_INTERVALS};
@@ -131,18 +131,15 @@ pub struct Neighbor {
 /// An exact rotation-invariant query engine for one query series.
 ///
 /// Building the engine costs the paper's `O(n²)` startup (shift profiles,
-/// clustering, wedges). The LB_Keogh abandon orders stay inside that
-/// bound: under Euclidean distance they cost `O(n)` per internal wedge
-/// (a selected and sorted [`ABANDON_PREFIX`] head, the rest in position
-/// order). Each search over `m` items then costs an empirical
-/// `O(m·n^{1.06})` instead of the brute-force `O(m·n²)`.
+/// clustering, wedges) and nothing more: every wedge is bounded by
+/// LB_Keogh in position order, which needs no per-wedge precomputation.
+/// Each search over `m` items then costs an empirical `O(m·n^{1.06})`
+/// instead of the brute-force `O(m·n²)`.
 ///
 /// Every scan runs over a wedge set of [`DEFAULT_K`] wedges unless
 /// [`with_k_policy`](Self::with_k_policy) or
 /// [`with_probe_intervals`](Self::with_probe_intervals) selects another
 /// [`KPolicy`].
-///
-/// [`ABANDON_PREFIX`]: crate::cascade::ABANDON_PREFIX
 ///
 /// ```
 /// use rotind_index::engine::{Invariance, RotationQuery};
@@ -161,7 +158,6 @@ pub struct Neighbor {
 pub struct RotationQuery {
     tree: WedgeTree,
     measure: Measure,
-    cascade: BoundCascade,
     k_policy: KPolicy,
 }
 
@@ -181,11 +177,9 @@ impl RotationQuery {
     ) -> Result<Self, TsError> {
         let matrix = invariance.matrix(query)?;
         let tree = WedgeTree::new(matrix, measure.warping_band());
-        let cascade = BoundCascade::build(&tree, measure, CascadeConfig::all());
         Ok(RotationQuery {
             tree,
             measure,
-            cascade,
             k_policy: KPolicy::Fixed(DEFAULT_K),
         })
     }
@@ -194,19 +188,6 @@ impl RotationQuery {
     pub fn with_k_policy(mut self, policy: KPolicy) -> Self {
         self.k_policy = policy;
         self
-    }
-
-    /// Replace the bound configuration (builder style), rebuilding the
-    /// abandon orders. Every configuration yields bit-identical search
-    /// results; only the work profile changes.
-    pub fn with_cascade(mut self, config: CascadeConfig) -> Self {
-        self.cascade = BoundCascade::build(&self.tree, self.measure, config);
-        self
-    }
-
-    /// The wedge bound this engine scans with.
-    pub fn cascade(&self) -> &BoundCascade {
-        &self.cascade
     }
 
     /// Scan under the paper's dynamic planner at `intervals` probe
@@ -387,7 +368,7 @@ impl RotationQuery {
         if best_first {
             visits.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         }
-        let mut scan = ScanState::new(&self.tree, &self.cascade, self.k_policy);
+        let mut scan = ScanState::new(&self.tree, self.k_policy);
         // k-NN: the k best by (distance, index); range: every hit, in
         // database order. A k-NN list never holds more than one hit per
         // item, so a wire-sized `k` reserves no more than the database.
@@ -539,7 +520,6 @@ fn rank(a: &Neighbor, b: &Neighbor) -> Ordering {
 /// worker thread its own independent state.
 pub(crate) struct ScanState<'a> {
     tree: &'a WedgeTree,
-    cascade: &'a BoundCascade,
     cuts: Cuts,
     walk: WalkBuffers,
 }
@@ -557,7 +537,7 @@ enum Cuts {
 }
 
 impl<'a> ScanState<'a> {
-    pub(crate) fn new(tree: &'a WedgeTree, cascade: &'a BoundCascade, policy: KPolicy) -> Self {
+    pub(crate) fn new(tree: &'a WedgeTree, policy: KPolicy) -> Self {
         let cuts = match policy {
             KPolicy::Fixed(k) => Cuts::Fixed(tree.cut_nodes(k.clamp(1, tree.max_k()))),
             KPolicy::Dynamic { probe_intervals } => Cuts::Dynamic {
@@ -567,7 +547,6 @@ impl<'a> ScanState<'a> {
         };
         ScanState {
             tree,
-            cascade,
             cuts,
             walk: WalkBuffers::default(),
         }
@@ -615,7 +594,6 @@ impl<'a> ScanState<'a> {
         let outcome = h_merge_cascade(
             item,
             tree,
-            self.cascade,
             cut,
             bsf,
             measure,

@@ -12,11 +12,10 @@
 //! implementation keeps scanning with the running best as the abandoning
 //! threshold — exactly how `NNSearch` (Table 7) consumes it.
 
-use crate::cascade::BoundCascade;
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::{
-    lb_keogh_early_abandon_at, lb_keogh_reordered_early_abandon_at, lcss_distance_lower_bound,
-    lcss_distance_lower_bound_with, ImprovedScratch,
+    lb_keogh_early_abandon_at, lcss_distance_lower_bound, lcss_distance_lower_bound_with,
+    ImprovedScratch,
 };
 use rotind_envelope::WedgeTree;
 use rotind_obs::{BudgetHook, CascadeTier, NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -132,8 +131,8 @@ fn leaf_distance(
 /// provably farther than `r`. Exact-distance ties are broken by the
 /// canonical rotation order ([`rotation_key`]), never by traversal order.
 ///
-/// This is the historical single-bound scan ([`BoundCascade::legacy`]);
-/// pass `&[tree.root()]` as the cut for `K = 1`.
+/// This is the engine's scan without an observer, a budget or reused
+/// buffers; pass `&[tree.root()]` as the cut for `K = 1`.
 pub fn h_merge(
     candidate: &[f64],
     tree: &WedgeTree,
@@ -145,7 +144,6 @@ pub fn h_merge(
     h_merge_cascade(
         candidate,
         tree,
-        &BoundCascade::legacy(),
         cut,
         r,
         measure,
@@ -157,19 +155,17 @@ pub fn h_merge(
 }
 
 /// Bound one wedge node against `best_so_far` with early-abandoning
-/// LB_Keogh, the engine's one wedge bound, accumulated in the node's
-/// abandon order where the cascade holds one. Returns the admitted
-/// bound, or `None` when the bound dismissed the node (prune events
-/// already fired). For a Euclidean singleton leaf the returned value
-/// *is* the exact distance (natural-order accumulation, no admit events
-/// — the legacy special case).
-// Admissibility: both branches delegate to a witnessed lb_* kernel in
-// rotind-envelope (lb_keogh_early_abandon_at and its reordered twin).
+/// LB_Keogh in position order, the engine's one wedge bound. Returns
+/// the admitted bound, or `None` when the bound dismissed the node
+/// (prune events already fired). For a Euclidean singleton leaf the
+/// returned value *is* the exact distance (no admit events — the legacy
+/// special case).
+// Admissibility: delegates to a witnessed lb_* kernel in rotind-envelope
+// (lb_keogh_early_abandon_at).
 #[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade
 fn node_tier_bound<O: SearchObserver>(
     candidate: &[f64],
     tree: &WedgeTree,
-    cascade: &BoundCascade,
     node: usize,
     level: usize,
     best_so_far: f64,
@@ -195,15 +191,7 @@ fn node_tier_bound<O: SearchObserver>(
         ProfilePhase::Tier(CascadeTier::Keogh)
     };
     observer.on_phase_start(keogh_phase, counter.steps());
-    // The cascade holds an order exactly for the nodes it reorders
-    // (Euclidean internal wedges under `reorder`); everything else,
-    // Euclidean leaves included, accumulates in natural order.
-    let keogh = match cascade.abandon_order(node) {
-        Some(order) => {
-            lb_keogh_reordered_early_abandon_at(candidate, lb_wedge, order, best_so_far, counter)
-        }
-        None => lb_keogh_early_abandon_at(candidate, lb_wedge, best_so_far, counter),
-    };
+    let keogh = lb_keogh_early_abandon_at(candidate, lb_wedge, best_so_far, counter);
     observer.on_phase_end(keogh_phase, counter.steps());
     let lb = match keogh {
         Ok(lb) => lb,
@@ -226,15 +214,9 @@ fn node_tier_bound<O: SearchObserver>(
     Some(lb)
 }
 
-/// The H-Merge core behind every scan: [`h_merge`] under an arbitrary
-/// [`BoundCascade`], an observer, a budget and caller-owned
-/// [`WalkBuffers`] (a caller that keeps them across candidates
-/// allocates them once per scan).
-///
-/// With [`BoundCascade::legacy`] it reproduces the historical
-/// natural-order scan step-for-step; the reordered default abandons
-/// earlier but — the bound being admissible and every dismissal strict
-/// — the outcome is bit-identical (see `tests/cascade.rs`).
+/// The H-Merge core behind every scan: [`h_merge`] with an observer, a
+/// budget and caller-owned [`WalkBuffers`] (a caller that keeps them
+/// across candidates allocates them once per scan).
 ///
 /// Event semantics:
 /// - `on_wedge_tested(level, lb, best_so_far, pruned)` fires per wedge
@@ -270,7 +252,6 @@ fn node_tier_bound<O: SearchObserver>(
 pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     candidate: &[f64],
     tree: &WedgeTree,
-    cascade: &BoundCascade,
     cut: &[usize],
     r: f64,
     measure: Measure,
@@ -317,7 +298,6 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
             Measure::Euclidean | Measure::Dtw(_) => node_tier_bound(
                 candidate,
                 tree,
-                cascade,
                 node,
                 level,
                 best_so_far,
@@ -330,8 +310,8 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
             continue; // the whole wedge is pruned
         };
         if is_leaf {
-            // Euclidean leaves fire their `distance` phase inside the
-            // cascade (the singleton bound IS the distance); the other
+            // Euclidean leaves fire their `distance` phase inside
+            // `node_tier_bound` (the singleton bound IS the distance); the other
             // measures compute the real thing here.
             let phased = !matches!(measure, Measure::Euclidean);
             if phased {
@@ -484,7 +464,6 @@ mod tests {
         h_merge_cascade(
             candidate,
             tree,
-            &BoundCascade::legacy(),
             cut,
             r,
             Measure::Euclidean,

@@ -20,8 +20,8 @@
 //!   planner). Every query kind ([`snapshot::QueryKind`]) runs through
 //!   one sequential scan, [`engine::RotationQuery::search`];
 //! * [`cascade`] — the one wedge bound the engine runs per (candidate,
-//!   wedge) pair: early-abandoning LB_Keogh, accumulated
-//!   largest-term-first on Euclidean internal wedges (DESIGN.md §12);
+//!   wedge) pair: early-abandoning LB_Keogh in position order
+//!   (DESIGN.md §12);
 //! * [`parallel`] — the chunked multi-threaded scan
 //!   ([`engine::RotationQuery::search_parallel`]) sharing an atomic
 //!   best-so-far, bit-identical to the sequential scan (DESIGN.md §10);
@@ -66,7 +66,7 @@ pub mod snapshot;
 pub mod stream;
 pub mod vptree;
 
-pub use cascade::{BatchPaaCache, BoundCascade, CascadeConfig};
+pub use cascade::{BatchPaaCache, CascadeConfig};
 pub use engine::{Invariance, Neighbor, RotationQuery};
 pub use error::SearchError;
 pub use parallel::{default_threads, ParallelReport};

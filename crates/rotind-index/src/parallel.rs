@@ -252,7 +252,7 @@ impl RotationQuery {
                     let range = range.clone();
                     let mut child = observer.fork();
                     scope.spawn(move || {
-                        let mut scan = ScanState::new(self.tree(), self.cascade(), self.k_policy());
+                        let mut scan = ScanState::new(self.tree(), self.k_policy());
                         let mut steps = StepCounter::new();
                         let mut budget = make_budget();
                         let mut best: Option<Neighbor> = None;

@@ -18,7 +18,7 @@ pub enum CascadeTier {
     Kim,
     /// Tier 2: the reduced-space (PAA) bound; no engine runs it.
     Reduced,
-    /// Tier 3: full LB_Keogh with (reordered) early abandoning.
+    /// Tier 3: full LB_Keogh with early abandoning, in position order.
     Keogh,
     /// Tier 4: the LB_Improved second pass; no engine runs it. Tiers 1,
     /// 2 and 4 each cost more than they saved, so their `tier.*` metrics

@@ -48,9 +48,17 @@
 //! acceptor with a loop-back connection, joins connection threads,
 //! then drops the queue senders so workers drain what was admitted and
 //! exit — admitted queries are answered, never abandoned.
+//!
+//! ## Panics
+//!
+//! A worker runs each query under [`std::panic::catch_unwind`]. A panic
+//! in the library is answered with a typed
+//! [`INTERNAL`](crate::wire::error_code::INTERNAL) error and counted as
+//! `rotind_serve_panics_total`, and the worker goes on serving.
 
 use crate::wire::{self, error_code, QueryResponse, QueryStatus, Request, Response};
 use rotind_index::cascade::BatchPaaCache;
+use rotind_index::engine::Neighbor;
 use rotind_index::error::SearchError;
 use rotind_index::snapshot::{IndexSnapshot, QuerySpec};
 use rotind_obs::{
@@ -61,6 +69,7 @@ use rotind_ts::StepCounter;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -472,19 +481,40 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
 }
 
 /// Execute one admitted query and reply to its connection thread.
-fn run_job(shared: &Shared, cache: &mut BatchPaaCache, mut job: Job) {
+fn run_job(shared: &Shared, cache: &mut BatchPaaCache, job: Job) {
+    reply(shared, job, |spec, counter, budget| {
+        shared
+            .snapshot
+            .execute(spec, counter, &mut NoopObserver, budget, Some(cache))
+    });
+}
+
+/// Answer `job` with what `execute` returns for it, record the request
+/// on `/metrics`, and send the reply to the connection thread.
+///
+/// A panic inside `execute` is answered with a typed `INTERNAL` error
+/// and counted as `rotind_serve_panics_total`, so the worker survives.
+/// Nothing it leaves half-done is read again: the counter and the
+/// budget belong to this job, the snapshot is immutable, the magnitude
+/// table's `OnceLock` stays empty if its build panicked, and the
+/// metrics lock recovers from poison.
+fn reply<F>(shared: &Shared, mut job: Job, execute: F)
+where
+    F: FnOnce(
+        &QuerySpec,
+        &mut StepCounter,
+        &mut QueryBudget,
+    ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError>,
+{
     let started = Instant::now();
     let queue_wait = started.duration_since(job.enqueued);
     let mut counter = StepCounter::new();
-    let result = shared.snapshot.execute(
-        &job.spec,
-        &mut counter,
-        &mut NoopObserver,
-        &mut job.budget,
-        Some(cache),
-    );
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        execute(&job.spec, &mut counter, &mut job.budget)
+    }));
+    let panicked = result.is_err();
     let response = match result {
-        Ok(outcome) => {
+        Ok(Ok(outcome)) => {
             let status = match &outcome {
                 BudgetOutcome::Complete(_) => QueryStatus::Complete,
                 BudgetOutcome::Exhausted(e) => match e.reason {
@@ -499,9 +529,13 @@ fn run_job(shared: &Shared, cache: &mut BatchPaaCache, mut job: Job) {
                 hits,
             })
         }
-        Err(e) => Response::Error {
+        Ok(Err(e)) => Response::Error {
             code: search_error_code(&e),
             message: e.to_string(),
+        },
+        Err(_) => Response::Error {
+            code: error_code::INTERNAL,
+            message: "internal error: the query's execution panicked".to_string(),
         },
     };
     {
@@ -515,6 +549,9 @@ fn run_job(shared: &Shared, cache: &mut BatchPaaCache, mut job: Job) {
                 metrics.counter_add("rotind_serve_errors_total", 1);
             }
             _ => {}
+        }
+        if panicked {
+            metrics.counter_add("rotind_serve_panics_total", 1);
         }
         metrics
             .log_histogram("rotind_serve_latency_ns")
@@ -539,5 +576,95 @@ fn search_error_code(e: &SearchError) -> u16 {
         | SearchError::QueryLength { .. }
         | SearchError::InvalidQuery(_) => error_code::BAD_QUERY,
         SearchError::InvalidParam { .. } => error_code::BAD_PARAM,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rotind_distance::measure::Measure;
+    use rotind_index::engine::Invariance;
+    use rotind_index::snapshot::QueryKind;
+
+    fn job(spec: &QuerySpec) -> (Job, Receiver<Response>) {
+        let (reply, replies) = mpsc::channel();
+        let job = Job {
+            spec: spec.clone(),
+            budget: QueryBudget::new(None, None),
+            enqueued: Instant::now(),
+            reply,
+        };
+        (job, replies)
+    }
+
+    /// No wire request is known to panic the serve path, so the panic is
+    /// injected: the reply path answers it with a typed `INTERNAL`
+    /// error, counts it, and the same worker state then serves the next
+    /// query with the library's answer.
+    #[test]
+    fn a_panicking_execution_is_answered_and_the_worker_keeps_serving() {
+        let db: Vec<Vec<f64>> = (0..6)
+            .map(|k| {
+                (0..12)
+                    .map(|i| ((i * (k + 1)) as f64 * 0.3).sin())
+                    .collect()
+            })
+            .collect();
+        let spec = QuerySpec {
+            series: db[4].clone(),
+            invariance: Invariance::Rotation,
+            measure: Measure::Euclidean,
+            kind: QueryKind::KNearest(2),
+        };
+        let shared = Shared {
+            snapshot: IndexSnapshot::new(db).unwrap(),
+            metrics: Mutex::new(MetricsRegistry::new()),
+            shutdown: AtomicBool::new(false),
+            batch: 1,
+            clock: None,
+        };
+        let mut cache = shared.snapshot.paa_cache();
+
+        let (panicking, replies) = job(&spec);
+        reply(&shared, panicking, |_, _, _| {
+            panic!("injected execution panic")
+        });
+        match replies.recv().unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, error_code::INTERNAL),
+            other => panic!("expected an INTERNAL error, got {other:?}"),
+        }
+        let metrics = lock_metrics(&shared).clone();
+        assert_eq!(metrics.counter("rotind_serve_panics_total"), 1);
+        assert_eq!(metrics.counter("rotind_serve_errors_total"), 1);
+        assert_eq!(metrics.counter("rotind_serve_requests_total"), 1);
+        assert!(lock_metrics(&shared)
+            .render_prometheus()
+            .contains("rotind_serve_panics_total 1"));
+
+        let (good, replies) = job(&spec);
+        run_job(&shared, &mut cache, good);
+        let expected = shared
+            .snapshot
+            .execute(
+                &spec,
+                &mut StepCounter::new(),
+                &mut NoopObserver,
+                &mut QueryBudget::new(None, None),
+                Some(&mut shared.snapshot.paa_cache()),
+            )
+            .unwrap()
+            .into_inner();
+        match replies.recv().unwrap() {
+            Response::Query(q) => {
+                assert_eq!(q.status, QueryStatus::Complete);
+                let hits: Vec<wire::Hit> = expected.iter().map(wire::Hit::from).collect();
+                assert_eq!(q.hits, hits);
+            }
+            other => panic!("expected an answer, got {other:?}"),
+        }
+        assert_eq!(
+            lock_metrics(&shared).counter("rotind_serve_panics_total"),
+            1
+        );
     }
 }

@@ -22,10 +22,20 @@
 //! | `0`    | complete | `steps: u64`, `count: u32`, hits |
 //! | `1`    | exhausted (steps) | same as complete — `hits` is the partial answer |
 //! | `2`    | exhausted (deadline) | same as complete |
-//! | `3`    | error | `code: u16`, `len: u32` + UTF-8 message |
+//! | `3`    | error | `code: u16` (see below), `len: u32` + UTF-8 message |
 //! | `4`    | overloaded | empty — the admission queue was full |
 //! | `5`    | pong | empty |
 //! | `6`    | metrics | `len: u32` + UTF-8 Prometheus text |
+//!
+//! Error codes ([`error_code`]):
+//!
+//! | code | name | meaning |
+//! |------|------|---------|
+//! | `1`  | `MALFORMED` | the frame payload failed to decode |
+//! | `2`  | `BAD_QUERY` | the query series was rejected (wrong length, non-finite, …) |
+//! | `3`  | `BAD_PARAM` | a query parameter was rejected (`k = 0`, a negative or NaN radius, …) |
+//! | `4`  | `SHUTDOWN` | the server is shutting down; the query was dropped unrun |
+//! | `5`  | `INTERNAL` | the query's execution panicked; the worker keeps serving |
 //!
 //! Each hit is `index: u64`, `distance: f64`, `shift: u32`,
 //! `mirrored: u8`. Exhausted responses carry the *partial* answer (the
@@ -217,6 +227,9 @@ pub mod error_code {
     pub const BAD_PARAM: u16 = 3;
     /// The server is shutting down; the query was dropped unrun.
     pub const SHUTDOWN: u16 = 4;
+    /// The query's execution panicked; the worker survived and keeps
+    /// serving (counted as `rotind_serve_panics_total`).
+    pub const INTERNAL: u16 = 5;
 }
 
 // --- opcodes and tags -------------------------------------------------

@@ -6,10 +6,12 @@
 use rotind_distance::measure::Measure;
 use rotind_distance::{DtwParams, LcssParams};
 use rotind_index::engine::{Invariance, Neighbor, RotationQuery};
+use rotind_index::error::SearchError;
 use rotind_index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
-use rotind_obs::ManualClock;
-use rotind_serve::wire::{self, error_code};
+use rotind_obs::{ManualClock, NoBudget, NoopObserver};
+use rotind_serve::wire::{self, error_code, QueryResponse};
 use rotind_serve::{Client, QueryRequest, QueryStatus, Request, Response, ServeConfig, Server};
+use rotind_ts::StepCounter;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -259,6 +261,129 @@ fn malformed_and_invalid_queries_are_typed_errors() {
             other => panic!("expected an error for {bad}, got {other:?}"),
         }
         let _ = served_hits(client.query(&unbudgeted(&good)).unwrap());
+    }
+    server.shutdown();
+}
+
+/// The reply the server must send for `spec`: what
+/// `IndexSnapshot::execute` returns for it, in wire form.
+fn execute_reply(snapshot: &IndexSnapshot, spec: &QuerySpec) -> Response {
+    let mut counter = StepCounter::new();
+    let result = snapshot.execute(
+        spec,
+        &mut counter,
+        &mut NoopObserver,
+        &mut NoBudget,
+        Some(&mut snapshot.paa_cache()),
+    );
+    match result {
+        Ok(outcome) => Response::Query(QueryResponse {
+            status: QueryStatus::Complete,
+            steps: counter.steps(),
+            hits: outcome.into_inner().iter().map(wire::Hit::from).collect(),
+        }),
+        Err(e) => Response::Error {
+            code: match e {
+                SearchError::InvalidParam { .. } => error_code::BAD_PARAM,
+                _ => error_code::BAD_QUERY,
+            },
+            message: e.to_string(),
+        },
+    }
+}
+
+/// Edge cases from the wire's input space that the library handles
+/// without a panic. Each gets exactly the reply `execute` gives it, and
+/// a good query on the same connection still gets the library's answer:
+/// a radius that is negative, NaN or infinite is a `BAD_PARAM`; an
+/// all-zero, constant or subnormal query, one with a sample at
+/// `f64::MAX / 4` (its energy overflows, so it is a `BAD_QUERY`), the
+/// widest DTW band and LCSS with a NaN `epsilon` or the widest `delta`
+/// are all answered.
+#[test]
+fn edge_case_queries_get_the_library_reply_and_the_connection_survives() {
+    let n = 16;
+    let db = database(10, n);
+    let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+    let mut server = Server::start(snapshot.clone(), config(1)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let good = QuerySpec {
+        series: signal(n, 0.2),
+        invariance: Invariance::Rotation,
+        measure: Measure::Euclidean,
+        kind: QueryKind::Nearest,
+    };
+    let with_series = |series: Vec<f64>| QuerySpec {
+        series,
+        ..good.clone()
+    };
+    let with_measure = |measure: Measure| QuerySpec {
+        measure,
+        kind: QueryKind::KNearest(3),
+        ..good.clone()
+    };
+    let mut one_huge = vec![0.0; n];
+    one_huge[3] = f64::MAX / 4.0;
+    let subnormal = (0..n)
+        .map(|i| if i % 2 == 0 { 5e-324 } else { -5e-324 })
+        .collect();
+    let widest = u32::MAX as usize;
+    let bad_param = Some(error_code::BAD_PARAM);
+    // Each case with the error code `execute` must give it, or `None`
+    // when it must be answered.
+    let cases = [
+        (
+            QuerySpec {
+                kind: QueryKind::Range(-1.0),
+                ..good.clone()
+            },
+            bad_param,
+        ),
+        (
+            QuerySpec {
+                kind: QueryKind::Range(f64::NAN),
+                ..good.clone()
+            },
+            bad_param,
+        ),
+        (
+            QuerySpec {
+                kind: QueryKind::Range(f64::INFINITY),
+                ..good.clone()
+            },
+            bad_param,
+        ),
+        (with_series(vec![0.0; n]), None),
+        (with_series(vec![2.5; n]), None),
+        (with_series(subnormal), None),
+        (with_series(one_huge), Some(error_code::BAD_QUERY)),
+        (with_measure(Measure::Dtw(DtwParams { band: widest })), None),
+        (
+            with_measure(Measure::Lcss(LcssParams {
+                epsilon: f64::NAN,
+                delta: 2,
+            })),
+            None,
+        ),
+        (
+            with_measure(Measure::Lcss(LcssParams {
+                epsilon: 0.3,
+                delta: widest,
+            })),
+            None,
+        ),
+    ];
+    for (i, (spec, error)) in cases.iter().enumerate() {
+        let served = client.query(&unbudgeted(spec)).unwrap();
+        let expected = execute_reply(&snapshot, spec);
+        match (&expected, error) {
+            (Response::Error { code, .. }, Some(error)) => assert_eq!(code, error, "case {i}"),
+            (Response::Query(_), None) => {}
+            (other, _) => panic!("case {i}: expected {error:?}, got {other:?}"),
+        }
+        assert_eq!(served, expected, "case {i}: {spec:?}");
+        let next = served_hits(client.query(&unbudgeted(&good)).unwrap());
+        assert_eq!(next, library_answer(&db, &good), "after case {i}");
     }
     server.shutdown();
 }

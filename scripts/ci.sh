@@ -135,10 +135,6 @@ assert n > 0, "empty chrome trace"
 print(f"trace_profile.json: chrome trace, {n} event(s)")
 PY
 
-echo "==> cascade ablation smoke run"
-ROTIND_QUICK=1 ROTIND_RESULTS="$SMOKE" \
-    cargo run -p rotind-bench --release --bin cascade >/dev/null
-
 echo "==> figure drift (full-scale fig19 + fig20 regenerate the committed CSVs)"
 # The figure binaries are deterministic (seeded data, step counts), so
 # a committed CSV that no longer matches its binary's output is stale.
@@ -172,10 +168,6 @@ for e in entries:
     cells.setdefault((e["kernel"], e["n"]), set()).add(e["backend"])
 for (k, n), backends in cells.items():
     assert {"seq", "chunked"} <= backends, f"{k}@{n} missing a backend: {backends}"
-# The tier-3 order build (seq = full sort, chunked = the prefix the
-# cascade stores) is timed at every size.
-for n in (64, 256, 1024):
-    assert ("abandon_order", n) in cells, f"abandon_order@{n} missing"
 print(f"bench_kernels.json: {len(entries)} cells over {len(cells)} kernel/size pairs")
 PY
 

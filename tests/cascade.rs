@@ -1,8 +1,8 @@
 //! The wedge bound's two contracts, tested end-to-end (DESIGN.md §12):
 //! every bound is **admissible** against the exact rotation-invariant
-//! distance, and — because every dismissal is strict — the reordered
-//! scan is **bit-identical** to the legacy natural-order scan for every
-//! invariance mode, K policy and thread count.
+//! distance, and — because every dismissal is strict — the scan returns
+//! the **same** answer as the brute-force oracle for every invariance
+//! mode, K policy and thread count.
 
 use proptest::prelude::*;
 use rotind::distance::dtw::{dtw, DtwParams};
@@ -10,15 +10,11 @@ use rotind::distance::euclidean::euclidean;
 use rotind::distance::lcss::LcssParams;
 use rotind::distance::measure::Measure;
 use rotind::distance::rotation::search_database;
-use rotind::envelope::lb_keogh::{
-    extend_abandon_order, extend_abandon_prefix, lb_improved, lb_keogh,
-    lb_keogh_reordered_early_abandon_at, AbandonScratch,
-};
+use rotind::envelope::lb_keogh::{lb_improved, lb_keogh};
 use rotind::envelope::Wedge;
-use rotind::index::cascade::ABANDON_PREFIX;
 use rotind::index::engine::{Invariance, KPolicy, RotationQuery, DEFAULT_K};
 use rotind::index::reduced::{Paa, PaaEnvelope};
-use rotind::index::{CascadeConfig, QueryKind};
+use rotind::index::QueryKind;
 use rotind::obs::{CascadeTier, NoBudget, NoopObserver, QueryTrace};
 use rotind::ts::rotate::{rotated, RotationMatrix};
 use rotind::ts::StepCounter;
@@ -40,15 +36,6 @@ fn measures() -> Vec<Measure> {
         Measure::Euclidean,
         Measure::Dtw(DtwParams::new(2)),
         Measure::Lcss(LcssParams::new(0.5, 2)),
-    ]
-}
-
-/// Every configuration the engine can run under: the natural-order
-/// legacy scan and the reordered default.
-fn configs() -> [(&'static str, CascadeConfig); 2] {
-    [
-        ("legacy", CascadeConfig::legacy()),
-        ("all", CascadeConfig::all()),
     ]
 }
 
@@ -109,55 +96,11 @@ proptest! {
         }
     }
 
-    /// LB_Keogh reordering is a pure permutation of the accumulation: with
-    /// an infinite threshold the reordered scan never abandons and
-    /// returns the same bound as natural-order LB_Keogh — under the full
-    /// order, and under the prefix order the cascade stores, at a length
-    /// where that order is truncated.
-    #[test]
-    fn reordered_keogh_equals_natural_order(
-        base in series_strategy(14),
-        q in series_strategy(14),
-        rows in rows_strategy(14),
-        long_base in series_strategy(48),
-        long_q in series_strategy(48),
-        long_rows in rows_strategy(48),
-        band in 0usize..5,
-    ) {
-        let mut scratch = AbandonScratch::default();
-        for (base, q, rows) in [(&base, &q, &rows), (&long_base, &long_q, &long_rows)] {
-            let matrix = RotationMatrix::full(base).unwrap();
-            let wedge = Wedge::from_rows(&matrix, rows).widened(band);
-            let (mut full, mut prefix) = (Vec::new(), Vec::new());
-            extend_abandon_order(wedge.upper(), wedge.lower(), &mut full);
-            extend_abandon_prefix(
-                wedge.upper(),
-                wedge.lower(),
-                ABANDON_PREFIX,
-                &mut scratch,
-                &mut prefix,
-            );
-            let natural = lb_keogh(q, &wedge, &mut StepCounter::new());
-            for order in [&full, &prefix] {
-                let reordered = lb_keogh_reordered_early_abandon_at(
-                    q,
-                    &wedge,
-                    order,
-                    f64::INFINITY,
-                    &mut StepCounter::new(),
-                )
-                .expect("infinite threshold never abandons");
-                prop_assert!((natural - reordered).abs() < 1e-9, "{} != {}", natural, reordered);
-            }
-        }
-    }
-
-    /// The headline guarantee: both configurations — the reordered
-    /// default and the legacy scan — return the **same** neighbour
-    /// (index, distance and reported rotation, compared exactly) for
-    /// every measure and invariance mode, at the default `K` and under
-    /// the paper's planner, both sequentially and across thread counts;
-    /// and that answer matches the brute-force oracle.
+    /// The headline guarantee: the engine returns the brute-force
+    /// oracle's neighbour for every measure and invariance mode, and the
+    /// **same** neighbour (index, distance and reported rotation,
+    /// compared exactly) at the default `K` and under the paper's
+    /// planner, both sequentially and across thread counts.
     #[test]
     fn every_cascade_config_is_bit_identical(
         query in series_strategy(16),
@@ -173,9 +116,8 @@ proptest! {
             2 => Invariance::RotationLimited { max_shift },
             _ => Invariance::RotationLimitedMirror { max_shift },
         };
-        let legacy = RotationQuery::with_measure(&query, invariance, measure)
+        let reference = RotationQuery::with_measure(&query, invariance, measure)
             .unwrap()
-            .with_cascade(CascadeConfig::legacy())
             .nearest(&db)
             .unwrap();
 
@@ -191,31 +133,26 @@ proptest! {
             }
         };
         let oracle = search_database(&matrix, &db, measure, &mut StepCounter::new()).unwrap();
-        prop_assert_eq!(legacy.index, oracle.index);
-        prop_assert!((legacy.distance - oracle.distance).abs() < 1e-9);
+        prop_assert_eq!(reference.index, oracle.index);
+        prop_assert!((reference.distance - oracle.distance).abs() < 1e-9);
 
         for policy in [KPolicy::Fixed(DEFAULT_K), KPolicy::dynamic()] {
-            for (name, config) in configs() {
-                let engine = RotationQuery::with_measure(&query, invariance, measure)
-                    .unwrap()
-                    .with_k_policy(policy)
-                    .with_cascade(config);
-                let hit = engine.nearest(&db).unwrap();
+            let engine = RotationQuery::with_measure(&query, invariance, measure)
+                .unwrap()
+                .with_k_policy(policy);
+            let hit = engine.nearest(&db).unwrap();
+            prop_assert_eq!(&hit, &reference, "diverged sequentially under {:?}", policy);
+            for threads in [1usize, 4] {
+                let (outcome, _) = engine
+                    .search_parallel(
+                        &db, QueryKind::Nearest, threads, &mut StepCounter::new(),
+                        &mut NoopObserver, None,
+                    )
+                    .unwrap();
                 prop_assert_eq!(
-                    &hit, &legacy, "config {} diverged sequentially under {:?}", name, policy
+                    outcome.into_inner(), vec![reference],
+                    "diverged at {} threads under {:?}", threads, policy
                 );
-                for threads in [1usize, 4] {
-                    let (outcome, _) = engine
-                        .search_parallel(
-                            &db, QueryKind::Nearest, threads, &mut StepCounter::new(),
-                            &mut NoopObserver, None,
-                        )
-                        .unwrap();
-                    prop_assert_eq!(
-                        outcome.into_inner(), vec![legacy],
-                        "config {} diverged at {} threads under {:?}", name, threads, policy
-                    );
-                }
             }
         }
     }
@@ -252,29 +189,25 @@ fn nearest_traced(engine: &RotationQuery, db: &[Vec<f64>], trace: &mut QueryTrac
 
 /// Every pruned wedge is attributed to exactly one cascade tier: under
 /// ED and DTW the per-tier prune counts sum to the per-level prune
-/// counts, for both configurations.
+/// counts.
 #[test]
 fn tier_attribution_accounts_for_every_pruned_wedge() {
     let (db, query) = sine_db(32, 64);
     let measures: [Measure; 2] = [Measure::Euclidean, Measure::Dtw(DtwParams::new(5))];
     for measure in measures {
-        for (name, config) in configs() {
-            let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure)
-                .unwrap()
-                .with_cascade(config);
-            let mut trace = QueryTrace::new(query.len());
-            nearest_traced(&engine, &db, &mut trace);
-            let by_level: u64 = (0..trace.levels()).map(|l| trace.pruned(l)).sum();
-            assert_eq!(
-                trace.tier_pruned_total(),
-                by_level,
-                "{measure:?}/{name}: tier attribution does not cover every pruned wedge"
-            );
-            assert!(
-                by_level > 0,
-                "{measure:?}/{name}: workload produced no prunes — test is vacuous"
-            );
-        }
+        let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure).unwrap();
+        let mut trace = QueryTrace::new(query.len());
+        nearest_traced(&engine, &db, &mut trace);
+        let by_level: u64 = (0..trace.levels()).map(|l| trace.pruned(l)).sum();
+        assert_eq!(
+            trace.tier_pruned_total(),
+            by_level,
+            "{measure:?}: tier attribution does not cover every pruned wedge"
+        );
+        assert!(
+            by_level > 0,
+            "{measure:?}: workload produced no prunes — test is vacuous"
+        );
     }
 }
 
@@ -288,44 +221,10 @@ fn lcss_stays_outside_the_cascade() {
         Invariance::Rotation,
         Measure::Lcss(LcssParams::new(0.5, 2)),
     )
-    .unwrap()
-    .with_cascade(CascadeConfig::all());
+    .unwrap();
     let mut trace = QueryTrace::new(query.len());
     nearest_traced(&engine, &db, &mut trace);
     for tier in CascadeTier::ALL {
         assert_eq!(trace.tier_tested(tier), 0, "{tier:?} fired under LCSS");
-    }
-}
-
-/// `reorder` applies under Euclidean distance only: under DTW, at band 0
-/// and above, the default and the natural-order legacy configuration
-/// give the same answers for the same number of steps.
-#[test]
-fn reorder_has_no_effect_under_dtw() {
-    let (db, query) = sine_db(32, 64);
-    for band in [0usize, 5] {
-        let measure = Measure::Dtw(DtwParams::new(band));
-        let run = |config: CascadeConfig| {
-            let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure)
-                .unwrap()
-                .with_cascade(config);
-            let mut counter = StepCounter::new();
-            let hits = engine
-                .search(
-                    &db,
-                    QueryKind::KNearest(3),
-                    &mut counter,
-                    &mut NoopObserver,
-                    &mut NoBudget,
-                    None,
-                )
-                .unwrap()
-                .into_inner();
-            (hits, counter.steps())
-        };
-        let (with, with_steps) = run(CascadeConfig::all());
-        let (without, without_steps) = run(CascadeConfig::legacy());
-        assert_eq!(with, without, "band {band}: answers differ");
-        assert_eq!(with_steps, without_steps, "band {band}: steps differ");
     }
 }

@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use rotind::distance::rotation::{search_database, test_all_rotations};
 use rotind::distance::{DtwParams, LcssParams, Measure};
-use rotind::index::cascade::ABANDON_PREFIX;
 use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery, DEFAULT_K};
 use rotind::index::parallel::default_threads;
 use rotind::index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
@@ -383,12 +382,13 @@ proptest! {
         }
     }
 
-    /// Past the abandon prefix: at lengths 33, 48 and 64, where tier 3
-    /// reads truncated abandon orders, every Euclidean answer equals the
-    /// brute-force scan's by index, distance bits and rotation, under
-    /// all four invariances — uncached, through one snapshot cache
-    /// shared by every query (the serve path), and, for the kinds the
-    /// parallel scan serves, across the `ROTIND_THREADS` workers. With
+    /// Longer series: at lengths 33, 48 and 64, which run past the
+    /// kernels' first three dismissal checks (after 8, 16 and 32 terms),
+    /// every Euclidean answer equals the brute-force scan's by index,
+    /// distance bits and rotation, under all four invariances —
+    /// uncached, through one snapshot cache shared by every query (the
+    /// serve path), and, for the kinds the parallel scan serves, across
+    /// the `ROTIND_THREADS` workers. With
     /// `integral` set, the samples are integers, so distinct items (and
     /// rotations of one item) tie exactly at positive distances.
     #[test]
@@ -403,7 +403,6 @@ proptest! {
         integral in 0usize..2,
     ) {
         let n = [33, 48, 64][n_idx];
-        prop_assert!(n > ABANDON_PREFIX);
         let cut = |xs: &[f64]| -> Vec<f64> {
             xs[..n].iter().map(|x| if integral == 1 { x.round() } else { *x }).collect()
         };

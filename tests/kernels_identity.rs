@@ -99,17 +99,6 @@ fn assert_bit_identical(name: &str, chunked: KernelOut, simd: KernelOut) {
     assert_eq!(c_steps, v_steps, "{name}: steps");
 }
 
-/// A deterministic permutation of `0..n` (any fixed gather order works;
-/// the kernels only require a permutation).
-fn permutation(n: usize) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.reverse();
-    if n > 2 {
-        order.swap(0, n / 2);
-    }
-    order
-}
-
 /// DTW lengths: the degenerate single sample, tiny series, and lengths
 /// around the lane and block boundaries.
 const DTW_SIZES: [usize; 10] = [1, 2, 7, 8, 9, 63, 64, 65, 128, 200];
@@ -267,35 +256,6 @@ proptest! {
             "clamp",
             chunked,
             run(|c| kernels::simd::clamp_sq_abandon(&q, &upper, &lower, r, c)),
-        );
-    }
-
-    #[test]
-    fn ordered_clamp_chunked_matches_seq(
-        q_pool in pool(),
-        mid_pool in pool(),
-        size_idx in 0usize..SIZES.len(),
-        mode in 0usize..3,
-        r_sel in 0usize..4,
-        r_val in 0.0f64..40.0,
-    ) {
-        let n = SIZES[size_idx];
-        let mid = &mid_pool[..n];
-        let upper: Vec<f64> = mid.iter().map(|x| x + 0.5).collect();
-        let lower: Vec<f64> = mid.iter().map(|x| x - 0.5).collect();
-        let q = clamp_query(&q_pool[..n], mid, &upper, mode);
-        let r = pick_radius(r_sel, r_val);
-        let order = permutation(n);
-        let seq =
-            run(|c| kernels::seq::clamp_sq_abandon_ordered(&q, &upper, &lower, &order, r, c));
-        let chunked =
-            run(|c| kernels::chunked::clamp_sq_abandon_ordered(&q, &upper, &lower, &order, r, c));
-        assert_outcome_equiv("ordered", seq, chunked);
-        #[cfg(feature = "simd")]
-        assert_bit_identical(
-            "ordered",
-            chunked,
-            run(|c| kernels::simd::clamp_sq_abandon_ordered(&q, &upper, &lower, &order, r, c)),
         );
     }
 

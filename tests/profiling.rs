@@ -5,8 +5,8 @@
 //!    commutative, so per-thread metrics can be folded in any order.
 //! 2. **Neutrality** — attaching a [`Profiler`] or threading an unset
 //!    budget through the budget-generic scan changes nothing: same
-//!    answer, same `num_steps`, same per-tier prune attribution, under
-//!    every cascade configuration, sequential and parallel.
+//!    answer, same `num_steps`, same per-tier prune attribution,
+//!    sequential and parallel.
 //! 3. **Budget semantics** — a tripped [`QueryBudget`] returns a typed
 //!    [`Exhausted`] partial whose hits are genuine distances, with the
 //!    reason and step spend filled in, sequentially and across a
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use rotind::distance::dtw::DtwParams;
 use rotind::distance::measure::Measure;
 use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery};
-use rotind::index::{CascadeConfig, QueryKind};
+use rotind::index::QueryKind;
 use rotind::obs::{
     BudgetHook, CascadeTier, LogHistogram, ManualClock, MetricsRegistry, NoBudget,
     DEADLINE_POLL_STEPS,
@@ -34,15 +34,6 @@ fn series_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
 
 fn db_strategy(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(series_strategy(n), 1..=m)
-}
-
-/// Every configuration the engine can run under: the natural-order
-/// legacy scan and the reordered default (mirrors `tests/cascade.rs`).
-fn configs() -> [(&'static str, CascadeConfig); 2] {
-    [
-        ("legacy", CascadeConfig::legacy()),
-        ("all", CascadeConfig::all()),
-    ]
 }
 
 /// The sequential scan without a cache.
@@ -181,9 +172,9 @@ proptest! {
 
     /// The budget-generic scan with no budget set, the profiler, and the
     /// plain path must agree on the answer, the step count, and the
-    /// per-tier prune attribution — for every cascade configuration.
-    /// The scans run under the paper's planner (it starts at `K = 2`),
-    /// whose fat internal wedges a default cut at n = 18 hardly has.
+    /// per-tier prune attribution. The scans run under the paper's
+    /// planner (it starts at `K = 2`), whose fat internal wedges a
+    /// default cut at n = 18 hardly has.
     #[test]
     fn profiler_and_unset_budget_are_neutral_sequential(
         query in series_strategy(18),
@@ -195,117 +186,111 @@ proptest! {
         } else {
             Measure::Euclidean
         };
-        for (name, config) in configs() {
-            let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure)
-                .unwrap()
-                .with_k_policy(KPolicy::dynamic())
-                .with_cascade(config);
+        let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure)
+            .unwrap()
+            .with_k_policy(KPolicy::dynamic());
 
-            let nn = QueryKind::Nearest;
-            let mut plain_counter = StepCounter::new();
-            let plain = nearest(&engine, &db, &mut plain_counter);
+        let nn = QueryKind::Nearest;
+        let mut plain_counter = StepCounter::new();
+        let plain = nearest(&engine, &db, &mut plain_counter);
 
-            // Profiler attached (wall-clock reads, phase events).
-            let mut profiler = Profiler::new();
-            let mut prof_counter = StepCounter::new();
-            let profiled =
-                scan(&engine, &db, nn, &mut prof_counter, &mut profiler, &mut NoBudget).into_inner();
+        // Profiler attached (wall-clock reads, phase events).
+        let mut profiler = Profiler::new();
+        let mut prof_counter = StepCounter::new();
+        let profiled =
+            scan(&engine, &db, nn, &mut prof_counter, &mut profiler, &mut NoBudget).into_inner();
 
-            // Budget plumbing engaged with nothing to trip: NoBudget and
-            // a limitless QueryBudget must both stay bit-identical.
-            let mut nb_counter = StepCounter::new();
-            let via_nobudget = scan(
-                &engine, &db, QueryKind::KNearest(1), &mut nb_counter, &mut NoopObserver,
-                &mut NoBudget,
-            );
-            let mut qb_counter = StepCounter::new();
-            let mut limitless = QueryBudget::new(None, None);
-            let via_limitless = scan(
-                &engine, &db, QueryKind::KNearest(1), &mut qb_counter, &mut NoopObserver,
-                &mut limitless,
-            );
+        // Budget plumbing engaged with nothing to trip: NoBudget and
+        // a limitless QueryBudget must both stay bit-identical.
+        let mut nb_counter = StepCounter::new();
+        let via_nobudget = scan(
+            &engine, &db, QueryKind::KNearest(1), &mut nb_counter, &mut NoopObserver,
+            &mut NoBudget,
+        );
+        let mut qb_counter = StepCounter::new();
+        let mut limitless = QueryBudget::new(None, None);
+        let via_limitless = scan(
+            &engine, &db, QueryKind::KNearest(1), &mut qb_counter, &mut NoopObserver,
+            &mut limitless,
+        );
 
-            prop_assert_eq!(&plain, &profiled, "profiler changed the answer ({})", name);
+        prop_assert_eq!(&plain, &profiled, "profiler changed the answer");
+        prop_assert_eq!(
+            plain_counter.steps(), prof_counter.steps(),
+            "profiler changed num_steps"
+        );
+        for (tag, outcome, counter) in [
+            ("NoBudget", via_nobudget, &nb_counter),
+            ("limitless QueryBudget", via_limitless, &qb_counter),
+        ] {
+            prop_assert!(outcome.is_complete(), "{} tripped", tag);
+            let hits = outcome.into_inner();
+            prop_assert_eq!(hits.len(), 1);
+            prop_assert_eq!(&hits, &plain, "{} changed the answer", tag);
             prop_assert_eq!(
-                plain_counter.steps(), prof_counter.steps(),
-                "profiler changed num_steps ({})", name
+                plain_counter.steps(), counter.steps(),
+                "{} changed num_steps", tag
             );
-            for (tag, outcome, counter) in [
-                ("NoBudget", via_nobudget, &nb_counter),
-                ("limitless QueryBudget", via_limitless, &qb_counter),
-            ] {
-                prop_assert!(outcome.is_complete(), "{} tripped ({})", tag, name);
-                let hits = outcome.into_inner();
-                prop_assert_eq!(hits.len(), 1);
-                prop_assert_eq!(&hits, &plain, "{} changed the answer ({})", tag, name);
-                prop_assert_eq!(
-                    plain_counter.steps(), counter.steps(),
-                    "{} changed num_steps ({})", tag, name
-                );
-            }
+        }
 
-            // Prune attribution: the profiler's online tier accounting
-            // must agree with QueryTrace's aggregate counters.
-            let mut trace = QueryTrace::new(query.len());
-            let mut trace_counter = StepCounter::new();
-            scan(&engine, &db, nn, &mut trace_counter, &mut trace, &mut NoBudget);
-            prop_assert_eq!(trace_counter.steps(), plain_counter.steps());
-            for tier in CascadeTier::ALL {
-                let cost = &profiler.tier_costs()[tier.index()];
-                prop_assert_eq!(
-                    cost.tested, trace.tier_tested(tier),
-                    "tested mismatch at {:?} ({})", tier, name
-                );
-                prop_assert_eq!(
-                    cost.pruned, trace.tier_pruned(tier),
-                    "pruned mismatch at {:?} ({})", tier, name
-                );
-            }
+        // Prune attribution: the profiler's online tier accounting
+        // must agree with QueryTrace's aggregate counters.
+        let mut trace = QueryTrace::new(query.len());
+        let mut trace_counter = StepCounter::new();
+        scan(&engine, &db, nn, &mut trace_counter, &mut trace, &mut NoBudget);
+        prop_assert_eq!(trace_counter.steps(), plain_counter.steps());
+        for tier in CascadeTier::ALL {
+            let cost = &profiler.tier_costs()[tier.index()];
+            prop_assert_eq!(
+                cost.tested, trace.tier_tested(tier),
+                "tested mismatch at {:?}", tier
+            );
+            prop_assert_eq!(
+                cost.pruned, trace.tier_pruned(tier),
+                "pruned mismatch at {:?}", tier
+            );
         }
     }
 
     /// Parallel: the profiler as a fork/join observer and an unset
     /// shared budget keep the 4-thread scan's answer identical to the
-    /// sequential one for every cascade configuration, under the paper's
-    /// planner (a default cut at n = 16 is all single-rotation leaves,
-    /// where a Euclidean scan runs no tier).
+    /// sequential one, under the paper's planner (a default cut at
+    /// n = 16 is all single-rotation leaves, where a Euclidean scan runs
+    /// no tier).
     #[test]
     fn profiler_and_unset_budget_are_neutral_parallel(
         query in series_strategy(16),
         db in db_strategy(16, 10),
     ) {
-        for (name, config) in configs() {
-            let engine = RotationQuery::new(&query, Invariance::Rotation)
-                .unwrap()
-                .with_k_policy(KPolicy::dynamic())
-                .with_cascade(config);
-            let sequential = vec![engine.nearest(&db).unwrap()];
-            let nn = QueryKind::Nearest;
+        let engine = RotationQuery::new(&query, Invariance::Rotation)
+            .unwrap()
+            .with_k_policy(KPolicy::dynamic());
+        let sequential = vec![engine.nearest(&db).unwrap()];
+        let nn = QueryKind::Nearest;
 
-            let mut profiler = Profiler::new();
-            let mut counter = StepCounter::new();
-            let (outcome, report) = engine
-                .search_parallel(&db, nn, 4, &mut counter, &mut profiler, None)
-                .unwrap();
-            prop_assert_eq!(
-                &outcome.into_inner(), &sequential,
-                "profiled parallel diverged ({})", name
-            );
-            prop_assert!(report.threads >= 1);
+        let mut profiler = Profiler::new();
+        let mut counter = StepCounter::new();
+        let (outcome, report) = engine
+            .search_parallel(&db, nn, 4, &mut counter, &mut profiler, None)
+            .unwrap();
+        prop_assert_eq!(
+            &outcome.into_inner(), &sequential,
+            "profiled parallel diverged"
+        );
+        prop_assert!(report.threads >= 1);
 
-            let mut budget_counter = StepCounter::new();
-            let limitless = QueryBudget::new(None, None);
-            let (outcome, _) = engine
-                .search_parallel(
-                    &db, nn, 4, &mut budget_counter, &mut NoopObserver, Some(&limitless),
-                )
-                .unwrap();
-            prop_assert!(outcome.is_complete(), "limitless budget tripped ({})", name);
-            prop_assert_eq!(
-                &outcome.into_inner(), &sequential,
-                "budgeted parallel diverged ({})", name
-            );
-        }
+        let mut budget_counter = StepCounter::new();
+        let limitless = QueryBudget::new(None, None);
+        let (outcome, _) = engine
+            .search_parallel(
+                &db, nn, 4, &mut budget_counter, &mut NoopObserver, Some(&limitless),
+            )
+            .unwrap();
+        prop_assert!(outcome.is_complete(), "limitless budget tripped");
+        prop_assert_eq!(
+            &outcome.into_inner(), &sequential,
+            "budgeted parallel diverged"
+        );
     }
 }
 
