@@ -17,19 +17,25 @@
 //!   It is the leaf of every DTW scan, so on finite series it runs
 //!   band-major: rows of `2R + 1` cells indexed by offset from the
 //!   diagonal, with no per-cell bounds checks, branches on position or
-//!   NaN handling. [`dtw_early_abandon_seq`] is the cell-by-cell loop it
-//!   replaced, kept as its identity reference, and every call with a NaN
-//!   or ±∞ sample runs that loop;
+//!   NaN handling, and the rows whose band is full computed four at a
+//!   time, each one offset behind the row above, so four independent
+//!   `min → add` chains share each column. [`dtw_early_abandon_finite`]
+//!   is the same kernel for callers that have already tested both series
+//!   finite (the H-Merge walk, once per candidate).
+//!   [`dtw_early_abandon_seq`] is the cell-by-cell loop it replaced, kept
+//!   as its identity reference, and every checked call with a NaN or ±∞
+//!   sample runs that loop;
 //! * [`dtw_path`] — full-matrix variant that also recovers the optimal
 //!   warping path, for diagnostics and the alignment figures.
 //!
 //! Cell costs are squared differences and the returned distance is the
 //! square root of the accumulated cost, commensurate with Euclidean
 //! distance (indeed `R = 0` forces the diagonal path and reproduces it
-//! exactly). One step is charged per visited cell. A NaN or ±∞ sample
-//! makes the distance non-finite (+∞ or NaN) rather than failing an
-//! assertion; both early-abandoning variants return the same value bits,
-//! `None`/`Some` and steps on every input.
+//! exactly). One step is charged per DP cell of every row up to and
+//! including the abandoning row, whatever cells a kernel computes past
+//! it. A NaN or ±∞ sample makes the distance non-finite (+∞ or NaN)
+//! rather than failing an assertion; both early-abandoning variants
+//! return the same value bits, `None`/`Some` and steps on every input.
 
 use rotind_ts::StepCounter;
 use std::cell::RefCell;
@@ -38,7 +44,8 @@ thread_local! {
     /// Rolling DP rows, reused across calls: the early-abandoning DTW is
     /// invoked once per rotation per database item, and per-call
     /// allocation dominated wall time on the big sweeps. The band-major
-    /// kernel uses `2R + 2` cells of each.
+    /// kernel uses `2R + 2` cells of each; a four-row strip keeps its
+    /// inner rows in locals and writes only its last row.
     static DTW_ROWS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -121,16 +128,25 @@ pub fn dtw(q: &[f64], c: &[f64], params: DtwParams, counter: &mut StepCounter) -
 /// diagonal one `(i − 1, j − 1)` at `d`, and the horizontal one is carried
 /// in a local. One +∞ sentinel past the band is the vertical predecessor of
 /// the band's last offset. Each cell is `min(left, min(up, diag)) + cost`
-/// with a plain compare-min, and values, `None`/`Some` and step counts are
-/// bit-identical to the reference loop:
+/// with a plain compare-min. Rows whose band is full (`R ≤ i < n − R`)
+/// run four at a time as a strip (see `strip`), the others one at a
+/// time. Values, `None`/`Some` and step counts are bit-identical to the
+/// reference loop:
 ///
 /// * with finite samples `qᵢ − cⱼ` is finite or ±∞ (overflow), so every
 ///   cost lies in `[+0, +∞]` and is never NaN;
 /// * so every cell lies in `[+0, +∞]`: `x·x ≥ +0` and `+0 + +0 = +0`, so
 ///   −0 never arises, the NaN-dropping `f64::min` of the reference loop
 ///   and a compare-min pick the same value, and `+∞ + cost = +∞` is what
-///   the reference loop's finiteness select produces.
-// lint: panic-exempt(documented preconditions: the snapshot validates query length and non-emptiness at admission; every slice lies inside the rows' 2R + 2 cells and the series by the band arithmetic)
+///   the reference loop's finiteness select produces;
+/// * so the order in which cells are evaluated cannot change a value, and
+///   a strip tests its rows in order after computing them, returning at
+///   the first that crosses `r` and charging the cells of the rows up to
+///   and including it, as the row loop would have.
+///
+/// # Panics
+///
+/// Panics when the series differ in length or are empty.
 pub fn dtw_early_abandon(
     q: &[f64],
     c: &[f64],
@@ -138,11 +154,51 @@ pub fn dtw_early_abandon(
     r: f64,
     counter: &mut StepCounter,
 ) -> Option<f64> {
+    let finite = !(has_non_finite(q) | has_non_finite(c));
+    early_abandon(q, c, params, r, finite, counter)
+}
+
+/// [`dtw_early_abandon`] for a caller that has already established that
+/// every sample of both series is finite, so the call runs the band-major
+/// kernel without its per-call finiteness pass. The H-Merge walk tests
+/// its candidate once and compares it with rotation rows, which
+/// `RotationMatrix` construction keeps finite. A NaN or ±∞ sample breaks
+/// the contract (debug builds assert it) and makes the result
+/// unspecified; it cannot make the call read or write out of bounds.
+///
+/// # Panics
+///
+/// Panics when the series differ in length or are empty.
+pub fn dtw_early_abandon_finite(
+    q: &[f64],
+    c: &[f64],
+    params: DtwParams,
+    r: f64,
+    counter: &mut StepCounter,
+) -> Option<f64> {
+    debug_assert!(
+        !(has_non_finite(q) | has_non_finite(c)),
+        "dtw_early_abandon_finite: non-finite sample"
+    );
+    early_abandon(q, c, params, r, true, counter)
+}
+
+/// The body of [`dtw_early_abandon`] and [`dtw_early_abandon_finite`]:
+/// the reference loop when `finite` is false, the band-major DP otherwise.
+// lint: panic-exempt(documented preconditions: the snapshot validates query length and non-emptiness at admission; every slice lies inside the rows' 2R + 2 cells and the series by the band arithmetic)
+fn early_abandon(
+    q: &[f64],
+    c: &[f64],
+    params: DtwParams,
+    r: f64,
+    finite: bool,
+    counter: &mut StepCounter,
+) -> Option<f64> {
     let n = q.len();
     assert_eq!(n, c.len(), "dtw: length mismatch");
     assert!(n > 0, "dtw: empty series");
     let band = params.band.min(n - 1);
-    if has_non_finite(q) | has_non_finite(c) {
+    if !finite {
         return cell_by_cell(q, c, band, r, counter);
     }
     let width = 2 * band + 1;
@@ -161,42 +217,159 @@ pub fn dtw_early_abandon(
         cur.resize(width, f64::INFINITY);
         cur.push(f64::INFINITY);
 
-        for (i, &qi) in q.iter().enumerate() {
-            let lo = i.saturating_sub(band);
-            let hi = (i + band).min(n - 1);
-            let (first, last) = (lo + band - i, hi + band - i);
-            // Offsets left of column 0 (the first R rows only) hold +∞:
-            // the next row reads its first diagonal predecessor there.
-            let (outside, row) = cur.split_at_mut(first);
-            outside.fill(f64::INFINITY);
-            // rotind-lint: allow(no-index)
-            let row = &mut row[..=last - first];
-            // rotind-lint: allow(no-index)
-            let (diag, up) = (&prev[first..=last], &prev[first + 1..=last + 1]);
-            let mut left = f64::INFINITY;
-            let mut row_min = f64::INFINITY;
-            // rotind-lint: allow(no-index)
-            for (((cell, &d), &u), &cj) in row.iter_mut().zip(diag).zip(up).zip(&c[lo..=hi]) {
-                // The previous-row pair stays off the carried chain.
-                let v = lesser(left, lesser(u, d)) + cell_cost(qi, cj);
-                *cell = v;
-                left = v;
-                row_min = lesser(v, row_min);
-            }
-            counter.add((hi - lo + 1) as u64);
-            // The boundary is settled in reported-distance space (the
-            // returned value is a square root): `fl(r·r)` may round below
-            // the cost of a path whose distance equals `r` exactly, so a
-            // row crossing `r²` only abandons when `√row_min > r` too.
-            // The sqrt is paid once, on the abandon path.
-            if row_min > r2 && row_min.sqrt() > r {
-                return None;
+        let mut i = 0;
+        while i < n {
+            if let Some(mins) = strip(prev, cur, q, c, i, band) {
+                // The row loop stops at the first row that crosses `r`:
+                // charge the cells of the rows up to and including it,
+                // and none of the strip's rows below it.
+                for (k, &row_min) in mins.iter().enumerate() {
+                    if abandons(row_min, r2, r) {
+                        counter.add(((k + 1) * width) as u64);
+                        return None;
+                    }
+                }
+                counter.add((4 * width) as u64);
+                i += 4;
+            } else {
+                // rotind-lint: allow(no-index)
+                let qi = q[i];
+                let lo = i.saturating_sub(band);
+                let hi = (i + band).min(n - 1);
+                let (first, last) = (lo + band - i, hi + band - i);
+                // Offsets left of column 0 (the first R rows only) hold
+                // +∞: the next row reads its first diagonal predecessor
+                // there.
+                let (outside, row) = cur.split_at_mut(first);
+                outside.fill(f64::INFINITY);
+                // rotind-lint: allow(no-index)
+                let row = &mut row[..=last - first];
+                // rotind-lint: allow(no-index)
+                let (diag, up) = (&prev[first..=last], &prev[first + 1..=last + 1]);
+                let mut left = f64::INFINITY;
+                let mut row_min = f64::INFINITY;
+                // rotind-lint: allow(no-index)
+                for (((cell, &d), &u), &cj) in row.iter_mut().zip(diag).zip(up).zip(&c[lo..=hi]) {
+                    // The previous-row pair stays off the carried chain.
+                    let v = lesser(left, lesser(u, d)) + cell_cost(qi, cj);
+                    *cell = v;
+                    left = v;
+                    row_min = lesser(v, row_min);
+                }
+                counter.add((hi - lo + 1) as u64);
+                if abandons(row_min, r2, r) {
+                    return None;
+                }
+                i += 1;
             }
             std::mem::swap(prev, cur);
         }
         // The corner (n − 1, n − 1) sits at offset R of the last row.
         Some(finish(q, c, prev.get(band).copied()))
     })
+}
+
+/// Whether a DP row whose cheapest cell costs `row_min` proves the
+/// distance above `r`. The boundary is settled in reported-distance
+/// space (the returned value is a square root): `fl(r·r)` may round below
+/// the cost of a path whose distance equals `r` exactly, so a row
+/// crossing `r²` only abandons when `√row_min > r` too. The sqrt is paid
+/// once, on the abandon path.
+#[inline]
+fn abandons(row_min: f64, r2: f64, r: f64) -> bool {
+    row_min > r2 && row_min.sqrt() > r
+}
+
+/// Rows `i .. i + 4` of the band-major DP as one strip, when all four are
+/// full (`R ≤ i` and `i + 3 < n − R`) and `R ≥ 1`; `None` otherwise,
+/// before touching a cell. Reads row `i − 1` from `prev` (sentinel
+/// included), writes row `i + 3` into `cur` and returns the four rows'
+/// minima, which the caller tests in order.
+///
+/// Row `i + k` runs `k` offsets behind row `i`, so at step `t` all four
+/// rows read the same column `i − R + t`, and row `i + k + 1` finds its
+/// vertical predecessor in the value row `i + k` has just computed and
+/// its diagonal one in the value before it, which is also row `i + k`'s
+/// own horizontal predecessor. The rows in between live in locals. Steps
+/// `0 ..= 2` start rows `i`, `i + 1` and `i + 2` (prologue), steps
+/// `3 ..= 2R` run four independent `min → add` chains (steady state), and
+/// steps `2R + 1 ..= 2R + 3` finish rows `i + 1`, `i + 2` and `i + 3`
+/// (epilogue). A +∞ operand (a horizontal predecessor left of the band, a
+/// vertical one past it) is dropped, as `lesser(+∞, x) = x` on
+/// `[+0, +∞]`.
+#[inline(always)]
+fn strip(
+    prev: &[f64],
+    cur: &mut [f64],
+    q: &[f64],
+    c: &[f64],
+    i: usize,
+    band: usize,
+) -> Option<[f64; 4]> {
+    let width = 2 * band + 1;
+    // Columns i − R ..= i + R + 3: three for the prologue, the steady
+    // state's, three for the epilogue.
+    let cols = c.get(i.checked_sub(band)?..i + band + 4)?;
+    let (&[c0, c1, c2], cols) = cols.split_first_chunk()?;
+    let (cols, &[e0, e1, e2]) = cols.split_last_chunk()?;
+    let &[q0, q1, q2, q3] = q.get(i..)?.first_chunk()?;
+    let &[p0, p1, p2, p3] = prev.first_chunk()?;
+    let (diag, up) = (prev.get(3..width)?, prev.get(4..=width)?);
+    let (out, [o0, o1, o2]) = cur.get_mut(..width)?.split_last_chunk_mut()?;
+
+    // Prologue: row i + k starts at step k with no horizontal predecessor.
+    let mut v0 = lesser(p1, p0) + cell_cost(q0, c0);
+    let mut m0 = v0;
+    let a = v0;
+    v0 = lesser(lesser(p2, p1), a) + cell_cost(q0, c1);
+    m0 = lesser(m0, v0);
+    let mut v1 = lesser(a, v0) + cell_cost(q1, c1);
+    let mut m1 = v1;
+    let (a, b) = (v0, v1);
+    v0 = lesser(lesser(p3, p2), a) + cell_cost(q0, c2);
+    m0 = lesser(m0, v0);
+    v1 = lesser(lesser(a, v0), b) + cell_cost(q1, c2);
+    m1 = lesser(m1, v1);
+    let mut v2 = lesser(b, v1) + cell_cost(q2, c2);
+    let mut m2 = v2;
+    let mut v3 = f64::INFINITY;
+    let mut m3 = f64::INFINITY;
+
+    // Steady state: row i at offset t reads prev[t] and prev[t + 1], row
+    // i + 3 writes offset t − 3. Each row's own previous value (`a`, `b`,
+    // `e`, `v3`) is its carried chain and the next row's diagonal.
+    for (((cell, &d), &u), &cj) in out.iter_mut().zip(diag).zip(up).zip(cols) {
+        let (a, b, e) = (v0, v1, v2);
+        v0 = lesser(lesser(u, d), a) + cell_cost(q0, cj);
+        v1 = lesser(lesser(a, v0), b) + cell_cost(q1, cj);
+        v2 = lesser(lesser(b, v1), e) + cell_cost(q2, cj);
+        v3 = lesser(lesser(e, v2), v3) + cell_cost(q3, cj);
+        *cell = v3;
+        m0 = lesser(m0, v0);
+        m1 = lesser(m1, v1);
+        m2 = lesser(m2, v2);
+        m3 = lesser(m3, v3);
+    }
+
+    // Epilogue: row i has ended, so the row below each finishing row
+    // reads +∞ above its last offset.
+    let (b, e) = (v1, v2);
+    v1 = lesser(v0, b) + cell_cost(q1, e0);
+    v2 = lesser(lesser(b, v1), e) + cell_cost(q2, e0);
+    v3 = lesser(lesser(e, v2), v3) + cell_cost(q3, e0);
+    *o0 = v3;
+    m1 = lesser(m1, v1);
+    m2 = lesser(m2, v2);
+    m3 = lesser(m3, v3);
+    let e = v2;
+    v2 = lesser(v1, e) + cell_cost(q2, e1);
+    v3 = lesser(lesser(e, v2), v3) + cell_cost(q3, e1);
+    *o1 = v3;
+    m2 = lesser(m2, v2);
+    m3 = lesser(m3, v3);
+    v3 = lesser(v2, v3) + cell_cost(q3, e2);
+    *o2 = v3;
+    Some([m0, m1, m2, lesser(m3, v3)])
 }
 
 /// Whether any sample is NaN or ±∞. A fold rather than a short-circuiting

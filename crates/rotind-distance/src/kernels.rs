@@ -14,7 +14,7 @@
 //! * [`chunked`] — the **canonical** accumulation order (see below) in
 //!   plain autovectorization-friendly Rust: the stable default engine
 //!   path;
-//! * [`simd`] — the same canonical order written with `std::simd`
+//! * `simd` — the same canonical order written with `std::simd`
 //!   (`portable_simd`, nightly only, behind the `simd` cargo feature),
 //!   bit-identical to [`chunked`] by construction.
 //!

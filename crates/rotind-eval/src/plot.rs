@@ -240,7 +240,7 @@ fn xml_escape(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Interpret a sweep-style [`Table`] (first column = numeric x, every
+/// Interpret a sweep-style [`Table`](crate::report::Table) (first column = numeric x, every
 /// other column = one series of numeric y values) as a line plot. Rows
 /// with non-numeric cells are skipped, so summary rows coexist with the
 /// data. Returns `None` when fewer than two data rows parse.

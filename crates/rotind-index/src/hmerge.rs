@@ -12,10 +12,10 @@
 //! implementation keeps scanning with the running best as the abandoning
 //! threshold — exactly how `NNSearch` (Table 7) consumes it.
 
+use rotind_distance::dtw::dtw_early_abandon_finite;
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::{
-    lb_keogh_early_abandon_at, lcss_distance_lower_bound, lcss_distance_lower_bound_with,
-    ImprovedScratch,
+    lb_keogh_early_abandon_at, lcss_distance_lower_bound_with, ImprovedScratch,
 };
 use rotind_envelope::WedgeTree;
 use rotind_obs::{BudgetHook, CascadeTier, NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -58,49 +58,12 @@ pub(crate) struct WalkBuffers {
     lcss: ImprovedScratch,
 }
 
-/// Result of bounding one wedge node against the threshold (used by the
-/// Table 6 filter; the search scan runs [`node_tier_bound`] instead).
-enum NodeBound {
-    /// The bound admits the subtree; the value is exact.
-    Admitted(f64),
-    /// The subtree is pruned.
-    Pruned,
-}
-
-/// Lower bound of `measure` from `candidate` to every rotation covered by
-/// `node`'s wedge, with pruning diagnostics for the observer.
-fn node_lower_bound(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    node: usize,
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-) -> NodeBound {
-    match measure {
-        Measure::Euclidean | Measure::Dtw(_) => {
-            // For DTW the tree's lb wedges are pre-widened by the band
-            // (Proposition 2); for Euclidean they are the plain wedges
-            // (Proposition 1).
-            match lb_keogh_early_abandon_at(candidate, tree.lb_wedge(node), r, counter) {
-                Ok(lb) => NodeBound::Admitted(lb),
-                Err(_position) => NodeBound::Pruned,
-            }
-        }
-        Measure::Lcss(p) => {
-            let lb = lcss_distance_lower_bound(candidate, tree.wedge(node), p, counter);
-            if lb <= r {
-                NodeBound::Admitted(lb)
-            } else {
-                NodeBound::Pruned
-            }
-        }
-    }
-}
-
 /// Exact distance at a single-rotation leaf, early-abandoning against `r`.
 /// DTW and LCSS read the leaf's rotation from `series`, a buffer the
 /// caller keeps for its whole walk, so a leaf allocates nothing.
+/// `finite_dtw` says the walk has found every candidate sample finite
+/// under a DTW measure (see [`candidate_is_finite_dtw`]), so the leaf runs
+/// the DTW kernel without its per-call finiteness pass.
 #[allow(clippy::too_many_arguments)] // the leaf inputs plus the caller's buffer
 fn leaf_distance(
     candidate: &[f64],
@@ -109,6 +72,7 @@ fn leaf_distance(
     r: f64,
     lb_at_leaf: f64,
     measure: Measure,
+    finite_dtw: bool,
     series: &mut Vec<f64>,
     counter: &mut StepCounter,
 ) -> Option<f64> {
@@ -118,6 +82,10 @@ fn leaf_distance(
         // created from a single candidate sequence, it degenerates to the
         // Euclidean distance").
         Measure::Euclidean => Some(lb_at_leaf),
+        Measure::Dtw(params) if finite_dtw => {
+            tree.matrix().row(leaf).copy_into(series);
+            dtw_early_abandon_finite(candidate, series, params, r, counter)
+        }
         _ => {
             tree.matrix().row(leaf).copy_into(series);
             measure.distance_early_abandon(candidate, series, r, counter)
@@ -125,11 +93,22 @@ fn leaf_distance(
     }
 }
 
+/// Whether `measure` is DTW and every sample of `candidate` is finite,
+/// tested once per walk. The rows a leaf compares the candidate with are
+/// rotations of the query, which `RotationMatrix` construction rejects
+/// unless every sample is finite, so this one test settles the DTW
+/// kernel's finiteness check for every leaf of the walk. A non-finite
+/// candidate keeps the checked call, which runs the reference loop.
+fn candidate_is_finite_dtw(candidate: &[f64], measure: Measure) -> bool {
+    matches!(measure, Measure::Dtw(_)) && candidate.iter().all(|x| x.is_finite())
+}
+
 /// Scan the wedge set `cut` (node ids of `tree`) for the best rotation
 /// match to `candidate` within `r` (inclusive: a rotation at exactly
 /// distance `r` is returned). Returns `None` only when every rotation is
 /// provably farther than `r`. Exact-distance ties are broken by the
-/// canonical rotation order ([`rotation_key`]), never by traversal order.
+/// canonical rotation order (unmirrored shifts first, then mirrored, each
+/// by ascending shift), never by traversal order.
 ///
 /// This is the engine's scan without an observer, a budget or reused
 /// buffers; pass `&[tree.root()]` as the cut for `K = 1`.
@@ -154,15 +133,16 @@ pub fn h_merge(
     )
 }
 
-/// Bound one wedge node against `best_so_far` with early-abandoning
-/// LB_Keogh in position order, the engine's one wedge bound. Returns
-/// the admitted bound, or `None` when the bound dismissed the node
-/// (prune events already fired). For a Euclidean singleton leaf the
-/// returned value *is* the exact distance (no admit events — the legacy
-/// special case).
-// Admissibility: delegates to a witnessed lb_* kernel in rotind-envelope
-// (lb_keogh_early_abandon_at).
-#[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade
+/// Bound one wedge node against `best_so_far`, the engine's one wedge
+/// bound dispatch: early-abandoning LB_Keogh in position order for
+/// Euclidean and DTW, the similarity-count envelope bound (built in the
+/// walk's `lcss` scratch) for LCSS. Returns the admitted bound, or `None`
+/// when the bound dismissed the node (prune events already fired). For a
+/// Euclidean singleton leaf the returned value *is* the exact distance
+/// (no admit events — the legacy special case).
+// Admissibility: delegates to witnessed lb_* kernels in rotind-envelope
+// (lb_keogh_early_abandon_at, lcss_distance_lower_bound_with).
+#[allow(clippy::too_many_arguments)] // the bound inputs plus scratch, counter and observer
 fn node_tier_bound<O: SearchObserver>(
     candidate: &[f64],
     tree: &WedgeTree,
@@ -170,9 +150,17 @@ fn node_tier_bound<O: SearchObserver>(
     level: usize,
     best_so_far: f64,
     measure: Measure,
+    lcss: &mut ImprovedScratch,
     counter: &mut StepCounter,
     observer: &mut O,
 ) -> Option<f64> {
+    if let Measure::Lcss(p) = measure {
+        // LCSS has a single similarity-count bound; no tiers apply.
+        let lb = lcss_distance_lower_bound_with(candidate, tree.wedge(node), p, lcss, counter);
+        let pruned = lb > best_so_far;
+        observer.on_wedge_tested(level, lb, best_so_far, pruned);
+        return (!pruned).then_some(lb);
+    }
     let euclid_leaf = tree.is_leaf(node) && matches!(measure, Measure::Euclidean);
     // For DTW the tree's lb wedges are pre-widened by the band
     // (Proposition 2); for Euclidean they are the plain wedges
@@ -269,6 +257,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     let mut best: Option<HMergeOutcome> = None;
     let mut best_so_far = r;
     let WalkBuffers { stack, leaf, lcss } = buffers;
+    let finite_dtw = candidate_is_finite_dtw(candidate, measure);
     // A walk cut short by the budget may leave wedges behind.
     stack.clear();
     stack.extend(cut.iter().map(|&node| (node, 0)));
@@ -282,30 +271,17 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
             break;
         }
         let is_leaf = tree.is_leaf(node);
-        let bound = match measure {
-            // LCSS has a single similarity-count bound; no tiers apply.
-            Measure::Lcss(p) => {
-                let lb =
-                    lcss_distance_lower_bound_with(candidate, tree.wedge(node), p, lcss, counter);
-                if lb <= best_so_far {
-                    observer.on_wedge_tested(level, lb, best_so_far, false);
-                    Some(lb)
-                } else {
-                    observer.on_wedge_tested(level, lb, best_so_far, true);
-                    None
-                }
-            }
-            Measure::Euclidean | Measure::Dtw(_) => node_tier_bound(
-                candidate,
-                tree,
-                node,
-                level,
-                best_so_far,
-                measure,
-                counter,
-                observer,
-            ),
-        };
+        let bound = node_tier_bound(
+            candidate,
+            tree,
+            node,
+            level,
+            best_so_far,
+            measure,
+            lcss,
+            counter,
+            observer,
+        );
         let Some(lb) = bound else {
             continue; // the whole wedge is pruned
         };
@@ -324,6 +300,7 @@ pub(crate) fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
                 best_so_far,
                 lb,
                 measure,
+                finite_dtw,
                 leaf,
                 counter,
             );
@@ -392,28 +369,38 @@ pub fn h_merge_filter(
         tree.matrix().series_len(),
         "h_merge_filter: candidate length mismatch"
     );
-    let mut stack: Vec<usize> = cut.to_vec();
-    let mut series = Vec::new();
-    while let Some(node) = stack.pop() {
-        let NodeBound::Admitted(lb) = node_lower_bound(candidate, tree, node, r, measure, counter)
-        else {
+    let WalkBuffers { stack, leaf, lcss } = &mut WalkBuffers::default();
+    let finite_dtw = candidate_is_finite_dtw(candidate, measure);
+    stack.extend(cut.iter().map(|&node| (node, 0)));
+    while let Some((node, level)) = stack.pop() {
+        let bound = node_tier_bound(
+            candidate,
+            tree,
+            node,
+            level,
+            r,
+            measure,
+            lcss,
+            counter,
+            &mut NoopObserver,
+        );
+        let Some(lb) = bound else {
             continue;
         };
         if tree.is_leaf(node) {
-            if let Some(d) =
-                leaf_distance(candidate, tree, node, r, lb, measure, &mut series, counter)
-            {
-                if d <= r {
-                    return Some(HMergeOutcome {
-                        distance: d,
-                        rotation: tree.leaf_rotation(node),
-                    });
-                }
+            let d = leaf_distance(
+                candidate, tree, node, r, lb, measure, finite_dtw, leaf, counter,
+            );
+            if let Some(d) = d.filter(|&d| d <= r) {
+                return Some(HMergeOutcome {
+                    distance: d,
+                    rotation: tree.leaf_rotation(node),
+                });
             }
         } else {
             let (left, right) = tree.children(node).expect("internal node has children");
-            stack.push(left);
-            stack.push(right);
+            stack.push((left, level + 1));
+            stack.push((right, level + 1));
         }
     }
     None

@@ -5,7 +5,7 @@
 //!
 //! One *acceptor* thread owns the listener and spawns one *connection*
 //! thread per client. Connection threads parse frames and answer
-//! `Ping`/`Metrics` inline; `Query` requests become [`Job`]s pushed
+//! `Ping`/`Metrics` inline; `Query` requests become jobs pushed
 //! onto a bounded [`sync_channel`](std::sync::mpsc::sync_channel).
 //! A fixed pool of *worker* threads drains that queue; each worker
 //! holds a [`BatchPaaCache`], its handle on the snapshot's shared
@@ -16,7 +16,7 @@
 //!
 //! The queue depth bounds in-flight work. When `try_send` finds the
 //! queue full the connection thread replies
-//! [`Response::Overloaded`](crate::wire::Response::Overloaded)
+//! [`Response::Overloaded`]
 //! immediately instead of blocking — backpressure reaches the client
 //! as a typed reply, never as an unbounded queue.
 //!
@@ -352,21 +352,11 @@ fn connection_loop(shared: &Shared, sender: &SyncSender<Job>, mut stream: TcpStr
             return;
         }
         let payload = match pending_head.take() {
-            Some(head) => {
-                let len = u32::from_le_bytes(head) as usize;
-                if len > wire::MAX_FRAME_LEN {
-                    return;
-                }
-                let mut payload = vec![0u8; len];
-                if stream.read_exact(&mut payload).is_err() {
-                    return;
-                }
-                payload
-            }
-            None => match wire::read_frame(&mut stream) {
-                Ok(payload) => payload,
-                Err(_) => return,
-            },
+            Some(head) => wire::read_frame_payload(head, &mut stream),
+            None => wire::read_frame(&mut stream),
+        };
+        let Ok(payload) = payload else {
+            return;
         };
         let response = handle_request(shared, sender, &payload);
         if wire::write_frame(&mut stream, &wire::encode_response(&response)).is_err() {

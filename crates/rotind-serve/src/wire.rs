@@ -281,18 +281,39 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Bytes a frame read reserves before its payload arrives. A payload
+/// longer than this grows its buffer with the bytes received, so a
+/// length prefix alone never sizes an allocation.
+const READ_RESERVE: usize = 64 << 10;
+
 /// Read one length-prefixed frame. An EOF *before the first length
 /// byte* surfaces as `ErrorKind::UnexpectedEof` — callers treat that as
 /// a clean connection close.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
+    read_frame_payload(len_bytes, r)
+}
+
+/// Read the payload of a frame whose length prefix `len_bytes` has
+/// already been read. A prefix above [`MAX_FRAME_LEN`] is
+/// `InvalidData`, and fewer payload bytes than it claims before EOF is
+/// `UnexpectedEof`. The buffer reserves at most 64 KiB up front and
+/// grows only with the bytes that arrive: a peer that claims 4 MiB and
+/// sends ten bytes costs ten bytes, not 4 MiB.
+pub(crate) fn read_frame_payload(
+    len_bytes: [u8; 4],
+    r: &mut impl Read,
+) -> std::io::Result<Vec<u8>> {
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge { len }.into());
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(payload)
 }
 
@@ -746,6 +767,48 @@ mod tests {
         huge.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         let err = read_frame(&mut std::io::Cursor::new(huge)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// Serves `data`, then EOF, and records the largest buffer any read
+    /// is handed.
+    struct RecordingReader<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for RecordingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.data.len());
+            let (head, rest) = self.data.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.data = rest;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_length_claim_does_not_size_the_read_buffer() {
+        // The largest length the cap admits, then ten bytes and EOF.
+        let mut frame = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&[7; 10]);
+        let mut reader = RecordingReader {
+            data: &frame,
+            largest: 0,
+        };
+        let err = read_frame(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            reader.largest <= READ_RESERVE,
+            "a read was handed {} bytes for a 10-byte payload",
+            reader.largest
+        );
+        // A frame that does arrive in full reads back whole, past the
+        // reserve too.
+        let payload: Vec<u8> = (0..3 * READ_RESERVE + 5).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        assert_eq!(read_frame(&mut std::io::Cursor::new(buf)).unwrap(), payload);
     }
 
     #[test]

@@ -625,6 +625,35 @@ fn proc_entries(dir: &str) -> usize {
         .unwrap_or(0)
 }
 
+/// How far the process's open file descriptors and threads may sit
+/// above their counts before a test's connection loop once it settles.
+#[cfg(target_os = "linux")]
+const PROC_SLACK: usize = 32;
+
+/// Poll until the process's open fds and threads return to within
+/// [`PROC_SLACK`] of `before` (other tests run in parallel, so the counts
+/// settle by a deadline), and fail if they do not.
+#[cfg(target_os = "linux")]
+fn assert_fds_and_threads_settle((fds_before, tasks_before): (usize, usize), what: &str) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let (fds, tasks) = loop {
+        let counts = (proc_entries("fd"), proc_entries("task"));
+        let settled = counts.0 <= fds_before + PROC_SLACK && counts.1 <= tasks_before + PROC_SLACK;
+        if settled || std::time::Instant::now() > deadline {
+            break counts;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        fds <= fds_before + PROC_SLACK,
+        "open fds grew from {fds_before} to {fds} over {what}"
+    );
+    assert!(
+        tasks <= tasks_before + PROC_SLACK,
+        "threads grew from {tasks_before} to {tasks} over {what}"
+    );
+}
+
 /// A long-lived server holds nothing per closed connection: after 2,000
 /// connect → ping → disconnect cycles, the process's open file
 /// descriptors and threads return to within a small constant of their
@@ -634,32 +663,81 @@ fn proc_entries(dir: &str) -> usize {
 #[test]
 fn closed_connections_release_their_fds_and_threads() {
     const CYCLES: usize = 2_000;
-    const SLACK: usize = 32;
     let snapshot = IndexSnapshot::new(database(4, 16)).unwrap();
     let mut server = Server::start(snapshot, config(1)).unwrap();
     Client::connect(server.addr()).unwrap().ping().unwrap();
     std::thread::sleep(Duration::from_millis(50));
-    let (fds_before, tasks_before) = (proc_entries("fd"), proc_entries("task"));
+    let before = (proc_entries("fd"), proc_entries("task"));
     for _ in 0..CYCLES {
         let mut client = Client::connect(server.addr()).unwrap();
         client.ping().unwrap();
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    let (fds, tasks) = loop {
-        let counts = (proc_entries("fd"), proc_entries("task"));
-        let settled = counts.0 <= fds_before + SLACK && counts.1 <= tasks_before + SLACK;
-        if settled || std::time::Instant::now() > deadline {
-            break counts;
+    assert_fds_and_threads_settle(before, &format!("{CYCLES} connections"));
+    server.shutdown();
+}
+
+/// Whether the server has closed `stream`: a read sees EOF or a reset
+/// rather than timing out.
+#[cfg(target_os = "linux")]
+fn closed_by_server(stream: &mut TcpStream) -> bool {
+    use std::io::Read;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match stream.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+    }
+}
+
+/// A length prefix above `MAX_FRAME_LEN`, and a frame that ends before
+/// the payload its prefix claims (as a connection's first frame and
+/// after a good one), each close only their own connection: after
+/// 2 × `workers` of each, a connection opened before them still answers,
+/// a fresh one gets the library's answer, and the process's open fds and
+/// threads settle as after clean closes.
+#[cfg(target_os = "linux")]
+#[test]
+fn oversized_and_truncated_frames_close_only_their_own_connection() {
+    use std::io::Write;
+    let (workers, n) = (2, 16);
+    let db = database(8, n);
+    let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+    let mut server = Server::start(snapshot, config(workers)).unwrap();
+    let mut bystander = Client::connect(server.addr()).unwrap();
+    bystander.ping().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let before = (proc_entries("fd"), proc_entries("task"));
+    let oversized = (wire::MAX_FRAME_LEN as u32 + 1).to_le_bytes();
+    let mut truncated = 1000u32.to_le_bytes().to_vec();
+    truncated.extend_from_slice(&[0; 10]);
+    let mut ping = Vec::new();
+    wire::write_frame(&mut ping, &wire::encode_request(&Request::Ping)).unwrap();
+    for round in 0..2 * workers {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&oversized).unwrap();
+        assert!(closed_by_server(&mut stream), "oversized prefix {round}");
+
+        for prefix in [&[][..], &ping] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(prefix).unwrap();
+            stream.write_all(&truncated).unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            if !prefix.is_empty() {
+                let pong = wire::decode_response(&wire::read_frame(&mut stream).unwrap());
+                assert_eq!(pong.unwrap(), Response::Pong);
+            }
+            assert!(closed_by_server(&mut stream), "truncated frame {round}");
         }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(
-        fds <= fds_before + SLACK,
-        "open fds grew from {fds_before} to {fds} over {CYCLES} connections"
-    );
-    assert!(
-        tasks <= tasks_before + SLACK,
-        "threads grew from {tasks_before} to {tasks} over {CYCLES} connections"
-    );
+    }
+    bystander.ping().unwrap();
+    let good = query_set(n).swap_remove(0);
+    let served = served_hits(query_on_a_fresh_connection(server.addr(), &good).unwrap());
+    assert_eq!(served, library_answer(&db, &good));
+    drop(bystander);
+    assert_fds_and_threads_settle(before, "oversized and truncated frames");
     server.shutdown();
 }

@@ -14,6 +14,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (intra-doc links resolve; warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> rotind-lint --self-check (the linter gates its own crate first)"
 cargo run -q -p rotind-lint -- --self-check
 

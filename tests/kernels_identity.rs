@@ -20,13 +20,19 @@
 //!   and steps at every band: on series with NaN or ±∞ samples, which it
 //!   hands to that loop, and on finite series, which run its band-major
 //!   recurrence without NaN handling (huge samples whose costs overflow
-//!   to +∞, subnormals, ±0.0, constant series and exact ties included);
-//!   and on finite inputs it agrees bit for bit with the independent
-//!   full-matrix `dtw_path`. The brute-force oracles call the same leaf as
-//!   the engine, so these are its only independent guards.
+//!   to +∞, subnormals, ±0.0, constant series and exact ties included),
+//!   four full rows at a time. Bands 1–5 and 8 at lengths 63–66 give every
+//!   remainder of full rows after the last strip, and a swept step in the
+//!   query abandons on each of a strip's four rows. The H-Merge walk's
+//!   entry for finite candidates, `dtw_early_abandon_finite`, is held to
+//!   the same reference. On finite inputs the leaf agrees bit for bit with
+//!   the independent full-matrix `dtw_path`. The brute-force oracles call
+//!   the same leaf as the engine, so these are its only independent guards.
 
 use proptest::prelude::*;
-use rotind::distance::dtw::{dtw, dtw_early_abandon, dtw_early_abandon_seq, dtw_path, DtwParams};
+use rotind::distance::dtw::{
+    dtw, dtw_early_abandon, dtw_early_abandon_finite, dtw_early_abandon_seq, dtw_path, DtwParams,
+};
 use rotind::distance::kernels::{self, LANES};
 use rotind::envelope::envelope::{
     sliding_max_into, sliding_max_into_seq, sliding_min_into, sliding_min_into_seq, SlidingScratch,
@@ -99,22 +105,31 @@ fn assert_bit_identical(name: &str, chunked: KernelOut, simd: KernelOut) {
     assert_eq!(c_steps, v_steps, "{name}: steps");
 }
 
-/// DTW lengths: the degenerate single sample, tiny series, and lengths
-/// around the lane and block boundaries.
-const DTW_SIZES: [usize; 10] = [1, 2, 7, 8, 9, 63, 64, 65, 128, 200];
+/// DTW lengths: the degenerate single sample, tiny series, lengths
+/// around the lane and block boundaries, and four consecutive lengths
+/// (63–66), so that at every band of [`STRIP_BANDS`] the `n − 2R` full
+/// rows leave each remainder mod 4 after the last four-row strip.
+const DTW_SIZES: [usize; 11] = [1, 2, 7, 8, 9, 63, 64, 65, 66, 128, 200];
 
-/// Band selector: 0, 1, 5, the widest band `n − 1`, one past it, and the
-/// largest band the wire allows (`u32::MAX`).
+/// The bands at which the DTW leaf runs four-row strips in the tests:
+/// every band up to 5 and one wider.
+const STRIP_BANDS: [usize; 6] = [1, 2, 3, 4, 5, 8];
+
+/// Band selector: 0, the bands of [`STRIP_BANDS`], the widest band
+/// `n − 1`, one past it, and the largest band the wire allows
+/// (`u32::MAX`).
 fn pick_band(sel: usize, n: usize) -> usize {
     match sel {
         0 => 0,
-        1 => 1,
-        2 => 5,
-        3 => n - 1,
-        4 => n,
+        1..=6 => STRIP_BANDS[sel - 1],
+        7 => n - 1,
+        8 => n,
         _ => u32::MAX as usize,
     }
 }
+
+/// Band selectors [`pick_band`] decodes.
+const BAND_SELECTORS: usize = 10;
 
 /// Overwrite one or two samples of `xs` with non-finite values: 0–3
 /// leave it finite, 4 → NaN, 5 → +∞, 6 → −∞, 7 → NaN and +∞.
@@ -331,7 +346,7 @@ proptest! {
         q_pool in pool(),
         c_pool in pool(),
         size_idx in 0usize..DTW_SIZES.len(),
-        band_sel in 0usize..6,
+        band_sel in 0usize..BAND_SELECTORS,
         r_sel in 0usize..5,
         r_val in 0.0f64..60.0,
         mode in 0usize..8,
@@ -371,6 +386,8 @@ proptest! {
     /// included), with costs that overflow to +∞ next to finite cells,
     /// subnormals, ±0.0, constant series and exact ties, and with
     /// another pair's cells left in the thread-local rows before each call.
+    /// So does `dtw_early_abandon_finite`, the entry the H-Merge walk
+    /// calls once it has found a candidate finite.
     #[test]
     fn dtw_finite_recurrence_matches_seq_bitwise(
         q_bits in prop::collection::vec(0u64..u64::MAX, MAX_N),
@@ -378,7 +395,7 @@ proptest! {
         q_shape in 0usize..5,
         c_shape in 0usize..5,
         size_idx in 0usize..DTW_SIZES.len(),
-        band_sel in 0usize..6,
+        band_sel in 0usize..BAND_SELECTORS,
         r_sel in 0usize..7,
         r_val in 0.0f64..60.0,
         r_frac in 0.0f64..2.0,
@@ -410,6 +427,12 @@ proptest! {
             band_major, seq,
             "n = {}, band = {}, r = {}, shapes = {}/{}", n, params.band, r, q_shape, c_shape
         );
+        dirty();
+        let walk_entry = dtw_run(|k| dtw_early_abandon_finite(&q, &c, params, r, k));
+        prop_assert_eq!(
+            walk_entry, seq,
+            "finite entry: n = {}, band = {}, r = {}", n, params.band, r
+        );
     }
 
     /// On finite inputs the rolling-row DTW equals the independent
@@ -419,7 +442,7 @@ proptest! {
         q_pool in pool(),
         c_pool in pool(),
         size_idx in 0usize..DTW_SIZES.len(),
-        band_sel in 0usize..6,
+        band_sel in 0usize..BAND_SELECTORS,
     ) {
         let n = DTW_SIZES[size_idx];
         let params = DtwParams::new(pick_band(band_sel, n));
@@ -427,6 +450,50 @@ proptest! {
         let rolling = dtw(q, c, params, &mut StepCounter::new());
         let (full, _) = dtw_path(q, c, params);
         prop_assert_eq!(rolling.to_bits(), full.to_bits(), "n = {}, band = {}", n, params.band);
+    }
+}
+
+/// A DTW call that abandons inside a four-row strip stops where the row
+/// loop stops. The query steps from small samples up to 10³ at row `i`,
+/// so row `i` is the first whose every cell crosses `r = 100` (the rows
+/// above cost at most 4 per cell along the diagonal, under `r² = 10⁴`
+/// in total), and every row below it crosses too. Sweeping `i` over every
+/// row at every band of [`STRIP_BANDS`] and lengths 63–66, the leaf must
+/// return the reference loop's `None` and steps, and a tally asserts that
+/// the sweep abandoned on each of a strip's four rows at every band. A
+/// strip that tested its rows out of order, or charged all four rows'
+/// cells, would charge a different step count here.
+#[test]
+fn dtw_strip_abandons_on_each_of_its_rows() {
+    for band in STRIP_BANDS {
+        let mut tally = [0u32; 4];
+        for n in 63..=66 {
+            let c: Vec<f64> = (0..n).map(|j| (j as f64 * 0.7).cos()).collect();
+            // Rows band .. band + 4·strips run as strips.
+            let strips = (n - 2 * band) / 4;
+            for i in 0..n {
+                let q: Vec<f64> = (0..n)
+                    .map(|j| if j < i { (j as f64 * 0.3).sin() } else { 1e3 })
+                    .collect();
+                let params = DtwParams::new(band);
+                let seq = dtw_run(|k| dtw_early_abandon_seq(&q, &c, params, 100.0, k));
+                let band_major = dtw_run(|k| dtw_early_abandon(&q, &c, params, 100.0, k));
+                let walk_entry = dtw_run(|k| dtw_early_abandon_finite(&q, &c, params, 100.0, k));
+                let cells: usize = (0..=i)
+                    .map(|row| (row + band).min(n - 1) + 1 - row.saturating_sub(band))
+                    .sum();
+                assert_eq!(seq, (None, cells as u64), "n = {n}, band = {band}, row {i}");
+                assert_eq!(band_major, seq, "n = {n}, band = {band}, row {i}");
+                assert_eq!(walk_entry, seq, "n = {n}, band = {band}, row {i}");
+                if i >= band && i < band + 4 * strips {
+                    tally[(i - band) % 4] += 1;
+                }
+            }
+        }
+        assert!(
+            tally.iter().all(|&hits| hits > 0),
+            "band {band}: abandons per strip row {tally:?}"
+        );
     }
 }
 
