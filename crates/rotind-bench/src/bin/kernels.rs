@@ -1,10 +1,9 @@
-//! Microbenchmark of the scan's inner kernels: the four loops the
-//! cascade profile is dominated by plus the DTW leaf, timed per backend
-//! — `seq` (the historical per-element scalar loops), `chunked` (the
-//! canonical lane-parallel order in autovectorizable Rust; for the
-//! sliding extreme and DTW, the block and band-major kernels), and
-//! `simd` (the `std::simd` expression of the same order, present only
-//! when this binary is built with `--features simd` on nightly).
+//! Microbenchmark of the scan's inner kernels — the Euclidean leaf, the
+//! `LB_Keogh` clamp, the sliding extreme that widens wedges by the band,
+//! and the DTW leaf — timed per backend: `seq` (the historical
+//! per-element scalar loops) and `chunked` (the canonical lane-parallel
+//! order in autovectorizable Rust; for the sliding extreme and DTW, the
+//! block and band-major kernels).
 //!
 //! Inputs are deterministic mixed in/out series (some query points
 //! inside the envelope, some out) at n = 64 / 256 / 1024, with an
@@ -65,10 +64,12 @@ fn envelope(n: usize) -> (Vec<f64>, Vec<f64>) {
     (upper, lower)
 }
 
+/// The timed backends, the scalar reference first.
+const BACKENDS: [&str; 2] = ["seq", "chunked"];
+
 /// Time the backends of one kernel at one size and append the rows.
-/// `run` is called with a backend tag and must execute one call of that
-/// backend's kernel, returning `false` for a backend that is not
-/// compiled in (simd without the feature). After one warmup batch each,
+/// `run` is called with a backend tag of [`BACKENDS`] and must execute
+/// one call of that backend's kernel. After one warmup batch each,
 /// every sample times one batch of `iters` calls of every backend in
 /// turn; a backend's time is its fastest sample's ns/call.
 fn push_kernel(
@@ -77,12 +78,8 @@ fn push_kernel(
     n: usize,
     iters: u32,
     samples: usize,
-    mut run: impl FnMut(&'static str) -> bool,
+    mut run: impl FnMut(&'static str),
 ) {
-    let backends: Vec<&'static str> = ["seq", "chunked", "simd"]
-        .into_iter()
-        .filter(|&backend| run(backend))
-        .collect();
     let mut batch = |backend: &'static str| -> f64 {
         let t = Instant::now();
         for _ in 0..iters {
@@ -90,18 +87,17 @@ fn push_kernel(
         }
         t.elapsed().as_nanos() as f64 / f64::from(iters)
     };
-    for &backend in &backends {
+    for backend in BACKENDS {
         batch(backend);
     }
-    let mut fastest = vec![f64::INFINITY; backends.len()];
+    let mut fastest = [f64::INFINITY; BACKENDS.len()];
     for _ in 0..samples {
-        for (best, &backend) in fastest.iter_mut().zip(&backends) {
+        for (best, backend) in fastest.iter_mut().zip(BACKENDS) {
             *best = best.min(batch(backend));
         }
     }
-    // `seq` is always compiled in, so it is the first backend.
-    let scalar_ns = fastest.first().copied().unwrap_or(f64::NAN);
-    for (&ns_per_call, &backend) in fastest.iter().zip(&backends) {
+    let [scalar_ns, _] = fastest;
+    for (&ns_per_call, backend) in fastest.iter().zip(BACKENDS) {
         entries.push(Entry {
             kernel,
             n,
@@ -124,34 +120,17 @@ fn measure(quick: bool) -> Vec<Entry> {
         let a = series(n, 0.0);
         let b = series(n, 2.2);
         let (upper, lower) = envelope(n);
-        // Interval-gap operands: a projection envelope the wedge
-        // envelope partially overlaps, again a mixed zero/non-zero mix.
-        let proj_mid = series(n, 0.6);
-        let proj_up: Vec<f64> = proj_mid.iter().map(|x| x + 0.2).collect();
-        let proj_lo: Vec<f64> = proj_mid.iter().map(|x| x - 0.2).collect();
         let mut counter = StepCounter::new();
         let r = f64::INFINITY;
 
         macro_rules! accum_kernel {
             ($backend_mod:ident, $be:ident, $call:expr) => {{
-                match $be {
-                    "seq" => {
-                        use kernels::seq as $backend_mod;
-                        let _ = black_box($call);
-                        true
-                    }
-                    "chunked" => {
-                        use kernels::chunked as $backend_mod;
-                        let _ = black_box($call);
-                        true
-                    }
-                    #[cfg(feature = "simd")]
-                    "simd" => {
-                        use kernels::simd as $backend_mod;
-                        let _ = black_box($call);
-                        true
-                    }
-                    _ => false,
+                if $be == "seq" {
+                    use kernels::seq as $backend_mod;
+                    let _ = black_box($call);
+                } else {
+                    use kernels::chunked as $backend_mod;
+                    let _ = black_box($call);
                 }
             }};
         }
@@ -176,62 +155,33 @@ fn measure(quick: bool) -> Vec<Entry> {
                 )
             )
         });
-        push_kernel(&mut entries, "interval_gap", n, iters, samples, |be| {
-            accum_kernel!(
-                bk,
-                be,
-                bk::interval_gap_sq_abandon(
-                    0.0,
-                    black_box(&upper),
-                    black_box(&lower),
-                    black_box(&proj_up),
-                    black_box(&proj_lo),
-                    r,
-                    &mut counter
-                )
-            )
-        });
-
         // Sliding extreme: seq = the historical monotonic deque,
-        // chunked = the van Herk/Gil–Werman kernel. There is no
-        // std::simd variant.
+        // chunked = the van Herk/Gil–Werman kernel.
         let band = (n / 16).max(1);
         let mut win = SlidingScratch::new();
         let mut out = Vec::new();
-        push_kernel(
-            &mut entries,
-            "sliding_max",
-            n,
-            iters,
-            samples,
-            |be| match be {
-                "seq" => {
-                    sliding_max_into_seq(black_box(&a), band, &mut win, &mut out);
-                    black_box(&out);
-                    true
-                }
-                "chunked" => {
-                    sliding_max_into(black_box(&a), band, &mut win, &mut out);
-                    black_box(&out);
-                    true
-                }
-                _ => false,
-            },
-        );
+        push_kernel(&mut entries, "sliding_max", n, iters, samples, |be| {
+            let kernel = if be == "seq" {
+                sliding_max_into_seq
+            } else {
+                sliding_max_into
+            };
+            kernel(black_box(&a), band, &mut win, &mut out);
+            black_box(&out);
+        });
 
         // Early-abandoning DTW at band 5, the leaf of every DTW scan:
         // seq = the historical cell-by-cell loop, chunked = the
         // band-major kernel (finite inputs, so its finiteness pass and
-        // compare-min recurrence). There is no std::simd variant.
+        // compare-min recurrence).
         let dtw = DtwParams::new(5);
         push_kernel(&mut entries, "dtw_band5", n, iters, samples, |be| {
-            let kernel = match be {
-                "seq" => dtw_early_abandon_seq,
-                "chunked" => dtw_early_abandon,
-                _ => return false,
+            let kernel = if be == "seq" {
+                dtw_early_abandon_seq
+            } else {
+                dtw_early_abandon
             };
             black_box(kernel(black_box(&a), black_box(&b), dtw, r, &mut counter));
-            true
         });
     }
     entries
@@ -263,7 +213,6 @@ fn write_json(entries: &[Entry], quick: bool) -> String {
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"lanes\": {},", kernels::LANES);
-    let _ = writeln!(out, "  \"simd_compiled\": {},", cfg!(feature = "simd"));
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let _ = write!(
@@ -281,8 +230,7 @@ fn write_json(entries: &[Entry], quick: bool) -> String {
 fn main() -> ExitCode {
     let quick = rotind_bench::quick_mode();
     println!(
-        "kernel bench: sizes {SIZES:?}, backends seq/chunked{}{}",
-        if cfg!(feature = "simd") { "/simd" } else { "" },
+        "kernel bench: sizes {SIZES:?}, backends seq/chunked{}",
         if quick { " (quick)" } else { "" },
     );
     let entries = measure(quick);

@@ -3,10 +3,8 @@
 //! then emit everything the observer saw — per-level prune counts,
 //! the LB-tightness histogram (`lb / true distance` over admitted
 //! leaves), the early-abandon depth histogram, and the K-planner
-//! timeline — as `results/trace.csv` plus a human-readable report,
-//! the Prometheus exposition of the metrics registry, and the span
-//! table (wall-clock next to `num_steps`, the paper's §5.3 argument
-//! made visible).
+//! timeline — as `results/trace.csv` plus a human-readable report and
+//! the Prometheus exposition of the metrics registry.
 //!
 //! A second pass re-runs the same queries under the hierarchical
 //! [`Profiler`] and writes `results/trace_profile.json` — a
@@ -29,7 +27,7 @@ use rotind_eval::report::{fmt_ratio, Table};
 use rotind_eval::speedup::wedge_startup_steps;
 use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
 use rotind_index::QueryKind;
-use rotind_obs::{global_span_report, MetricsRegistry, NoBudget, Profiler, QueryTrace, Span};
+use rotind_obs::{MetricsRegistry, NoBudget, Profiler, QueryTrace};
 use rotind_shape::dataset as shapes;
 use rotind_ts::StepCounter;
 use std::process::ExitCode;
@@ -46,7 +44,6 @@ fn run() -> Result<(), BenchError> {
     let mut total_steps = 0u64;
     for query in &pool[m..] {
         let mut counter = StepCounter::new();
-        let span = Span::enter_with("trace.query", &counter);
         let engine =
             RotationQuery::new(query, Invariance::Rotation)?.with_k_policy(KPolicy::dynamic());
         engine.search(
@@ -58,7 +55,6 @@ fn run() -> Result<(), BenchError> {
             None,
         )?;
         counter.add(wedge_startup_steps(n, engine.tree().max_k()));
-        span.finish(&counter);
         total_steps += counter.steps();
     }
 
@@ -171,7 +167,6 @@ fn run() -> Result<(), BenchError> {
         "--- metrics (prometheus exposition) ---\n{}",
         registry.render_prometheus()
     );
-    println!("--- spans ---\n{}", global_span_report());
 
     let dir = rotind_bench::results_dir();
     let _ = std::fs::create_dir_all(&dir);

@@ -17,7 +17,7 @@ use rotind_ts::StepCounter;
 #[inline]
 pub fn squared_euclidean(q: &[f64], c: &[f64]) -> f64 {
     let mut scratch = StepCounter::new();
-    kernels::engine::sq_dist_abandon(q, c, f64::INFINITY, &mut scratch)
+    kernels::chunked::sq_dist_abandon(q, c, f64::INFINITY, &mut scratch)
         // Invariant: `acc > r²` is unsatisfiable for r = ∞, so the
         // early-abandon path cannot return Err.
         // rotind-lint: allow(no-panic)
@@ -61,7 +61,7 @@ pub fn euclidean_early_abandon(
     r: f64,
     counter: &mut StepCounter,
 ) -> Option<f64> {
-    kernels::engine::sq_dist_abandon(q, c, r, counter)
+    kernels::chunked::sq_dist_abandon(q, c, r, counter)
         .ok()
         .map(f64::sqrt)
 }
@@ -92,7 +92,7 @@ pub fn euclidean_early_abandon_rotated(
     // counts are bit-identical to [`euclidean_early_abandon`] on the
     // materialised series.
     let (head, tail) = base.split_at(shift);
-    kernels::engine::sq_dist_abandon_split(candidate, tail, head, r, counter)
+    kernels::chunked::sq_dist_abandon_split(candidate, tail, head, r, counter)
         .ok()
         .map(f64::sqrt)
 }

@@ -1,22 +1,17 @@
 //! Lane-parallel accumulation kernels shared by the hot bound loops.
 //!
-//! Every inner loop the cascade profile is dominated by — early-abandoning
-//! Euclidean distance, the `LB_Keogh` envelope clamp (`c < L[i]` /
-//! `U[i] < c` squared-error sum), and the `LB_Improved` interval-gap
-//! sum — is the same shape: a sum of
+//! Every inner loop the scan profile is dominated by — early-abandoning
+//! Euclidean distance and the `LB_Keogh` envelope clamp (`c < L[i]` /
+//! `U[i] < c` squared-error sum) — is the same shape: a sum of
 //! non-negative squared terms with a strict two-stage dismissal test
 //! (`acc > r²` **and** `√acc > r`). This module implements that shape
-//! once, in three interchangeable backends:
+//! once, in two interchangeable backends:
 //!
 //! * [`seq`] — the historical per-element scalar kernels, kept as the
 //!   benchmark baseline and as the reference for early-abandon trip
 //!   points;
 //! * [`chunked`] — the **canonical** accumulation order (see below) in
-//!   plain autovectorization-friendly Rust: the stable default engine
-//!   path;
-//! * `simd` — the same canonical order written with `std::simd`
-//!   (`portable_simd`, nightly only, behind the `simd` cargo feature),
-//!   bit-identical to [`chunked`] by construction.
+//!   plain autovectorization-friendly Rust: the path the engine runs.
 //!
 //! # The canonical accumulation order
 //!
@@ -30,9 +25,9 @@
 //! terms on wildly-distant candidates (where early abandoning earns the
 //! most) while long admits run at full vector throughput. The trailing
 //! `len % 8` elements are accumulated sequentially. This order is a
-//! *definition*, not an optimisation detail: every backend except the
-//! legacy [`seq`] implements exactly this association, which is what
-//! makes `chunked` and `simd` bitwise interchangeable.
+//! *definition*, not an optimisation detail: [`chunked`] implements
+//! exactly this association, so its sums do not depend on how the
+//! compiler maps the lanes onto vector registers.
 //!
 //! # Early abandoning: block check + scalar replay
 //!
@@ -74,8 +69,7 @@ fn block_chunks(step: usize) -> usize {
 
 /// The fixed tree reduction folding the lane sums into a scalar:
 /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. Part of the canonical-order
-/// definition — `std::simd`'s `reduce_sum` leaves its association
-/// unspecified, so both vector backends reduce through this tree.
+/// definition.
 #[inline(always)]
 fn tree8(l: [f64; LANES]) -> f64 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
@@ -232,47 +226,6 @@ impl Terms for ClampTerms<'_> {
     }
 }
 
-/// `LB_Improved` second-pass terms: the squared gap between the plain
-/// envelope interval `[L_j, U_j]` and the widened projection interval
-/// `[proj_lo_j, proj_up_j]`. At most one of the two differences is
-/// positive (the intervals are produced by nested envelopes), so the
-/// branch-free max matches the legacy if/else-if chain bit for bit.
-struct IntervalGapTerms<'a> {
-    lower: &'a [f64],
-    upper: &'a [f64],
-    proj_up: &'a [f64],
-    proj_lo: &'a [f64],
-}
-
-impl Terms for IntervalGapTerms<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.lower.len()
-    }
-
-    // lint: panic-exempt(i < len is the trait contract; slices are length-checked by the public kernels)
-    #[inline(always)]
-    fn at(&self, i: usize) -> f64 {
-        let d = (self.lower[i] - self.proj_up[i])
-            .max(self.proj_lo[i] - self.upper[i])
-            .max(0.0);
-        d * d
-    }
-
-    // lint: panic-exempt(start + LANES <= len is the trait contract; the range checks vanish after inlining)
-    #[inline(always)]
-    fn chunk(&self, start: usize, out: &mut [f64; LANES]) {
-        let lo = &self.lower[start..start + LANES];
-        let up = &self.upper[start..start + LANES];
-        let pu = &self.proj_up[start..start + LANES];
-        let pl = &self.proj_lo[start..start + LANES];
-        for j in 0..LANES {
-            let d = (lo[j] - pu[j]).max(pl[j] - up[j]).max(0.0);
-            out[j] = d * d;
-        }
-    }
-}
-
 /// Per-element pass over `count` terms starting at `start`, resuming
 /// from `acc`, with the legacy tick-and-test per element. Serves both
 /// the remainder tail (where it *is* the canonical order) and trip-point
@@ -296,18 +249,19 @@ fn scan_elements<T: Terms>(
     Ok(acc)
 }
 
+/// The [`seq`] accumulation: one tick-and-test per element, in index
+/// order.
+fn scan_seq<T: Terms>(src: &T, r: f64, counter: &mut StepCounter) -> Result<f64, usize> {
+    scan_elements(src, 0, src.len(), 0.0, r * r, r, counter)
+}
+
 /// The chunked canonical driver: lane accumulators per block, tree
 /// reduction, block-granular dismissal with per-element replay.
-fn accumulate<T: Terms>(
-    src: &T,
-    init: f64,
-    r: f64,
-    counter: &mut StepCounter,
-) -> Result<f64, usize> {
+fn accumulate<T: Terms>(src: &T, r: f64, counter: &mut StepCounter) -> Result<f64, usize> {
     let n = src.len();
     let r2 = r * r;
     let chunks = n / LANES;
-    let mut acc = init;
+    let mut acc = 0.0;
     let mut chunk = 0usize;
     let mut sched = 0usize;
     let mut t = [0.0f64; LANES];
@@ -337,117 +291,6 @@ fn accumulate<T: Terms>(
     scan_elements(src, chunks * LANES, n - chunks * LANES, acc, r2, r, counter)
 }
 
-#[cfg(feature = "simd")]
-mod simd_backend {
-    //! The `std::simd` expression of the canonical order. Bit-identity
-    //! with the chunked backend holds because both perform the same
-    //! per-lane addition sequences and the same [`tree8`] reduction —
-    //! `reduce_sum` is deliberately avoided (association unspecified),
-    //! and no fused multiply-adds are emitted (Rust never contracts FP
-    //! expressions implicitly).
-    use super::*;
-    use std::simd::cmp::SimdPartialOrd;
-    use std::simd::{f64x8, Select, Simd};
-
-    /// Vector form of a [`Terms`] chunk. Implementations must produce
-    /// exactly the values `chunk` writes, lane for lane.
-    pub(super) trait SimdTerms: Terms {
-        fn chunk_v(&self, start: usize) -> f64x8;
-    }
-
-    /// `max(a, b)` with the exact semantics of `f64::max` on the
-    /// NaN-free domain these kernels operate on (propagating the larger
-    /// magnitude; both backends agree bit for bit on every input the
-    /// engine admits).
-    #[inline(always)]
-    fn vmax(a: f64x8, b: f64x8) -> f64x8 {
-        a.simd_ge(b).select(a, b)
-    }
-
-    #[inline(always)]
-    fn vgap(q: f64x8, u: f64x8, l: f64x8) -> f64x8 {
-        vmax(vmax(q - u, l - q), Simd::splat(0.0))
-    }
-
-    impl SimdTerms for EuclidTerms<'_> {
-        // lint: panic-exempt(start + LANES <= len is the trait contract; from_slice checks the same bound)
-        #[inline(always)]
-        fn chunk_v(&self, start: usize) -> f64x8 {
-            let a = f64x8::from_slice(&self.a[start..]);
-            let b = f64x8::from_slice(&self.b[start..]);
-            let d = a - b;
-            d * d
-        }
-    }
-
-    impl SimdTerms for SplitEuclidTerms<'_> {
-        #[inline(always)]
-        fn chunk_v(&self, start: usize) -> f64x8 {
-            let mut t = [0.0f64; LANES];
-            self.chunk(start, &mut t);
-            f64x8::from_array(t)
-        }
-    }
-
-    impl SimdTerms for ClampTerms<'_> {
-        // lint: panic-exempt(start + LANES <= len is the trait contract; from_slice checks the same bound)
-        #[inline(always)]
-        fn chunk_v(&self, start: usize) -> f64x8 {
-            let q = f64x8::from_slice(&self.q[start..]);
-            let u = f64x8::from_slice(&self.upper[start..]);
-            let l = f64x8::from_slice(&self.lower[start..]);
-            let d = vgap(q, u, l);
-            d * d
-        }
-    }
-
-    impl SimdTerms for IntervalGapTerms<'_> {
-        // lint: panic-exempt(start + LANES <= len is the trait contract; from_slice checks the same bound)
-        #[inline(always)]
-        fn chunk_v(&self, start: usize) -> f64x8 {
-            let lo = f64x8::from_slice(&self.lower[start..]);
-            let up = f64x8::from_slice(&self.upper[start..]);
-            let pu = f64x8::from_slice(&self.proj_up[start..]);
-            let pl = f64x8::from_slice(&self.proj_lo[start..]);
-            let d = vmax(vmax(lo - pu, pl - up), Simd::splat(0.0));
-            d * d
-        }
-    }
-
-    /// The `std::simd` canonical driver — structurally identical to the
-    /// chunked one, with a vector lane accumulator.
-    pub(super) fn accumulate_v<T: SimdTerms>(
-        src: &T,
-        init: f64,
-        r: f64,
-        counter: &mut StepCounter,
-    ) -> Result<f64, usize> {
-        let n = src.len();
-        let r2 = r * r;
-        let chunks = n / LANES;
-        let mut acc = init;
-        let mut chunk = 0usize;
-        let mut sched = 0usize;
-        while chunk < chunks {
-            let blk = block_chunks(sched).min(chunks - chunk);
-            sched += 1;
-            let mut lane = f64x8::splat(0.0);
-            for k in chunk..chunk + blk {
-                lane += src.chunk_v(k * LANES);
-            }
-            let cand = acc + tree8(lane.to_array());
-            if trips(cand, r2, r) {
-                scan_elements(src, chunk * LANES, blk * LANES, acc, r2, r, counter)?;
-            } else {
-                counter.add((blk * LANES) as u64);
-            }
-            acc = cand;
-            chunk += blk;
-        }
-        scan_elements(src, chunks * LANES, n - chunks * LANES, acc, r2, r, counter)
-    }
-}
-
 /// Validate the slice lengths the kernels rely on (once, at the public
 /// entry; the per-chunk slicing inside the term sources is then
 /// statically in range).
@@ -459,7 +302,7 @@ macro_rules! check_len {
 
 macro_rules! backend {
     ($name:ident, $call:ident) => {
-        /// One backend of the four accumulation kernels. All backends share
+        /// One backend of the three accumulation kernels. Both backends share
         /// signatures and semantics; see the module docs for which order each
         /// implements.
         pub mod $name {
@@ -477,7 +320,7 @@ macro_rules! backend {
                 counter: &mut StepCounter,
             ) -> Result<f64, usize> {
                 check_len!(a.len(), b);
-                $call!(EuclidTerms { a, b }, 0.0, r, counter)
+                $call(&EuclidTerms { a, b }, r, counter)
             }
 
             /// [`sq_dist_abandon`] against the logical concatenation
@@ -496,7 +339,7 @@ macro_rules! backend {
                     first.len() + second.len(),
                     "kernel: length mismatch"
                 );
-                $call!(SplitEuclidTerms { a, first, second }, 0.0, r, counter)
+                $call(&SplitEuclidTerms { a, first, second }, r, counter)
             }
 
             /// `LB_Keogh` accumulation: squared clamp gaps of `q` outside
@@ -510,75 +353,14 @@ macro_rules! backend {
                 counter: &mut StepCounter,
             ) -> Result<f64, usize> {
                 check_len!(q.len(), upper, lower);
-                $call!(ClampTerms { q, upper, lower }, 0.0, r, counter)
-            }
-
-            /// `LB_Improved` second-pass accumulation: interval gaps between
-            /// the plain envelope and the widened projection, resuming from
-            /// the completed first-pass accumulator `init`.
-            // lint: panic-exempt(length equality is validated here once; the kernel body is then in range)
-            pub fn interval_gap_sq_abandon(
-                init: f64,
-                upper: &[f64],
-                lower: &[f64],
-                proj_up: &[f64],
-                proj_lo: &[f64],
-                r: f64,
-                counter: &mut StepCounter,
-            ) -> Result<f64, usize> {
-                check_len!(lower.len(), upper, proj_up, proj_lo);
-                $call!(
-                    IntervalGapTerms {
-                        lower,
-                        upper,
-                        proj_up,
-                        proj_lo
-                    },
-                    init,
-                    r,
-                    counter
-                )
+                $call(&ClampTerms { q, upper, lower }, r, counter)
             }
         }
     };
 }
 
-macro_rules! call_seq {
-    ($src:expr, $init:expr, $r:expr, $counter:expr) => {{
-        let src = $src;
-        let r = $r;
-        scan_elements(&src, 0, Terms::len(&src), $init, r * r, r, $counter)
-    }};
-}
-
-macro_rules! call_chunked {
-    ($src:expr, $init:expr, $r:expr, $counter:expr) => {
-        accumulate(&$src, $init, $r, $counter)
-    };
-}
-
-#[cfg(feature = "simd")]
-macro_rules! call_simd {
-    ($src:expr, $init:expr, $r:expr, $counter:expr) => {
-        simd_backend::accumulate_v(&$src, $init, $r, $counter)
-    };
-}
-
-backend!(seq, call_seq);
-backend!(chunked, call_chunked);
-#[cfg(feature = "simd")]
-backend!(simd, call_simd);
-
-/// The backend the engine runs: the chunked canonical order (stable
-/// default; enable the `simd` feature on nightly for the `std::simd`
-/// expression of the same order).
-#[cfg(not(feature = "simd"))]
-pub use chunked as engine;
-/// The backend the engine runs: `std::simd` when the `simd` feature is
-/// enabled (nightly), the chunked canonical order otherwise. Both
-/// produce bitwise-identical sums, trip positions and step counts.
-#[cfg(feature = "simd")]
-pub use simd as engine;
+backend!(seq, scan_seq);
+backend!(chunked, accumulate);
 
 #[cfg(test)]
 mod tests {
@@ -701,50 +483,6 @@ mod tests {
                     chunked::sq_dist_abandon_split(&a, &base[shift..], &base[..shift], r, &mut s2);
                 assert_eq!(plain, split, "shift {shift} r {r}");
                 assert_eq!(s1.steps(), s2.steps(), "shift {shift} r {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn interval_gap_resumes_from_init() {
-        let n = 33;
-        let (upper, lower) = envelope(n);
-        // Projection envelope strictly inside the plain envelope: every
-        // gap term is zero, the kernel returns the init unchanged.
-        let pu: Vec<f64> = upper.iter().map(|x| x + 1.0).collect();
-        let pl: Vec<f64> = lower.iter().map(|x| x - 1.0).collect();
-        let got = chunked::interval_gap_sq_abandon(
-            5.0,
-            &upper,
-            &lower,
-            &pu,
-            &pl,
-            f64::INFINITY,
-            &mut steps(),
-        );
-        assert_eq!(got, Ok(5.0));
-        // An init already beyond r² dismisses on the first element, as
-        // the legacy per-element loop did.
-        let mut s = steps();
-        let tripped =
-            chunked::interval_gap_sq_abandon(100.0, &upper, &lower, &pu, &pl, 1.0, &mut s);
-        assert_eq!(tripped, Err(1));
-        assert_eq!(s.steps(), 1);
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn simd_is_bit_identical_to_chunked() {
-        for n in [1usize, 7, 8, 9, 64, 65, 200, 251] {
-            let q = series(n, 2.9);
-            let (upper, lower) = envelope(n);
-            for r in [f64::INFINITY, 2.0, 0.5] {
-                let mut s1 = steps();
-                let mut s2 = steps();
-                let c = chunked::clamp_sq_abandon(&q, &upper, &lower, r, &mut s1);
-                let v = simd::clamp_sq_abandon(&q, &upper, &lower, r, &mut s2);
-                assert_eq!(c, v, "n {n} r {r}");
-                assert_eq!(s1.steps(), s2.steps(), "n {n} r {r}");
             }
         }
     }

@@ -24,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod dtw;
 pub mod euclidean;

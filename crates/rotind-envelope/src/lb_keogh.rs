@@ -111,7 +111,7 @@ pub fn lb_keogh_early_abandon_at(
     // The clamp-and-accumulate runs lane-parallel in the canonical
     // kernel order; abandon positions and step counts match the
     // historical per-element loop (block check + scalar replay).
-    let acc = kernels::engine::clamp_sq_abandon(q, upper, lower, r, counter)?;
+    let acc = kernels::chunked::clamp_sq_abandon(q, upper, lower, r, counter)?;
     let lb = acc.sqrt();
     // Debug-only self-check of Proposition 1: every series inside the
     // envelope (the envelope curves themselves included, since L ≤ U
@@ -132,131 +132,23 @@ pub fn lb_keogh_early_abandon_at(
     Ok(lb)
 }
 
-/// Reusable projection + sliding-window buffers for the envelope bounds
-/// that need per-call working storage: the `LB_Improved` second pass and
-/// the widened LCSS envelope. Owned by the caller (the engine keeps one
-/// per scan, or per parallel worker, for its LCSS bound) so the query
-/// hot path performs no per-call allocation.
+/// Reusable sliding-window buffers for the LCSS envelope bound: the
+/// `δ`-widened upper and lower envelope curves. Owned by the caller (the
+/// engine keeps one per scan, or per parallel worker) so the query hot
+/// path performs no per-call allocation.
 #[derive(Debug, Default)]
-pub struct ImprovedScratch {
-    proj: Vec<f64>,
-    proj_up: Vec<f64>,
-    proj_lo: Vec<f64>,
+pub struct LcssScratch {
+    upper: Vec<f64>,
+    lower: Vec<f64>,
     win: crate::envelope::SlidingScratch,
 }
 
-impl ImprovedScratch {
+impl LcssScratch {
     /// An empty workspace; buffers grow to the series length on first
     /// use and are retained across calls.
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// `LB_Improved` (Lemire's two-pass bound, arXiv:0811.3301, generalised
-/// from single series to wedges): the first pass is
-/// `LB_Keogh(Q, W^R)` against the band-widened envelope; the second pass
-/// projects the candidate onto that envelope (`hᵢ = clamp(qᵢ, L^R_i,
-/// U^R_i)`), widens the projection by the band, and adds the gap between
-/// the *plain* envelope `[L_j, U_j]` and the widened projection interval
-/// at every position. The total never falls below the first pass alone.
-///
-/// Admissibility (Proposition 2 extended): for any member `Cs` and any
-/// in-band warping-path cell `(i, j)` (`|i−j| ≤ R`, so `Cs_j ∈ [L_j,
-/// U_j] ⊆ [L^R_i, U^R_i]`), `qᵢ − hᵢ` and `hᵢ − Cs_j` share a sign,
-/// hence `(qᵢ − Cs_j)² ≥ (qᵢ − hᵢ)² + (hᵢ − Cs_j)²`. Summing over the
-/// path, the first addend dominates the first pass (every `i` occurs on
-/// the path) and the second dominates the second pass (every `j` occurs
-/// with some in-band `i`, and `min_{|i−j|≤R} (hᵢ − Cs_j)²` is at least
-/// the interval-to-interval gap accumulated here). With `R = 0` the
-/// projection lies inside the plain envelope and the second pass is
-/// identically zero — the bound is only worth running for DTW.
-///
-/// Charges one step per position in each pass plus `n` for building the
-/// projection envelope.
-///
-/// # Panics
-///
-/// Panics when the lengths of `q`, `wedge` and `lb_wedge` differ.
-pub fn lb_improved(
-    q: &[f64],
-    wedge: &Wedge,
-    lb_wedge: &Wedge,
-    band: usize,
-    counter: &mut StepCounter,
-) -> f64 {
-    let first = lb_keogh(q, lb_wedge, counter);
-    lb_improved_second_pass(
-        q,
-        wedge,
-        lb_wedge,
-        band,
-        first * first,
-        f64::INFINITY,
-        &mut ImprovedScratch::new(),
-        counter,
-    )
-    // Invariant: an infinite radius never dismisses.
-    // rotind-lint: allow(no-panic)
-    .expect("infinite radius never abandons")
-}
-
-/// Second pass of [`lb_improved`], resuming from a completed first-pass
-/// accumulator `first_pass_acc` (the *squared* `LB_Keogh(Q, W^R)` sum) —
-/// the form to use after an `LB_Keogh` pass has already paid for the
-/// first pass. Dismissal against `r` is strict in reported-bound
-/// space (`acc > r²` and `√acc > r`), mirroring
-/// [`lb_keogh_early_abandon_at`]; `None` means no member can be within
-/// `r`.
-// lint: panic-exempt(both wedges come from one hierarchy sharing the validated series length)
-#[allow(clippy::too_many_arguments)] // mirrors the cascade's tier-call shape; scratch rides along
-pub fn lb_improved_second_pass(
-    q: &[f64],
-    wedge: &Wedge,
-    lb_wedge: &Wedge,
-    band: usize,
-    first_pass_acc: f64,
-    r: f64,
-    scratch: &mut ImprovedScratch,
-    counter: &mut StepCounter,
-) -> Option<f64> {
-    let n = q.len();
-    assert_eq!(n, wedge.len(), "lb_improved: length mismatch");
-    assert_eq!(n, lb_wedge.len(), "lb_improved: widened length mismatch");
-    let s = scratch;
-    s.proj.clear();
-    s.proj.reserve(n);
-    let (wu, wl) = (lb_wedge.upper(), lb_wedge.lower());
-    s.proj
-        .extend(q.iter().zip(wl).zip(wu).map(|((&x, &l), &u)| x.clamp(l, u)));
-    crate::envelope::sliding_max_into(&s.proj, band, &mut s.win, &mut s.proj_up);
-    crate::envelope::sliding_min_into(&s.proj, band, &mut s.win, &mut s.proj_lo);
-    // The projection and its widened envelope cost ~n real-value
-    // operations; charge them so step counts stay honest.
-    counter.add(n as u64);
-    let acc = kernels::engine::interval_gap_sq_abandon(
-        first_pass_acc,
-        wedge.upper(),
-        wedge.lower(),
-        &s.proj_up,
-        &s.proj_lo,
-        r,
-        counter,
-    )
-    .ok()?;
-    let lb = acc.sqrt();
-    // Witness: the envelope curves are themselves enclosed by the wedge
-    // (L ≤ U pointwise), so the bound must not exceed the banded DTW
-    // distance to either curve.
-    #[cfg(debug_assertions)]
-    {
-        use rotind_distance::dtw::{dtw, DtwParams};
-        let mut scratch_steps = StepCounter::new();
-        let params = DtwParams::new(band);
-        debug_assert_admissible(lb, dtw(q, wedge.upper(), params, &mut scratch_steps));
-        debug_assert_admissible(lb, dtw(q, wedge.lower(), params, &mut scratch_steps));
-    }
-    Some(lb)
 }
 
 /// LCSS envelope bound: an *upper* bound on the LCSS match count of the
@@ -276,7 +168,7 @@ pub fn lcss_distance_lower_bound(
     params: LcssParams,
     counter: &mut StepCounter,
 ) -> f64 {
-    lcss_distance_lower_bound_with(q, wedge, params, &mut ImprovedScratch::new(), counter)
+    lcss_distance_lower_bound_with(q, wedge, params, &mut LcssScratch::new(), counter)
 }
 
 /// [`lcss_distance_lower_bound`] with caller-owned scratch: the
@@ -289,21 +181,21 @@ pub fn lcss_distance_lower_bound_with(
     q: &[f64],
     wedge: &Wedge,
     params: LcssParams,
-    scratch: &mut ImprovedScratch,
+    scratch: &mut LcssScratch,
     counter: &mut StepCounter,
 ) -> f64 {
     assert_eq!(q.len(), wedge.len(), "lcss bound: length mismatch");
     let s = scratch;
-    crate::envelope::sliding_max_into(wedge.upper(), params.delta, &mut s.win, &mut s.proj_up);
-    crate::envelope::sliding_min_into(wedge.lower(), params.delta, &mut s.win, &mut s.proj_lo);
+    crate::envelope::sliding_max_into(wedge.upper(), params.delta, &mut s.win, &mut s.upper);
+    crate::envelope::sliding_min_into(wedge.lower(), params.delta, &mut s.win, &mut s.lower);
     // One step per scanned position, as the historical per-element loop
     // charged (the widening rides free there and here alike, keeping
     // committed step baselines identical).
     counter.add(q.len() as u64);
     let possible = q
         .iter()
-        .zip(&s.proj_lo)
-        .zip(&s.proj_up)
+        .zip(&s.lower)
+        .zip(&s.upper)
         .filter(|((&x, &l), &u)| x >= l - params.epsilon && x <= u + params.epsilon)
         .count();
     let lb = 1.0 - possible as f64 / q.len() as f64;
@@ -501,82 +393,6 @@ mod tests {
         let params = LcssParams::new(0.5, 2);
         let lb = lcss_distance_lower_bound(&q, &w, params, &mut steps());
         assert_eq!(lb, 1.0, "no position can possibly match");
-    }
-
-    #[test]
-    fn lb_improved_dominates_lb_keogh_and_stays_admissible() {
-        let c = signal(36, 0.0);
-        let m = RotationMatrix::full(&c).unwrap();
-        let rows: Vec<usize> = vec![0, 4, 11, 18];
-        let w = Wedge::from_rows(&m, &rows);
-        let q = signal(36, 2.9);
-        for band in [0usize, 1, 3, 6] {
-            let wide = w.widened(band);
-            let keogh = lb_keogh(&q, &wide, &mut steps());
-            let improved = lb_improved(&q, &w, &wide, band, &mut steps());
-            assert!(
-                improved >= keogh - 1e-12,
-                "band {band}: improved {improved} < keogh {keogh}"
-            );
-            for &row in &rows {
-                let d = dtw(&q, &m.row(row).to_vec(), DtwParams::new(band), &mut steps());
-                assert!(
-                    improved <= d + 1e-9,
-                    "band {band} row {row}: improved {improved} > dtw {d}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lb_improved_second_pass_dismissal_is_strict() {
-        let c = signal(32, 0.0);
-        let m = RotationMatrix::full(&c).unwrap();
-        let w = Wedge::from_rows(&m, &[0, 5]);
-        let wide = w.widened(2);
-        let q = signal(32, 1.9);
-        let first = lb_keogh(&q, &wide, &mut steps());
-        let full = lb_improved(&q, &w, &wide, 2, &mut steps());
-        assert!(full > 0.0, "test needs a non-trivial bound");
-        let mut scratch = ImprovedScratch::new();
-        // Radius exactly at the bound: inclusive, never dismissed.
-        let at = lb_improved_second_pass(
-            &q,
-            &w,
-            &wide,
-            2,
-            first * first,
-            full,
-            &mut scratch,
-            &mut steps(),
-        );
-        assert_eq!(at, Some(full));
-        // Radius below the bound: dismissed.
-        let below = lb_improved_second_pass(
-            &q,
-            &w,
-            &wide,
-            2,
-            first * first,
-            full * 0.99,
-            &mut scratch,
-            &mut steps(),
-        );
-        assert_eq!(below, None);
-    }
-
-    #[test]
-    fn lb_improved_second_pass_is_zero_at_band_zero() {
-        let c = signal(20, 0.0);
-        let m = RotationMatrix::full(&c).unwrap();
-        let w = Wedge::from_rows(&m, &[0, 2, 6]);
-        let q = signal(20, 3.3);
-        let keogh = lb_keogh(&q, &w, &mut steps());
-        let improved = lb_improved(&q, &w, &w, 0, &mut steps());
-        assert!(
-            (improved - keogh).abs() < 1e-12,
-            "projection lies inside the plain envelope, second pass adds 0"
-        );
     }
 
     #[test]

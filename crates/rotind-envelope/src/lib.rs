@@ -16,8 +16,7 @@
 //! * [`wedge`] — the wedge type: construction from rotations, merging,
 //!   area (the quality heuristic of Figure 8);
 //! * [`lb_keogh`] — `LB_Keogh` and its early-abandoning form (Table 5),
-//!   plus the DTW and LCSS variants, and Lemire's two-pass
-//!   `lb_improved`, a library bound the engine does not run;
+//!   plus the DTW and LCSS variants;
 //! * [`hierarchy`] — the hierarchical wedge tree derived from a
 //!   group-average dendrogram over the query's rotations (Figures 9/10),
 //!   the structure the H-Merge search of `rotind-index` traverses.

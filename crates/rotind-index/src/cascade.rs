@@ -5,10 +5,10 @@
 //! A wedge the bound dismisses prunes every rotation it covers; one it
 //! admits descends to its children, and a leaf evaluates the exact
 //! measure. It is the only bound: cheaper pre-filters (an `O(1)`
-//! endpoint bound, a reduced-space PAA bound), LB_Improved's second
-//! pass ([`rotind_envelope::lb_keogh::lb_improved_second_pass`]) and a
-//! per-wedge "largest expected contribution first" accumulation order
-//! each cost more wall time than they saved (DESIGN.md §12).
+//! endpoint bound, a reduced-space PAA bound), Lemire's two-pass
+//! LB_Improved (deleted; git history keeps it) and a per-wedge "largest
+//! expected contribution first" accumulation order each cost more wall
+//! time than they saved (DESIGN.md §12).
 //!
 //! The bound prunes with a *strict* comparison, so the scan can neither
 //! exclude a rotation at exactly the admitted radius nor change any

@@ -15,7 +15,7 @@
 use rotind_distance::dtw::dtw_early_abandon_finite;
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::{
-    lb_keogh_early_abandon_at, lcss_distance_lower_bound_with, ImprovedScratch,
+    lb_keogh_early_abandon_at, lcss_distance_lower_bound_with, LcssScratch,
 };
 use rotind_envelope::WedgeTree;
 use rotind_obs::{BudgetHook, CascadeTier, NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -55,7 +55,7 @@ fn rotation_key(r: Rotation) -> (bool, usize) {
 pub(crate) struct WalkBuffers {
     stack: Vec<(usize, usize)>,
     leaf: Vec<f64>,
-    lcss: ImprovedScratch,
+    lcss: LcssScratch,
 }
 
 /// Exact distance at a single-rotation leaf, early-abandoning against `r`.
@@ -150,7 +150,7 @@ fn node_tier_bound<O: SearchObserver>(
     level: usize,
     best_so_far: f64,
     measure: Measure,
-    lcss: &mut ImprovedScratch,
+    lcss: &mut LcssScratch,
     counter: &mut StepCounter,
     observer: &mut O,
 ) -> Option<f64> {

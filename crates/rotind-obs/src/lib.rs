@@ -8,9 +8,6 @@
 //!
 //! - [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms
 //!   with Prometheus-style text exposition and JSONL event export.
-//! - [`Span`] — RAII timers recording wall-clock *alongside* a
-//!   [`StepCounter`](rotind_ts::StepCounter) snapshot, so wall-clock and
-//!   the paper's step metric can be compared per phase.
 //! - [`SearchObserver`] — a callback trait threaded through the wedge
 //!   engine. The default [`NoopObserver`] monomorphizes to nothing, so
 //!   un-observed searches pay zero overhead. [`ForkJoinObserver`]
@@ -42,7 +39,6 @@ pub mod envcfg;
 pub mod metrics;
 pub mod observer;
 pub mod profile;
-pub mod span;
 pub mod trace;
 
 pub use budget::{
@@ -53,5 +49,4 @@ pub use envcfg::env_positive_usize;
 pub use metrics::{Histogram, LogHistogram, MetricsRegistry};
 pub use observer::{CascadeTier, ForkJoinObserver, NoopObserver, ProfilePhase, SearchObserver};
 pub use profile::{ProfileNode, ProfileTree, Profiler, TierCost};
-pub use span::{global_span_report, reset_global_spans, Span, SpanRecord};
 pub use trace::{KChange, QueryTrace};

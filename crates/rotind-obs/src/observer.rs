@@ -20,10 +20,11 @@ pub enum CascadeTier {
     Reduced,
     /// Tier 3: full LB_Keogh with early abandoning, in position order.
     Keogh,
-    /// Tier 4: the LB_Improved second pass; no engine runs it. Tiers 1,
-    /// 2 and 4 each cost more than they saved, so their `tier.*` metrics
-    /// read 0 under every measure. The variants stay because trace and
-    /// benchmark consumers index their tier slots by [`CascadeTier::ALL`].
+    /// Tier 4: Lemire's LB_Improved second pass, deleted from the
+    /// library. Tiers 1, 2 and 4 each cost more than they saved, so their
+    /// `tier.*` metrics read 0 under every measure. The variants stay
+    /// because trace and benchmark consumers index their tier slots by
+    /// [`CascadeTier::ALL`].
     Improved,
 }
 

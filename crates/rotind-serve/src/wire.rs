@@ -376,8 +376,19 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take::<8>(field)?))
     }
 
+    /// Capacity to reserve for `claimed` elements of `size` bytes each:
+    /// the claim, capped by the elements the unread bytes can hold, so a
+    /// count the payload does not back reserves no more than it received.
+    fn capacity_for(&self, claimed: usize, size: usize) -> usize {
+        claimed.min(self.remaining() / size)
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     fn finish(self) -> Result<(), WireError> {
-        let left = self.buf.len().saturating_sub(self.pos);
+        let left = self.remaining();
         if left > 0 {
             return Err(WireError::TrailingBytes { len: left });
         }
@@ -520,7 +531,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
                 us => Some(Duration::from_micros(us)),
             };
             let n = r.u32("series_len")? as usize;
-            let mut series = Vec::with_capacity(n.min(MAX_FRAME_LEN / 8));
+            let mut series = Vec::with_capacity(r.capacity_for(n, 8));
             for _ in 0..n {
                 series.push(r.f64("series")?);
             }
@@ -611,7 +622,8 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
         ST_COMPLETE | ST_EXHAUSTED_STEPS | ST_EXHAUSTED_DEADLINE => {
             let steps = r.u64("steps")?;
             let count = r.u32("hit_count")? as usize;
-            let mut hits = Vec::with_capacity(count.min(MAX_FRAME_LEN / 21));
+            // A hit is 21 bytes: index, distance, shift and mirrored.
+            let mut hits = Vec::with_capacity(r.capacity_for(count, 21));
             for _ in 0..count {
                 let index = r.u64("hit_index")?;
                 let distance = r.f64("hit_distance")?;
@@ -834,6 +846,44 @@ mod tests {
         assert!(matches!(
             decode_request(&trailing),
             Err(WireError::TrailingBytes { len: 1 })
+        ));
+    }
+
+    #[test]
+    fn a_claimed_count_reserves_no_more_than_the_payload_holds() {
+        let r = Reader::new(&[0u8; 40]);
+        assert_eq!(r.capacity_for(u32::MAX as usize, 8), 5, "samples");
+        assert_eq!(r.capacity_for(u32::MAX as usize, 21), 1, "hits");
+        assert_eq!(r.capacity_for(3, 8), 3, "a backed claim is reserved whole");
+
+        // The same 40-byte remainder behind a `u32::MAX` count still
+        // decodes to `Truncated` in both directions.
+        let req = Request::Query(QueryRequest {
+            spec: QuerySpec {
+                series: Vec::new(),
+                invariance: Invariance::Rotation,
+                measure: Measure::Euclidean,
+                kind: QueryKind::Nearest,
+            },
+            max_steps: None,
+            deadline: None,
+        });
+        let mut buf = encode_request(&req);
+        let len_at = buf.len() - 4;
+        buf[len_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 40]);
+        assert!(matches!(
+            decode_request(&buf),
+            Err(WireError::Truncated { field: "series" })
+        ));
+
+        let mut buf = vec![ST_COMPLETE];
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 40]);
+        assert!(matches!(
+            decode_response(&buf),
+            Err(WireError::Truncated { .. })
         ));
     }
 

@@ -108,21 +108,6 @@ ROTIND_THREADS=4 cargo test -q --test exactness --test parallel
 echo "==> profiling suite under ROTIND_THREADS=4"
 ROTIND_THREADS=4 cargo test -q --test profiling
 
-echo "==> std::simd kernel lane (nightly only; skipped when nightly is unavailable)"
-# The default chunked backend is bit-identical to the std::simd one and
-# is already covered above, so on stable this lane degrades to a loud
-# skip, not a fail. On nightly it re-runs the kernel identity suite,
-# the end-to-end exactness suite (sequential and 4 threads), and the
-# cascade suite with the simd engine selected.
-if cargo +nightly --version >/dev/null 2>&1; then
-    cargo +nightly test -q --features simd --test kernels_identity
-    ROTIND_THREADS=1 cargo +nightly test -q --features simd --test exactness --test parallel
-    ROTIND_THREADS=4 cargo +nightly test -q --features simd --test exactness --test parallel
-    cargo +nightly test -q --features simd --test cascade
-else
-    echo "nightly toolchain not installed; skipping std::simd lane (chunked default is bit-identical)"
-fi
-
 # Smoke runs go to a throwaway dir: results/ is git-tracked with
 # full-scale artifacts and a quick run would clobber them.
 SMOKE="$(mktemp -d)"
@@ -158,14 +143,13 @@ import json, sys
 doc = json.load(open(f"{sys.argv[1]}/bench_kernels.json"))
 assert isinstance(doc["quick"], bool), doc
 assert doc["lanes"] >= 2, doc
-assert isinstance(doc["simd_compiled"], bool), doc
 entries = doc["entries"]
 assert entries, "no kernel bench entries"
 cells = {}
 for e in entries:
     for key in ("kernel", "n", "backend", "ns_per_call", "speedup_vs_scalar"):
         assert key in e, f"entry missing {key}: {e}"
-    assert e["backend"] in ("seq", "chunked", "simd"), e
+    assert e["backend"] in ("seq", "chunked"), e
     assert e["ns_per_call"] > 0, e
     assert e["speedup_vs_scalar"] > 0, e
     cells.setdefault((e["kernel"], e["n"]), set()).add(e["backend"])

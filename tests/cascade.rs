@@ -10,7 +10,6 @@ use rotind::distance::euclidean::euclidean;
 use rotind::distance::lcss::LcssParams;
 use rotind::distance::measure::Measure;
 use rotind::distance::rotation::search_database;
-use rotind::envelope::lb_keogh::{lb_improved, lb_keogh};
 use rotind::envelope::Wedge;
 use rotind::index::engine::{Invariance, KPolicy, RotationQuery, DEFAULT_K};
 use rotind::index::reduced::{Paa, PaaEnvelope};
@@ -41,33 +40,6 @@ fn measures() -> Vec<Measure> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// LB_Improved (a library bound, no longer a cascade tier) dominates
-    /// tier 3, its first pass, and still lower-bounds the banded DTW
-    /// distance to every wedge member.
-    #[test]
-    fn lb_improved_dominates_lb_keogh_and_stays_admissible(
-        base in series_strategy(14),
-        q in series_strategy(14),
-        rows in rows_strategy(14),
-        band in 1usize..5,
-    ) {
-        let matrix = RotationMatrix::full(&base).unwrap();
-        let plain = Wedge::from_rows(&matrix, &rows);
-        let lb_wedge = plain.widened(band);
-        let first = lb_keogh(&q, &lb_wedge, &mut StepCounter::new());
-        let improved = lb_improved(&q, &plain, &lb_wedge, band, &mut StepCounter::new());
-        prop_assert!(improved >= first - 1e-9, "{} < {}", improved, first);
-        for &row in &rows {
-            let d = dtw(
-                &q,
-                &matrix.row(row).to_vec(),
-                DtwParams::new(band),
-                &mut StepCounter::new(),
-            );
-            prop_assert!(improved <= d + 1e-9, "row {}: {} > {}", row, improved, d);
-        }
-    }
 
     /// The PAA projection of a wedge envelope, the disk index's bound
     /// (Figure 24), lower-bounds ED through the plain wedge and banded

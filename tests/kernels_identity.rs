@@ -10,9 +10,6 @@
 //!   loop dismisses, at the same trip position, charging the same step
 //!   count (block check + scalar replay, see `rotind_distance::kernels`),
 //!   and must agree on completed sums to reassociation rounding.
-//! * **`simd` vs `chunked` bit-identity** (compiled only with
-//!   `--features simd`) — both express the same canonical order, so
-//!   sums, trip positions, and steps match *bitwise*.
 //! * **van Herk vs deque bit-identity** — the block sliding-extreme
 //!   kernel agrees bit for bit with the monotonic-deque reference.
 //! * **band-major vs cell-by-cell DTW bit-identity** — the early-abandoning
@@ -33,7 +30,7 @@ use proptest::prelude::*;
 use rotind::distance::dtw::{
     dtw, dtw_early_abandon, dtw_early_abandon_finite, dtw_early_abandon_seq, dtw_path, DtwParams,
 };
-use rotind::distance::kernels::{self, LANES};
+use rotind::distance::kernels;
 use rotind::envelope::envelope::{
     sliding_max_into, sliding_max_into_seq, sliding_min_into, sliding_min_into_seq, SlidingScratch,
 };
@@ -91,18 +88,6 @@ fn assert_outcome_equiv(name: &str, seq: KernelOut, chunked: KernelOut) {
         (a, b) => panic!("{name}: dismissal disagrees: seq {a:?} chunked {b:?}"),
     }
     assert_eq!(s_steps, c_steps, "{name}: steps");
-}
-
-/// The simd backend is the same canonical order; everything is bitwise.
-#[cfg(feature = "simd")]
-fn assert_bit_identical(name: &str, chunked: KernelOut, simd: KernelOut) {
-    let ((c, c_steps), (v, v_steps)) = (chunked, simd);
-    match (c, v) {
-        (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{name}: {a} vs {b}"),
-        (Err(i), Err(j)) => assert_eq!(i, j, "{name}: trip position"),
-        (a, b) => panic!("{name}: dismissal disagrees: chunked {a:?} simd {b:?}"),
-    }
-    assert_eq!(c_steps, v_steps, "{name}: steps");
 }
 
 /// DTW lengths: the degenerate single sample, tiny series, lengths
@@ -210,12 +195,6 @@ proptest! {
         let seq = run(|c| kernels::seq::sq_dist_abandon(a, b, r, c));
         let chunked = run(|c| kernels::chunked::sq_dist_abandon(a, b, r, c));
         assert_outcome_equiv("euclid", seq, chunked);
-        #[cfg(feature = "simd")]
-        assert_bit_identical(
-            "euclid",
-            chunked,
-            run(|c| kernels::simd::sq_dist_abandon(a, b, r, c)),
-        );
     }
 
     #[test]
@@ -235,12 +214,6 @@ proptest! {
         let seq = run(|c| kernels::seq::sq_dist_abandon_split(a, tail, head, r, c));
         let chunked = run(|c| kernels::chunked::sq_dist_abandon_split(a, tail, head, r, c));
         assert_outcome_equiv("split", seq, chunked);
-        #[cfg(feature = "simd")]
-        assert_bit_identical(
-            "split",
-            chunked,
-            run(|c| kernels::simd::sq_dist_abandon_split(a, tail, head, r, c)),
-        );
     }
 
     #[test]
@@ -266,51 +239,6 @@ proptest! {
         if mode == 1 {
             prop_assert_eq!(chunked.0.map(f64::to_bits), Ok(0.0f64.to_bits()));
         }
-        #[cfg(feature = "simd")]
-        assert_bit_identical(
-            "clamp",
-            chunked,
-            run(|c| kernels::simd::clamp_sq_abandon(&q, &upper, &lower, r, c)),
-        );
-    }
-
-    #[test]
-    fn interval_gap_chunked_matches_seq(
-        q_pool in pool(),
-        mid_pool in pool(),
-        size_idx in 0usize..SIZES.len(),
-        mode in 0usize..3,
-        init in 0.0f64..5.0,
-        r_sel in 0usize..4,
-        r_val in 0.0f64..40.0,
-    ) {
-        // Reuse the clamp setup: `q ± 0.25` plays the projection
-        // envelope, overlapping the wedge envelope in all three regimes.
-        let n = SIZES[size_idx];
-        let mid = &mid_pool[..n];
-        let upper: Vec<f64> = mid.iter().map(|x| x + 0.5).collect();
-        let lower: Vec<f64> = mid.iter().map(|x| x - 0.5).collect();
-        let q = clamp_query(&q_pool[..n], mid, &upper, mode);
-        let proj_up: Vec<f64> = q.iter().map(|x| x + 0.25).collect();
-        let proj_lo: Vec<f64> = q.iter().map(|x| x - 0.25).collect();
-        let r = pick_radius(r_sel, r_val);
-        let seq = run(|c| {
-            kernels::seq::interval_gap_sq_abandon(init, &upper, &lower, &proj_up, &proj_lo, r, c)
-        });
-        let chunked = run(|c| {
-            kernels::chunked::interval_gap_sq_abandon(init, &upper, &lower, &proj_up, &proj_lo, r, c)
-        });
-        assert_outcome_equiv("interval_gap", seq, chunked);
-        #[cfg(feature = "simd")]
-        assert_bit_identical(
-            "interval_gap",
-            chunked,
-            run(|c| {
-                kernels::simd::interval_gap_sq_abandon(
-                    init, &upper, &lower, &proj_up, &proj_lo, r, c,
-                )
-            }),
-        );
     }
 
     #[test]
@@ -494,22 +422,6 @@ fn dtw_strip_abandons_on_each_of_its_rows() {
             tally.iter().all(|&hits| hits > 0),
             "band {band}: abandons per strip row {tally:?}"
         );
-    }
-}
-
-/// The engine alias must resolve to the canonical-order backend the
-/// build selected: its results are bitwise those of `chunked` whether
-/// or not the `simd` feature is on.
-#[test]
-fn engine_is_bitwise_chunked() {
-    let n = 3 * LANES + 5;
-    let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 4.0).collect();
-    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos() * 4.0).collect();
-    for r in [f64::INFINITY, 8.0, 2.0, 0.5] {
-        let engine = run(|c| kernels::engine::sq_dist_abandon(&a, &b, r, c));
-        let chunked = run(|c| kernels::chunked::sq_dist_abandon(&a, &b, r, c));
-        assert_eq!(engine.0.map(f64::to_bits), chunked.0.map(f64::to_bits));
-        assert_eq!(engine.1, chunked.1);
     }
 }
 
