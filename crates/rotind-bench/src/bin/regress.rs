@@ -13,10 +13,10 @@
 //! `4` malformed baseline JSON, `6` engine error), so CI can tell a
 //! genuine slowdown from a broken harness. Step totals are
 //! machine-independent and always gated at 2%; wall-clock medians,
-//! scaled to the nominal host speed by the yardstick timed around every
-//! repeat (`rotind_bench::yardstick`), are gated at 30% only when the
-//! baseline host matches (see `rotind_bench::regress` for the full
-//! policy).
+//! scaled to the nominal host speed by the yardstick timed on the same
+//! thread around every repeat (`rotind_bench::yardstick`), are gated at
+//! 30% only when the baseline host matches (see `rotind_bench::regress`
+//! for the full policy).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -24,7 +24,7 @@ use std::time::Instant;
 use rotind_bench::regress::{
     apply_inject, compare, hostname, inject_factor, Baseline, Measurement,
 };
-use rotind_bench::yardstick::{self, AllCpus};
+use rotind_bench::yardstick::{self, Yardstick};
 use rotind_bench::BenchError;
 use rotind_distance::dtw::DtwParams;
 use rotind_distance::measure::Measure;
@@ -39,10 +39,9 @@ const YARDSTICK_SAMPLES: usize = 3;
 /// Most yardstick samples taken on each side of a repeat.
 const YARDSTICK_MAX_SAMPLES: usize = 64;
 
-/// Yardstick samples on every CPU until they have run for at least
-/// `span_ns` in total (within the sample-count limits), appended to
-/// `samples`.
-fn sample_host(host: &mut AllCpus, span_ns: f64, samples: &mut Vec<f64>) {
+/// Yardstick samples until they have run for at least `span_ns` in
+/// total (within the sample-count limits), appended to `samples`.
+fn sample_host(host: &mut Yardstick, span_ns: f64, samples: &mut Vec<f64>) {
     let mut spent = 0.0;
     for taken in 0..YARDSTICK_MAX_SAMPLES {
         if taken >= YARDSTICK_SAMPLES && spent >= span_ns {
@@ -56,15 +55,15 @@ fn sample_host(host: &mut AllCpus, span_ns: f64, samples: &mut Vec<f64>) {
 
 /// Repeat a workload, keeping the (deterministic) step total of the
 /// last run and the median wall-clock across runs. Each repeat's wall
-/// time is scaled to the nominal host by the yardstick timed on every
-/// CPU right before and right after it, for about as long as the repeat
-/// itself took on each side, so a host that runs slower for a while
-/// slows the yardstick alike and the scaled time holds.
+/// time is scaled to the nominal host by the yardstick timed on this
+/// thread right before and right after it, for about as long as the
+/// repeat itself took on each side, so a host that runs this thread
+/// slower for a while slows the yardstick alike and the scaled time
+/// holds.
 fn run_entry(
     name: &str,
-    deterministic: bool,
     repeats: usize,
-    host: &mut AllCpus,
+    host: &mut Yardstick,
     mut work: impl FnMut() -> Result<u64, BenchError>,
 ) -> Result<Measurement, BenchError> {
     let mut walls: Vec<u64> = Vec::with_capacity(repeats);
@@ -94,7 +93,6 @@ fn run_entry(
     );
     Ok(Measurement {
         name: name.to_string(),
-        deterministic,
         steps,
         wall_ns,
     })
@@ -109,7 +107,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
         (600, 128, 5, 5)
     };
     println!("regress suite: m = {m}, n = {n}, {queries} queries, {repeats} repeats");
-    let host = &mut AllCpus::start();
+    let host = &mut Yardstick::default();
     let pool = shapes::projectile_points(m + queries, n, 1906).items;
     // rotind-lint: allow(no-index)
     let db = &pool[..m];
@@ -135,15 +133,15 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
         }
         Ok(total)
     };
-    let euclid = run_entry("euclid_nearest", true, repeats, host, || {
+    let euclid = run_entry("euclid_nearest", repeats, host, || {
         euclid_under(KPolicy::Fixed(DEFAULT_K))
     })?;
-    let euclid_dynamic = run_entry("euclid_nearest_dynamic", true, repeats, host, || {
+    let euclid_dynamic = run_entry("euclid_nearest_dynamic", repeats, host, || {
         euclid_under(KPolicy::dynamic())
     })?;
 
     let band = n / 25 + 1;
-    let dtw = run_entry("dtw_nearest", true, repeats, host, || {
+    let dtw = run_entry("dtw_nearest", repeats, host, || {
         let mut total = 0u64;
         for query in queries {
             let mut counter = StepCounter::new();
@@ -165,24 +163,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
         Ok(total)
     })?;
 
-    // Workers race on the shared best-so-far, so step totals vary run
-    // to run: wall-clock only (deterministic = false).
-    let parallel = run_entry("euclid_parallel4", false, repeats, host, || {
-        for query in queries {
-            let engine = RotationQuery::new(query, Invariance::Rotation)?;
-            engine.search_parallel(
-                db,
-                QueryKind::Nearest,
-                4,
-                &mut StepCounter::new(),
-                &mut NoopObserver,
-                None,
-            )?;
-        }
-        Ok(0)
-    })?;
-
-    Ok(vec![euclid, euclid_dynamic, dtw, parallel])
+    Ok(vec![euclid, euclid_dynamic, dtw])
 }
 
 const USAGE: &str = "regress [--update-baseline] [--baseline <path>]";
@@ -219,11 +200,10 @@ fn run() -> Result<ExitCode, BenchError> {
     }
     for e in &entries {
         println!(
-            "  {:<22} steps = {:>12}  scaled wall = {:>10.3} ms{}",
+            "  {:<22} steps = {:>12}  scaled wall = {:>10.3} ms",
             e.name,
             e.steps,
-            e.wall_ns as f64 / 1e6,
-            if e.deterministic { "" } else { "  (wall-only)" }
+            e.wall_ns as f64 / 1e6
         );
     }
     let current = Baseline {

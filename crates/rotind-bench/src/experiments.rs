@@ -13,8 +13,8 @@ use rotind_eval::onenn::{one_nn_error, one_nn_error_dtw_learned_band};
 use rotind_eval::report::{fmt_percent, fmt_ratio, Table};
 use rotind_eval::scaling::{empirical_exponent, ScalingPoint};
 use rotind_eval::speedup::{
-    scan_steps, speedup_sweep, speedup_sweep_traced, thread_sweep, wedge_startup_steps,
-    SearchAlgorithm, SweepPoint,
+    scan_steps, speedup_sweep, speedup_sweep_traced, wedge_startup_steps, SearchAlgorithm,
+    SweepPoint,
 };
 use rotind_index::disk::{IndexedDatabase, ReducedRepr};
 use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
@@ -385,7 +385,8 @@ pub fn fig18() -> Table {
 
 /// Query count per database size: the paper averages 50 runs; the huge
 /// sizes get fewer to keep wall time sane (documented in
-/// EXPERIMENTS.md).
+/// `EXPERIMENTS.md`, which `python3 scripts/render_experiments.py`
+/// renders; it is not committed).
 fn queries_for(m: usize, quick: bool) -> usize {
     if quick {
         3
@@ -820,75 +821,6 @@ pub fn scaling(quick: bool) -> Table {
         format!("{exponent:.3}"),
         "paper: 1.06".to_string(),
     ]);
-    table
-}
-
-// ---------------------------------------------------------------------
-// Parallel scan — thread-count sweep
-// ---------------------------------------------------------------------
-
-/// Thread-count sweep of the parallel chunked scan (DESIGN.md §10) on a
-/// Table 8–style shape workload: median wall-clock per thread count and
-/// the speedup over the single-thread scan. Answers are asserted
-/// identical across counts — the parallel scan's determinism guarantee
-/// — so only the time column varies. On a single-core host the sweep
-/// still runs; speedups then hover near 1.0. The auto row honours
-/// `ROTIND_THREADS`.
-pub fn thread_scaling(quick: bool) -> Table {
-    let seed = 20060906;
-    let ds = shapes::mixed_bag(seed);
-    let keep = if quick { ds.len().min(64) } else { ds.len() };
-    let ds = ds.subsample(keep, seed + 1);
-    // The paper's protocol: the query is removed from the dataset. The
-    // generated dataset is never empty; a bench harness should stop on
-    // a malformed workload rather than emit bogus rows.
-    // rotind-lint: allow(no-panic)
-    let query = ds.items.last().expect("non-empty dataset").clone();
-    // rotind-lint: allow(no-index)
-    let db = &ds.items[..ds.len() - 1];
-    let repeats = if quick { 3 } else { 9 };
-    let auto = rotind_index::default_threads();
-    let mut counts = vec![1usize, 2, 4, 8];
-    if !counts.contains(&auto) {
-        counts.push(auto);
-    }
-    let points = thread_sweep(db, &query, Measure::Euclidean, &counts, repeats);
-    // rotind-lint: allow(no-panic)
-    let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid query");
-    // rotind-lint: allow(no-panic)
-    let sequential = engine.nearest(db).expect("non-empty database");
-    let mut table = Table::new([
-        "threads", "wall-ms", "speedup", "p50-ms", "p95-ms", "p99-ms", "nn-index",
-    ]);
-    for pt in &points {
-        let mut counter = StepCounter::new();
-        let (outcome, _) = engine
-            .search_parallel(
-                db,
-                QueryKind::Nearest,
-                pt.threads,
-                &mut counter,
-                &mut NoopObserver,
-                None,
-            )
-            // rotind-lint: allow(no-panic)
-            .expect("non-empty database");
-        assert_eq!(
-            outcome.into_inner(),
-            [sequential],
-            "parallel scan must stay exact at {} threads",
-            pt.threads
-        );
-        table.push_row([
-            pt.threads.to_string(),
-            format!("{:.3}", pt.wall_nanos as f64 / 1e6),
-            fmt_ratio(pt.speedup),
-            format!("{:.3}", pt.p50_nanos as f64 / 1e6),
-            format!("{:.3}", pt.p95_nanos as f64 / 1e6),
-            format!("{:.3}", pt.p99_nanos as f64 / 1e6),
-            sequential.index.to_string(),
-        ]);
-    }
     table
 }
 

@@ -40,10 +40,6 @@ pub const WALL_TOLERANCE: f64 = 0.30;
 pub struct Measurement {
     /// Stable workload name (the join key against the baseline).
     pub name: String,
-    /// Whether `steps` is exactly reproducible for this workload.
-    /// Parallel scans race on the shared best-so-far, so their step
-    /// totals vary run to run and only wall-clock is gated.
-    pub deterministic: bool,
     /// Total `num_steps` over the workload's queries.
     pub steps: u64,
     /// Median wall-clock nanoseconds over the workload's repeats, each
@@ -80,9 +76,8 @@ impl Baseline {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
             let _ = writeln!(
                 out,
-                "    {{\"name\": {}, \"deterministic\": {}, \"steps\": {}, \"wall_ns\": {}}}{}",
+                "    {{\"name\": {}, \"steps\": {}, \"wall_ns\": {}}}{}",
                 json_string(&e.name),
-                e.deterministic,
                 e.steps,
                 e.wall_ns,
                 comma
@@ -116,8 +111,6 @@ impl Baseline {
                 .ok_or("baseline: entry must be an object")?;
             entries.push(Measurement {
                 name: get_str(e, "name").ok_or("baseline entry: missing \"name\"")?,
-                deterministic: get_bool(e, "deterministic")
-                    .ok_or("baseline entry: missing \"deterministic\"")?,
                 steps: get_u64(e, "steps").ok_or("baseline entry: missing \"steps\"")?,
                 wall_ns: get_u64(e, "wall_ns").ok_or("baseline entry: missing \"wall_ns\"")?,
             });
@@ -183,11 +176,11 @@ pub fn apply_inject(entries: &mut [Measurement], factor: f64) {
 /// Compare `current` against `baseline` and return one message per
 /// regression (empty means the gate passes).
 ///
-/// Step totals are gated at [`STEPS_TOLERANCE`] for deterministic
-/// entries whenever the quick modes match; wall-clock is gated at
-/// [`WALL_TOLERANCE`] only when the hosts also match. Entries present
-/// on one side but not the other fail the gate — the suite and the
-/// baseline must move together (`--update-baseline`).
+/// Step totals are gated at [`STEPS_TOLERANCE`] whenever the quick
+/// modes match; wall-clock is gated at [`WALL_TOLERANCE`] only when the
+/// hosts also match. Entries present on one side but not the other fail
+/// the gate — the suite and the baseline must move together
+/// (`--update-baseline`).
 pub fn compare(baseline: &Baseline, current: &Baseline) -> Vec<String> {
     let mut failures = Vec::new();
     if baseline.quick != current.quick {
@@ -208,7 +201,7 @@ pub fn compare(baseline: &Baseline, current: &Baseline) -> Vec<String> {
             ));
             continue;
         };
-        if base.deterministic && cur.deterministic && base.steps > 0 {
+        if base.steps > 0 {
             let rel = cur.steps as f64 / base.steps as f64 - 1.0;
             if rel > STEPS_TOLERANCE {
                 failures.push(format!(
@@ -526,10 +519,9 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn entry(name: &str, deterministic: bool, steps: u64, wall_ns: u64) -> Measurement {
+    fn entry(name: &str, steps: u64, wall_ns: u64) -> Measurement {
         Measurement {
             name: name.to_string(),
-            deterministic,
             steps,
             wall_ns,
         }
@@ -541,8 +533,8 @@ mod tests {
             host: "hostA".to_string(),
             quick: true,
             entries: vec![
-                entry("euclid_nearest", true, 1_000_000, 5_000_000),
-                entry("euclid_parallel4", false, 0, 2_000_000),
+                entry("euclid_nearest", 1_000_000, 5_000_000),
+                entry("dtw_nearest", 750_000, 3_700_000),
             ],
         }
     }
@@ -616,15 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn nondeterministic_entries_skip_the_step_gate() {
-        let base = sample();
-        let mut cur = base.clone();
-        cur.host = "hostB".to_string(); // disable wall gate
-        cur.entries[1].steps = 10_000_000;
-        assert!(compare(&base, &cur).is_empty());
-    }
-
-    #[test]
     fn quick_mode_mismatch_fails_loudly() {
         let base = sample();
         let mut cur = base.clone();
@@ -639,7 +622,7 @@ mod tests {
         let base = sample();
         let mut cur = base.clone();
         cur.entries.remove(1);
-        cur.entries.push(entry("brand_new", true, 1, 1));
+        cur.entries.push(entry("brand_new", 1, 1));
         let fails = compare(&base, &cur);
         assert!(fails.iter().any(|f| f.contains("not measured")));
         assert!(fails.iter().any(|f| f.contains("no baseline entry")));

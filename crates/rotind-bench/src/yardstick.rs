@@ -1,29 +1,26 @@
 //! The regression gate's yardstick: a fixed unit of work, timed on
-//! every CPU between the gate's repeats, that tracks how fast the
-//! shared host runs at that moment.
+//! the gate's own thread between its repeats, that tracks how fast the
+//! shared host runs that thread at that moment.
 //!
 //! Other tenants share the host's cores, and its speed drifts by half
 //! again over minutes, longer than a gate run. So `--bin regress` times
 //! the yardstick right before and right after each repeat and scales
-//! the repeat's wall time by [`NOMINAL_MS`] over the yardstick's median
+//! the repeat's wall time by [`NOMINAL_MS`] over the yardstick's mean
 //! there: what the repeat would have taken on the host at its nominal
-//! speed. The yardstick shares no code with the library (banded DTW
-//! written here, over fixed data), so a change to the library moves the
-//! gate's entries and not the yardstick.
+//! speed. Every entry runs on one thread, so the yardstick runs on that
+//! same thread: load on another CPU moves the scale only as far as it
+//! moves the entry. The yardstick shares no code with the library
+//! (banded DTW written here, over fixed data), so a change to the
+//! library moves the gate's entries and not the yardstick.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Barrier};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// The yardstick's time on the reference host (2-vCPU Xeon VM) in a
-/// quiet stretch, ms. Scaled wall times read as on that host.
-pub const NOMINAL_MS: f64 = 0.4;
+/// The yardstick's time on one thread of the reference host (2-vCPU
+/// Xeon VM) in a quiet stretch, ms. Scaled wall times read as on that
+/// host.
+pub const NOMINAL_MS: f64 = 0.18;
 
-/// Most threads the yardstick runs on at once.
-const MAX_THREADS: usize = 8;
 /// Length of the yardstick's series.
 const LEN: usize = 128;
 /// Its warping band.
@@ -31,9 +28,9 @@ const BAND: usize = 5;
 /// Series aligned against the first one per sample.
 const PAIRS: usize = 32;
 
-/// Banded DTW of one fixed series against [`PAIRS`] others.
+/// Banded DTW of one fixed series against 32 others (`PAIRS`).
 #[derive(Debug, Clone)]
-struct Yardstick {
+pub struct Yardstick {
     series: Vec<Vec<f64>>,
     prev: Vec<f64>,
     cur: Vec<f64>,
@@ -62,7 +59,7 @@ impl Default for Yardstick {
 
 impl Yardstick {
     /// Run the work once; its wall time in ms.
-    fn sample(&mut self) -> f64 {
+    pub fn sample(&mut self) -> f64 {
         let started = Instant::now();
         black_box(self.work());
         started.elapsed().as_secs_f64() * 1e3
@@ -99,72 +96,6 @@ impl Yardstick {
     }
 }
 
-/// The yardstick on every CPU at once: the calling thread and one
-/// helper per further CPU start together, so each lands on its own CPU,
-/// and a sample is the mean of their times. Between samples the helpers
-/// wait on a barrier and take no CPU. Dropping it stops and joins them.
-#[derive(Debug)]
-pub struct AllCpus {
-    own: Yardstick,
-    go: Arc<Barrier>,
-    stop: Arc<AtomicBool>,
-    times: Receiver<f64>,
-    helpers: Vec<JoinHandle<()>>,
-}
-
-impl AllCpus {
-    /// Start one helper per CPU beyond the first.
-    pub fn start() -> AllCpus {
-        let threads = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .clamp(1, MAX_THREADS);
-        let go = Arc::new(Barrier::new(threads));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, times) = mpsc::channel();
-        let helpers = (1..threads)
-            .map(|_| {
-                let (go, stop, tx) = (Arc::clone(&go), Arc::clone(&stop), tx.clone());
-                std::thread::spawn(move || {
-                    let mut yardstick = Yardstick::default();
-                    loop {
-                        go.wait();
-                        if stop.load(Ordering::Acquire) || tx.send(yardstick.sample()).is_err() {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        AllCpus {
-            own: Yardstick::default(),
-            go,
-            stop,
-            times,
-            helpers,
-        }
-    }
-
-    /// Time the work on every thread at once; the mean time, ms.
-    pub fn sample(&mut self) -> f64 {
-        self.go.wait();
-        let mut total = self.own.sample();
-        for _ in &self.helpers {
-            total += self.times.recv().unwrap_or(f64::NAN);
-        }
-        total / (self.helpers.len() + 1) as f64
-    }
-}
-
-impl Drop for AllCpus {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.go.wait();
-        for helper in self.helpers.drain(..) {
-            let _ = helper.join();
-        }
-    }
-}
-
 /// The factor that scales a wall time measured among the yardstick
 /// `samples` (ms) to the nominal host: [`NOMINAL_MS`] over their mean,
 /// which weighs each stretch of the host's time alike. `None` without a
@@ -187,16 +118,6 @@ mod tests {
         assert_eq!(once.to_bits(), a.work().to_bits(), "buffers leak state");
         assert!(once.is_finite() && once > 0.0);
         assert!(a.sample() > 0.0);
-    }
-
-    #[test]
-    fn all_cpus_samples_and_stops_its_helpers() {
-        let mut all = AllCpus::start();
-        for _ in 0..3 {
-            let ms = all.sample();
-            assert!(ms.is_finite() && ms > 0.0);
-        }
-        drop(all);
     }
 
     #[test]

@@ -134,8 +134,8 @@ pub fn lb_keogh_early_abandon_at(
 
 /// Reusable sliding-window buffers for the LCSS envelope bound: the
 /// `δ`-widened upper and lower envelope curves. Owned by the caller (the
-/// engine keeps one per scan, or per parallel worker) so the query hot
-/// path performs no per-call allocation.
+/// engine keeps one per scan) so the query hot path performs no
+/// per-call allocation.
 #[derive(Debug, Default)]
 pub struct LcssScratch {
     upper: Vec<f64>,

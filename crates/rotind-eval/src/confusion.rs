@@ -3,7 +3,8 @@
 //! Table 8 reports only error rates; when a synthetic stand-in dataset
 //! behaves unexpectedly, the confusion matrix shows *which* classes
 //! collide — the diagnostic used while calibrating the generators (see
-//! `EXPERIMENTS.md`).
+//! `EXPERIMENTS.md`, rendered by `python3 scripts/render_experiments.py`
+//! and not committed).
 
 use crate::report::Table;
 use rotind_distance::measure::Measure;

@@ -23,7 +23,7 @@ use rotind_index::baselines::{
 };
 use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
 use rotind_index::QueryKind;
-use rotind_obs::{LogHistogram, NoBudget, NoopObserver, QueryTrace, SearchObserver};
+use rotind_obs::{NoBudget, NoopObserver, QueryTrace, SearchObserver};
 use rotind_ts::rotate::RotationMatrix;
 use rotind_ts::StepCounter;
 
@@ -179,111 +179,6 @@ pub fn scan_wall_nanos(
         }
     }
     start.elapsed().as_nanos()
-}
-
-/// Wall-clock nanoseconds for one **parallel** wedge 1-NN query at
-/// `threads` worker threads (`0` = auto, honouring `ROTIND_THREADS`).
-/// Includes the wedge build, mirroring [`scan_wall_nanos`] for the
-/// wedge method, so single-thread numbers are directly comparable.
-pub fn scan_wall_nanos_parallel(
-    db: &[Vec<f64>],
-    query: &[f64],
-    measure: Measure,
-    threads: usize,
-) -> u128 {
-    let start = std::time::Instant::now();
-    // Bench harness, not serving code: a malformed workload should stop
-    // the experiment immediately rather than report bogus timings.
-    let engine =
-        // rotind-lint: allow(no-panic)
-        RotationQuery::with_measure(query, Invariance::Rotation, measure).expect("valid query");
-    let mut counter = StepCounter::new();
-    engine
-        .search_parallel(
-            db,
-            QueryKind::Nearest,
-            threads,
-            &mut counter,
-            &mut NoopObserver,
-            None,
-        )
-        // rotind-lint: allow(no-panic)
-        .expect("valid database");
-    start.elapsed().as_nanos()
-}
-
-/// One row of a [`thread_sweep`]: median wall-clock at one thread count
-/// and the speedup relative to the sweep's single-thread row, plus
-/// latency quantiles over the row's repeats (streamed through a
-/// [`LogHistogram`], so each is within 6.25% of a sampled value).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThreadSweepPoint {
-    /// Worker threads used for this row.
-    pub threads: usize,
-    /// Median wall-clock nanoseconds over the sweep's repeats.
-    pub wall_nanos: u128,
-    /// `baseline / wall_nanos` where baseline is the 1-thread median
-    /// (> 1.0 means the parallel scan is faster).
-    pub speedup: f64,
-    /// 50th-percentile wall-clock nanoseconds over the repeats.
-    pub p50_nanos: u64,
-    /// 95th-percentile wall-clock nanoseconds over the repeats.
-    pub p95_nanos: u64,
-    /// 99th-percentile wall-clock nanoseconds over the repeats.
-    pub p99_nanos: u64,
-}
-
-/// Median-of-`repeats` parallel scan wall-clock at each requested
-/// thread count, with speedups relative to a 1-thread baseline measured
-/// the same way (the baseline is always measured, whether or not `1` is
-/// in `thread_counts`). Answers are identical across rows by the
-/// parallel scan's determinism guarantee, so only time varies.
-///
-/// # Panics
-/// Panics when `repeats == 0` or the database is empty/malformed.
-pub fn thread_sweep(
-    db: &[Vec<f64>],
-    query: &[f64],
-    measure: Measure,
-    thread_counts: &[usize],
-    repeats: usize,
-) -> Vec<ThreadSweepPoint> {
-    assert!(repeats > 0, "thread_sweep needs at least one repeat");
-    let sample = |threads: usize| -> (u128, LogHistogram) {
-        let mut samples: Vec<u128> = (0..repeats)
-            .map(|_| scan_wall_nanos_parallel(db, query, measure, threads))
-            .collect();
-        let mut hist = LogHistogram::new();
-        for &s in &samples {
-            hist.observe(u64::try_from(s).unwrap_or(u64::MAX));
-        }
-        samples.sort_unstable();
-        // `repeats > 0` is asserted above, so the median index is valid.
-        // rotind-lint: allow(no-index)
-        (samples[samples.len() / 2], hist)
-    };
-    let (baseline, baseline_hist) = sample(1);
-    let baseline = baseline.max(1);
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let (wall_nanos, hist) = if threads == 1 {
-                (baseline, baseline_hist.clone())
-            } else {
-                sample(threads)
-            };
-            // `repeats > 0`, so every quantile is Some.
-            let q = |p: f64| hist.quantile(p).unwrap_or(0);
-            ThreadSweepPoint {
-                threads,
-                wall_nanos,
-                speedup: baseline as f64 / wall_nanos.max(1) as f64,
-                p50_nanos: q(0.5),
-                p95_nanos: q(0.95),
-                p99_nanos: q(0.99),
-            }
-        })
-        .collect()
 }
 
 /// One row of a Figure 19–23 sweep: the database size and, per
@@ -553,50 +448,6 @@ mod tests {
         );
         assert!(trace.wedges_tested() > 0);
         assert!(trace.leaf_distances() > 0);
-    }
-
-    #[test]
-    fn thread_sweep_shape_and_determinism() {
-        let db = pool(30, 24);
-        let query = signal(24, 55);
-        let points = thread_sweep(&db, &query, Measure::Euclidean, &[1, 2, 4], 3);
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].threads, 1);
-        assert!(
-            (points[0].speedup - 1.0).abs() < 1e-12,
-            "1-thread row is its own baseline"
-        );
-        for pt in &points {
-            assert!(pt.wall_nanos > 0);
-            assert!(pt.speedup.is_finite() && pt.speedup > 0.0);
-            assert!(pt.p50_nanos > 0, "repeats > 0 populate every quantile");
-            assert!(pt.p50_nanos <= pt.p95_nanos && pt.p95_nanos <= pt.p99_nanos);
-        }
-        // Determinism: parallel answers equal sequential at every count.
-        let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
-        let sequential = vec![engine.nearest(&db).unwrap()];
-        for threads in [1, 2, 4] {
-            let mut counter = StepCounter::new();
-            let (outcome, _) = engine
-                .search_parallel(
-                    &db,
-                    QueryKind::Nearest,
-                    threads,
-                    &mut counter,
-                    &mut NoopObserver,
-                    None,
-                )
-                .unwrap();
-            assert_eq!(outcome.into_inner(), sequential);
-        }
-    }
-
-    #[test]
-    fn parallel_wall_nanos_is_positive() {
-        let db = pool(10, 16);
-        let query = signal(16, 3);
-        assert!(scan_wall_nanos_parallel(&db, &query, Measure::Euclidean, 2) > 0);
-        assert!(scan_wall_nanos_parallel(&db, &query, Measure::Euclidean, 0) > 0);
     }
 
     #[test]

@@ -487,7 +487,7 @@ impl RotationQuery {
         Ok(())
     }
 
-    pub(crate) fn check_len(&self, index: usize, item: &[f64]) -> Result<(), SearchError> {
+    fn check_len(&self, index: usize, item: &[f64]) -> Result<(), SearchError> {
         let expected = self.series_len();
         if item.len() != expected {
             return Err(SearchError::LengthMismatch {
@@ -499,7 +499,7 @@ impl RotationQuery {
         Ok(())
     }
 
-    pub(crate) fn check_all(&self, database: &[Vec<f64>]) -> Result<(), SearchError> {
+    fn check_all(&self, database: &[Vec<f64>]) -> Result<(), SearchError> {
         for (i, item) in database.iter().enumerate() {
             self.check_len(i, item)?;
         }
@@ -516,9 +516,7 @@ fn rank(a: &Neighbor, b: &Neighbor) -> Ordering {
 
 /// Per-scan state: the wedge set (or sets) the policy scans over, and
 /// the H-Merge walk buffers every candidate reuses.
-/// `pub(crate)` so the parallel scan (`crate::parallel`) can give each
-/// worker thread its own independent state.
-pub(crate) struct ScanState<'a> {
+struct ScanState<'a> {
     tree: &'a WedgeTree,
     cuts: Cuts,
     walk: WalkBuffers,
@@ -537,7 +535,7 @@ enum Cuts {
 }
 
 impl<'a> ScanState<'a> {
-    pub(crate) fn new(tree: &'a WedgeTree, policy: KPolicy) -> Self {
+    fn new(tree: &'a WedgeTree, policy: KPolicy) -> Self {
         let cuts = match policy {
             KPolicy::Fixed(k) => Cuts::Fixed(tree.cut_nodes(k.clamp(1, tree.max_k()))),
             KPolicy::Dynamic { probe_intervals } => Cuts::Dynamic {
@@ -553,7 +551,7 @@ impl<'a> ScanState<'a> {
     }
 
     /// Tell the planner, if the scan has one, that best-so-far improved.
-    pub(crate) fn notify_improvement_observed<O: SearchObserver>(&mut self, observer: &mut O) {
+    fn notify_improvement_observed<O: SearchObserver>(&mut self, observer: &mut O) {
         if let Cuts::Dynamic { planner, .. } = &mut self.cuts {
             planner.on_best_so_far_change_observed(observer);
         }
@@ -571,7 +569,7 @@ impl<'a> ScanState<'a> {
     /// is unknown). The truncated step cost is still fed to the planner
     /// — its probes only tune future work, never exactness. Un-budgeted
     /// callers pass [`NoBudget`].
-    pub(crate) fn compare_budgeted<O: SearchObserver, B: BudgetHook>(
+    fn compare_budgeted<O: SearchObserver, B: BudgetHook>(
         &mut self,
         item: &[f64],
         bsf: f64,

@@ -38,9 +38,9 @@ pub struct HMergeOutcome {
 /// `Test_All_Rotations` oracle break exact distance ties identically —
 /// and, because the ordering does not depend on traversal order, the
 /// H-Merge outcome is a pure function of (candidate, tree, measure) for
-/// any threshold admitting the true minimum. The parallel scan relies on
-/// that to stay bit-identical to the sequential scan while sharing a
-/// best-so-far that tightens in nondeterministic order.
+/// any threshold admitting the true minimum. The best-first Euclidean
+/// scan relies on that to return database order's answer although its
+/// best-so-far tightens in a different order.
 #[inline]
 fn rotation_key(r: Rotation) -> (bool, usize) {
     (r.mirrored, r.shift)
@@ -48,9 +48,9 @@ fn rotation_key(r: Rotation) -> (bool, usize) {
 
 /// The working buffers of an H-Merge walk: the wedge stack, the row DTW
 /// and LCSS leaves copy their rotation into, and the widened-LCSS
-/// scratch. A scan keeps one set for all its candidates (one per
-/// parallel worker), so once they have grown to the tree's depth and the
-/// series length a walk allocates nothing.
+/// scratch. A scan keeps one set for all its candidates, so once they
+/// have grown to the tree's depth and the series length a walk
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct WalkBuffers {
     stack: Vec<(usize, usize)>,

@@ -22,11 +22,6 @@
 //! * [`cascade`] — the one wedge bound the engine runs per (candidate,
 //!   wedge) pair: early-abandoning LB_Keogh in position order
 //!   (DESIGN.md §12);
-//! * [`parallel`] — the chunked multi-threaded scan
-//!   ([`engine::RotationQuery::search_parallel`]) sharing an atomic
-//!   best-so-far, bit-identical to the sequential scan (DESIGN.md §10);
-//! * [`radius`] — the CAS-min shared best-so-far those scans use,
-//!   model-checked under loom (`--features loom-tests`, DESIGN.md §14);
 //! * [`snapshot`] — the immutable, `Arc`-shared database handle a
 //!   long-lived query service owns, handing out handles on one shared
 //!   magnitude table, which orders Euclidean scans best-first
@@ -58,9 +53,7 @@ pub mod engine;
 pub mod error;
 pub mod hmerge;
 pub mod motif;
-pub mod parallel;
 pub mod planner;
-pub mod radius;
 pub mod reduced;
 pub mod snapshot;
 pub mod stream;
@@ -69,5 +62,4 @@ pub mod vptree;
 pub use cascade::{BatchPaaCache, CascadeConfig};
 pub use engine::{Invariance, Neighbor, RotationQuery};
 pub use error::SearchError;
-pub use parallel::{default_threads, ParallelReport};
 pub use snapshot::{IndexSnapshot, QueryKind, QuerySpec};

@@ -25,8 +25,8 @@ use rotind_obs::{BudgetHook, BudgetOutcome, SearchObserver};
 use rotind_ts::{StepCounter, TsError};
 use std::sync::{Arc, OnceLock};
 
-/// What a query asks for: the request shape of both scans,
-/// [`RotationQuery::search`] and [`RotationQuery::search_parallel`].
+/// What a query asks for: the request shape of
+/// [`RotationQuery::search`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryKind {
     /// The single nearest neighbour.

@@ -13,9 +13,8 @@
 //! (`witness-exempt`, `panic-exempt`, `blocking-allowed`) record how
 //! many are in force, so *exemption creep* is as reviewable as finding
 //! creep. Witness hash and exempted count are informational (the gate
-//! stays count-based: line drift must not fail CI). v1 (bare `rule →
-//! file → count`), v2 (no `witness`) and v3 (no `exempted`) files still
-//! parse — `--write-baseline` migrates them on the next re-ratchet.
+//! stays count-based: line drift must not fail CI). Any other schema
+//! version is refused; `--write-baseline` writes a fresh v4 file.
 
 use crate::findings::{count_by_rule_and_file, Finding};
 use crate::json;
@@ -158,12 +157,11 @@ fn files_from_obj(
     Ok(out)
 }
 
-/// Parse baseline JSON back into counts. Accepts schema v4 (per-rule
-/// `{total, witness?, exempted?, files}` with the total cross-checked),
-/// v3 (no `exempted`), v2 (no `witness`) and the legacy v1 shape (bare
-/// file map). Witness hash and exempted count are validated for type
-/// but not returned — the gate is count-based. Unknown top-level keys
-/// or versions are an error; a corrupt ratchet must not silently pass.
+/// Parse baseline JSON back into counts. Accepts schema v4 only
+/// (per-rule `{total, witness?, exempted?, files}` with the total
+/// cross-checked). Witness hash and exempted count are validated for
+/// type but not returned — the gate is count-based. Unknown keys or
+/// versions are an error; a corrupt ratchet must not silently pass.
 pub fn from_json(src: &str) -> Result<Counts, String> {
     let v = json::parse(src)?;
     let obj = v.as_obj().ok_or("baseline root must be an object")?;
@@ -171,7 +169,7 @@ pub fn from_json(src: &str) -> Result<Counts, String> {
         .get("version")
         .and_then(|v| v.as_int())
         .ok_or("baseline missing integer `version`")?;
-    if !(1..=BASELINE_VERSION).contains(&version) {
+    if version != BASELINE_VERSION {
         return Err(format!(
             "baseline version {version} unsupported (expected {BASELINE_VERSION}); regenerate with --write-baseline"
         ));
@@ -190,47 +188,37 @@ pub fn from_json(src: &str) -> Result<Counts, String> {
         let entry = entry
             .as_obj()
             .ok_or_else(|| format!("rule `{rule}` must be an object"))?;
-        let files = if version == 1 {
-            // Legacy shape: the rule maps straight to files.
-            files_from_obj(rule, entry)?
-        } else {
-            for key in entry.keys() {
-                let known = key == "total"
-                    || key == "files"
-                    || (version >= 3 && key == "witness")
-                    || (version >= 4 && key == "exempted");
-                if !known {
-                    return Err(format!("unexpected key `{key}` under rule `{rule}`"));
-                }
+        for key in entry.keys() {
+            if !matches!(key.as_str(), "total" | "files" | "witness" | "exempted") {
+                return Err(format!("unexpected key `{key}` under rule `{rule}`"));
             }
-            if let Some(w) = entry.get("witness") {
-                if !matches!(w, json::Value::Str(_)) {
-                    return Err(format!("witness for rule `{rule}` must be a string"));
-                }
+        }
+        if let Some(w) = entry.get("witness") {
+            if !matches!(w, json::Value::Str(_)) {
+                return Err(format!("witness for rule `{rule}` must be a string"));
             }
-            if let Some(e) = entry.get("exempted") {
-                if e.as_int().is_none() {
-                    return Err(format!("exempted for rule `{rule}` must be an integer"));
-                }
+        }
+        if let Some(e) = entry.get("exempted") {
+            if e.as_int().is_none() {
+                return Err(format!("exempted for rule `{rule}` must be an integer"));
             }
-            let total = entry
-                .get("total")
-                .and_then(|v| v.as_int())
-                .ok_or_else(|| format!("rule `{rule}` missing integer `total`"))?;
-            let files = entry
-                .get("files")
-                .and_then(|v| v.as_obj())
-                .ok_or_else(|| format!("rule `{rule}` missing object `files`"))?;
-            let files = files_from_obj(rule, files)?;
-            let sum: usize = files.values().sum();
-            if sum as u64 != total {
-                return Err(format!(
-                    "rule `{rule}`: total {total} does not match the file sum {sum}; \
-                     regenerate with --write-baseline"
-                ));
-            }
-            files
-        };
+        }
+        let total = entry
+            .get("total")
+            .and_then(|v| v.as_int())
+            .ok_or_else(|| format!("rule `{rule}` missing integer `total`"))?;
+        let files = entry
+            .get("files")
+            .and_then(|v| v.as_obj())
+            .ok_or_else(|| format!("rule `{rule}` missing object `files`"))?;
+        let files = files_from_obj(rule, files)?;
+        let sum: usize = files.values().sum();
+        if sum as u64 != total {
+            return Err(format!(
+                "rule `{rule}`: total {total} does not match the file sum {sum}; \
+                 regenerate with --write-baseline"
+            ));
+        }
         // Exempted-only entries (total 0, no files) carry no ratchet
         // information — the count map stays findings-only.
         if !files.is_empty() {
@@ -273,7 +261,7 @@ mod tests {
     fn gate_passes_at_or_below_baseline() {
         let findings = vec![finding("no-panic", "a.rs")];
         let baseline = from_json(
-            "{\n  \"version\": 1,\n  \"rules\": {\n    \"no-panic\": {\n      \"a.rs\": 2\n    }\n  }\n}\n",
+            "{\n  \"version\": 4,\n  \"rules\": {\n    \"no-panic\": {\n      \"total\": 2,\n      \"files\": {\n        \"a.rs\": 2\n      }\n    }\n  }\n}\n",
         )
         .unwrap();
         let cmp = compare(&findings, &baseline);
@@ -301,7 +289,8 @@ mod tests {
     #[test]
     fn rejects_wrong_version_and_junk_keys() {
         assert!(from_json("{\"version\": 9, \"rules\": {}}").is_err());
-        assert!(from_json("{\"version\": 1, \"rules\": {}, \"extra\": {}}").is_err());
+        assert!(from_json("{\"version\": 4, \"rules\": {}}").is_ok());
+        assert!(from_json("{\"version\": 4, \"rules\": {}, \"extra\": {}}").is_err());
         assert!(from_json("not json").is_err());
     }
 
@@ -331,39 +320,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_through_v3_baselines_migrate() {
-        let legacy = "{\n  \"version\": 1,\n  \"rules\": {\n    \"no-panic\": {\n      \"a.rs\": 2\n    }\n  }\n}\n";
-        let counts = from_json(legacy).unwrap();
-        assert_eq!(counts.get("no-panic").and_then(|m| m.get("a.rs")), Some(&2));
-        // Re-serialising writes the v4 shape.
-        assert!(to_json(&counts, &BTreeMap::new(), &BTreeMap::new()).contains("\"total\": 2"));
-        let v2 = "{\n  \"version\": 2,\n  \"rules\": {\n    \"no-panic\": {\n      \"total\": 2,\n      \"files\": {\n        \"a.rs\": 2\n      }\n    }\n  }\n}\n";
-        assert_eq!(from_json(v2).unwrap(), counts);
-        // …but a v2 file must not smuggle a witness key.
-        let v2_witness = v2.replace("\"total\": 2,", "\"total\": 2,\n      \"witness\": \"x\",");
-        assert!(from_json(&v2_witness).is_err());
-        // v3: witness allowed, exempted not yet.
-        let v3 = v2
-            .replace("\"version\": 2", "\"version\": 3")
-            .replace("\"total\": 2,", "\"total\": 2,\n      \"witness\": \"x\",");
-        assert_eq!(from_json(&v3).unwrap(), counts);
-        let v3_exempted = v3.replace("\"total\": 2,", "\"total\": 2,\n      \"exempted\": 1,");
-        assert!(
-            from_json(&v3_exempted).is_err(),
-            "v3 must not smuggle exempted"
-        );
+    fn only_v4_baselines_parse() {
         // v4 accepts both informational keys; a non-integer exempted is rejected.
-        let v4 = v3
-            .replace("\"version\": 3", "\"version\": 4")
-            .replace("\"total\": 2,", "\"total\": 2,\n      \"exempted\": 1,");
-        assert_eq!(from_json(&v4).unwrap(), counts);
+        let v4 = "{\n  \"version\": 4,\n  \"rules\": {\n    \"no-panic\": {\n      \"total\": 2,\n      \"witness\": \"x\",\n      \"exempted\": 1,\n      \"files\": {\n        \"a.rs\": 2\n      }\n    }\n  }\n}\n";
+        let counts = from_json(v4).unwrap();
+        assert_eq!(counts.get("no-panic").and_then(|m| m.get("a.rs")), Some(&2));
         let v4_bad = v4.replace("\"exempted\": 1,", "\"exempted\": \"one\",");
         assert!(from_json(&v4_bad).is_err());
+        // An older schema is refused with the regenerate hint.
+        let v3 = v4
+            .replace("\"version\": 4", "\"version\": 3")
+            .replace("\n      \"exempted\": 1,", "");
+        let err = from_json(&v3).unwrap_err();
+        assert!(
+            err.contains("unsupported") && err.contains("--write-baseline"),
+            "{err}"
+        );
     }
 
     #[test]
     fn total_mismatch_is_rejected() {
-        let lying = "{\n  \"version\": 3,\n  \"rules\": {\n    \"no-panic\": {\n      \"total\": 99,\n      \"files\": {\n        \"a.rs\": 2\n      }\n    }\n  }\n}\n";
+        let lying = "{\n  \"version\": 4,\n  \"rules\": {\n    \"no-panic\": {\n      \"total\": 99,\n      \"files\": {\n        \"a.rs\": 2\n      }\n    }\n  }\n}\n";
         let err = from_json(lying).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
     }

@@ -73,13 +73,13 @@ pub struct EffectAnalysis {
     pub rounds: usize,
 }
 
-/// The reachability roots the availability rules certify. Configured in
-/// `main.rs` (`--panic-root` / `--worker-root` append to the serve
-/// defaults); matched by function name among non-test definitions.
+/// The reachability roots the availability rules certify: the serve
+/// entry set of [`RootSet::serve_default`], matched by function name
+/// among non-test definitions.
 #[derive(Debug, Clone)]
 pub struct RootSet {
     /// Entry points that must be panic-free: the worker loop, the wire
-    /// codec, the snapshot query dispatch and the parallel scan.
+    /// codec and the snapshot query dispatch.
     pub panic_roots: Vec<String>,
     /// The worker hot loop(s) that must never block outside the
     /// explicit admission/reply allowlist.
@@ -103,7 +103,6 @@ impl RootSet {
                 s("read_frame"),
                 s("write_frame"),
                 s("execute"),
-                s("search_parallel"),
             ],
             worker_roots: vec![s("worker_loop")],
             excluded_crates: vec![s("rotind-lint")],
@@ -119,12 +118,6 @@ impl RootSet {
             .iter()
             .map(|n| self.excluded_crates.iter().any(|c| c == &n.crate_name))
             .collect()
-    }
-}
-
-impl Default for RootSet {
-    fn default() -> RootSet {
-        RootSet::serve_default()
     }
 }
 

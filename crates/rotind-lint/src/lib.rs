@@ -36,7 +36,6 @@ pub mod symbols;
 pub mod timing;
 pub mod walker;
 
-use effects::RootSet;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -74,16 +73,17 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<findings::Finding>> {
 /// [`lint_workspace`], also measuring how long each phase took — the
 /// workspace gate feeds this into the lint wall-time gate.
 pub fn lint_workspace_timed(root: &Path) -> std::io::Result<(Vec<findings::Finding>, ScanTiming)> {
-    scan_workspace(root, &RootSet::serve_default()).map(|s| (s.findings, s.timing))
+    scan_workspace(root).map(|s| (s.findings, s.timing))
 }
 
-/// The full workspace scan with an explicit availability [`RootSet`].
-pub fn scan_workspace(root: &Path, roots: &RootSet) -> std::io::Result<WorkspaceScan> {
+/// The full workspace scan: findings, phase timings and exemption
+/// counts.
+pub fn scan_workspace(root: &Path) -> std::io::Result<WorkspaceScan> {
     let t0 = std::time::Instant::now();
     let files = walker::load_workspace(root)?;
     let parse_us = us_since(t0);
     let t1 = std::time::Instant::now();
-    let findings = rules::run_all_rooted(&files, roots);
+    let findings = rules::run_all(&files);
     let rules_us = us_since(t1);
     Ok(WorkspaceScan {
         findings,
@@ -131,18 +131,8 @@ pub fn lint_paths(
     root: &Path,
     paths: &[std::path::PathBuf],
 ) -> std::io::Result<Vec<findings::Finding>> {
-    lint_paths_rooted(root, paths, &RootSet::serve_default())
-}
-
-/// [`lint_paths`] with an explicit availability [`RootSet`], so fixture
-/// runs can exercise custom roots the same way the workspace gate does.
-pub fn lint_paths_rooted(
-    root: &Path,
-    paths: &[std::path::PathBuf],
-    roots: &RootSet,
-) -> std::io::Result<Vec<findings::Finding>> {
     let files = walker::load_paths(root, paths)?;
-    Ok(rules::run_all_rooted(&files, roots))
+    Ok(rules::run_all(&files))
 }
 
 /// The workspace root, derived from this crate's manifest directory

@@ -20,12 +20,11 @@
 //! timing regression, 2 usage or I/O error.
 
 use rotind_lint::baseline::{self, Counts, BASELINE_FILE};
-use rotind_lint::effects::RootSet;
 use rotind_lint::findings::{
     count_by_rule_and_file, render_human, render_json, witness_hashes, Finding,
 };
 use rotind_lint::rules::ALL_RULES;
-use rotind_lint::{lint_paths_rooted, sarif, scan_workspace, timing, workspace_root, ScanTiming};
+use rotind_lint::{lint_paths, sarif, scan_workspace, timing, workspace_root, ScanTiming};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -45,13 +44,6 @@ struct Options {
     self_check: bool,
     list: bool,
     paths: Vec<PathBuf>,
-    /// The availability root set the effect rules certify. Starts from
-    /// [`RootSet::serve_default`] — the worker loop, the wire codec,
-    /// `IndexSnapshot::execute` and the parallel scan —
-    /// because that is the surface PR 8 exposed to live traffic;
-    /// `--panic-root` / `--worker-root` append further entry points
-    /// without recompiling.
-    roots: RootSet,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -63,22 +55,10 @@ fn parse_args() -> Result<Options, String> {
         self_check: false,
         list: false,
         paths: Vec::new(),
-        roots: RootSet::serve_default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let arg = arg.as_str();
-        if arg == "--panic-root" || arg == "--worker-root" {
-            let name = args
-                .next()
-                .ok_or(format!("{arg} needs a function name\n\n{USAGE}"))?;
-            if arg == "--panic-root" {
-                opts.roots.panic_roots.push(name);
-            } else {
-                opts.roots.worker_roots.push(name);
-            }
-            continue;
-        }
         if let Some(value) = arg.strip_prefix("--format") {
             let value = match value.strip_prefix('=') {
                 Some(v) => v.to_string(),
@@ -130,7 +110,7 @@ fn parse_args() -> Result<Options, String> {
 
 const USAGE: &str = "usage: rotind-lint [--format human|json|sarif] \
                      [--write-baseline | --write-timing | --no-baseline | --self-check | --list] \
-                     [--panic-root fn]… [--worker-root fn]… [path…]";
+                     [path…]";
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
@@ -166,13 +146,12 @@ fn run(opts: &Options) -> Result<bool, String> {
 
     // Fixture mode: lint exactly the given paths, no ratchet.
     if !opts.paths.is_empty() {
-        let findings =
-            lint_paths_rooted(root, &opts.paths, &opts.roots).map_err(|e| e.to_string())?;
+        let findings = lint_paths(root, &opts.paths).map_err(|e| e.to_string())?;
         report(&findings, opts.format);
         return Ok(findings.is_empty());
     }
 
-    let scan = scan_workspace(root, &opts.roots).map_err(|e| e.to_string())?;
+    let scan = scan_workspace(root).map_err(|e| e.to_string())?;
     let (findings, exempted) = (scan.findings, scan.exempted);
     let fresh_timing = measure(&findings, &scan.timing);
 

@@ -1,12 +1,10 @@
-//! `atomic-ordering`: the parallel scan's shared best-so-far radius is
-//! only correct because dismissals read it with `Acquire` and tighten
-//! it with `AcqRel` CAS (DESIGN.md §10). A `Relaxed` load feeding a
-//! dismissal comparison can observe a stale (larger) radius — harmless
-//! for exactness but silently degrading pruning — or, worse, a future
-//! refactor could invert the dependency and dismiss on a radius another
-//! thread has not yet published. A `Relaxed` CAS on the radius breaks
-//! the happens-before edge between the thread that found a tighter
-//! bound and the threads pruning against it.
+//! `atomic-ordering`: a shared atomic that threads compare against and
+//! tighten is only correct when it is read with `Acquire` and updated
+//! with an `AcqRel` CAS (DESIGN.md §14). A `Relaxed` load feeding a
+//! comparison can observe a stale value, and a `Relaxed` CAS breaks the
+//! happens-before edge between the thread that published a value and
+//! the threads deciding on it. The one CAS loop in library code is
+//! `ManualClock::advance`.
 //!
 //! Two findings, both requiring the dataflow walk:
 //!
@@ -52,9 +50,9 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                 hit.line,
                 format!(
                     "`load(Ordering::Relaxed)` feeds a comparison{via}; a \
-                     dismissal decision must read the shared radius with \
+                     decision must read a shared atomic with \
                      `Ordering::Acquire` to observe every published \
-                     tightening (DESIGN.md §10)"
+                     update (DESIGN.md §14)"
                 ),
             ));
         }
@@ -68,7 +66,7 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                         line,
                         format!(
                             "`{method}` with `Ordering::Relaxed` breaks the \
-                             happens-before edge on the shared radius; use \
+                             happens-before edge on the shared value; use \
                              `AcqRel` on success and `Acquire` on failure"
                         ),
                     ));

@@ -8,9 +8,9 @@
 //! wrapping arithmetic on counters is flagged outright, since wrapped
 //! telemetry is worse than a panic. Atomic counters are held to the
 //! same bar: `fetch_add`/`fetch_sub` wrap on overflow with no
-//! `overflow-checks` safety net at all, so shared telemetry must merge
-//! per-thread saturating counters or guard updates with a CAS loop
-//! (as the parallel scan's shared radius does).
+//! `overflow-checks` safety net at all, so shared telemetry must keep
+//! saturating counters per thread or guard updates with a saturating
+//! CAS loop (as `ManualClock::advance` does).
 
 use crate::findings::Finding;
 use crate::lexer::TokKind;
@@ -95,8 +95,8 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                 t.line,
                 format!(
                     "`{}` on an atomic counter wraps silently on overflow; \
-                     merge per-thread saturating `StepCounter`s after the \
-                     scan, or guard the update with a compare-exchange loop",
+                     keep a saturating `StepCounter` per thread, or guard \
+                     the update with a compare-exchange loop",
                     t.text
                 ),
             ));

@@ -16,7 +16,6 @@
 //! DESIGN.md §9/§11/§16 for the rationale of each rule and its tie to
 //! the paper's exactness and the service's availability invariants.
 
-use crate::effects::RootSet;
 use crate::findings::Finding;
 use crate::source::SourceFile;
 
@@ -91,7 +90,7 @@ pub const ALL_RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: atomic_ordering::ID,
-        summary: "Relaxed atomic loads must not feed dismissal comparisons; CAS on the shared radius needs AcqRel/Acquire",
+        summary: "Relaxed atomic loads must not feed comparisons; CAS on a shared atomic needs AcqRel/Acquire",
     },
     RuleInfo {
         id: strict_dismissal::ID,
@@ -123,18 +122,12 @@ pub const ALL_RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Run every rule over `files` with the default serve root set
-/// ([`RootSet::serve_default`]); see [`run_all_rooted`].
-pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
-    run_all_rooted(files, &RootSet::serve_default())
-}
-
 /// Run every rule over `files`, honouring allow comments. The slice is
 /// the whole scan unit: the cross-file `lb-coverage` rule treats it as
-/// the universe of definitions and test references. `roots` configures
-/// the reachability roots of the availability rules (the binary lets
-/// `--panic-root`/`--worker-root` extend the serve defaults).
-pub fn run_all_rooted(files: &[SourceFile], roots: &RootSet) -> Vec<Finding> {
+/// the universe of definitions and test references. The availability
+/// rules root their reachability at the serve entry set,
+/// [`RootSet::serve_default`](crate::effects::RootSet::serve_default).
+pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         findings.extend(no_panic::check(file));
@@ -158,8 +151,8 @@ pub fn run_all_rooted(files: &[SourceFile], roots: &RootSet) -> Vec<Finding> {
     findings.extend(admissible_chain::check(&ws, files));
     findings.extend(shared_atomic_protocol::check(&ws, files));
     let effects = crate::effects::analyze(&ws.graph, files);
-    findings.extend(no_panic_reachable::check(&ws, &effects, files, roots));
-    findings.extend(no_blocking_in_worker::check(&ws, &effects, files, roots));
+    findings.extend(no_panic_reachable::check(&ws, &effects, files));
+    findings.extend(no_blocking_in_worker::check(&ws, &effects, files));
     // Apply escape comments centrally so every rule honours them the
     // same way, including the cross-file one.
     findings.retain(|f| {

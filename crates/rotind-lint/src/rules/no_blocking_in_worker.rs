@@ -1,7 +1,6 @@
-//! `no-blocking-in-worker`: the static complement of the loom
-//! interleaving model (DESIGN.md §14) — nothing reachable from the
-//! worker hot loop may block outside the explicit admission/reply
-//! allowlist.
+//! `no-blocking-in-worker`: nothing reachable from the worker hot loop
+//! may block outside the explicit admission/reply allowlist (DESIGN.md
+//! §16).
 //!
 //! The worker loop's *designed* blocking points — taking the admission
 //! queue lock, the idle `recv` wait, the metrics mutex, the reply
@@ -20,13 +19,13 @@ use crate::source::FileKind;
 /// Rule id.
 pub const ID: &str = "no-blocking-in-worker";
 
-/// Check the analyzed workspace against the configured worker roots.
+/// Check the analyzed workspace against the serve worker roots.
 pub fn check(
     ws: &Workspace<'_>,
     effects: &EffectAnalysis,
     files: &[crate::source::SourceFile],
-    roots: &RootSet,
 ) -> Vec<Finding> {
+    let roots = RootSet::serve_default();
     let nodes = &ws.graph.index.nodes;
     let root_ids: Vec<usize> = nodes
         .iter()
@@ -119,7 +118,7 @@ mod tests {
             .collect();
         let ws = analyze(&files);
         let fx = effects::analyze(&ws.graph, &files);
-        check(&ws, &fx, &files, &RootSet::serve_default())
+        check(&ws, &fx, &files)
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The per-file `no-panic` / `no-index` rules are lexical and ratcheted
 //! — pre-existing findings are tolerated. This rule is the
 //! availability *certificate*: every function reachable from a serve
-//! root (the worker loop, the wire codec, the snapshot query dispatch,
-//! the parallel scan) with an intrinsic may-panic site must
+//! root (the worker loop, the wire codec, the snapshot query dispatch)
+//! with an intrinsic may-panic site must
 //! either lose the site or carry a reasoned
 //! `// lint: panic-exempt(reason)` — zero unexempted findings is the
 //! shipping bar, so a new `unwrap` wired anywhere under the serve roots
@@ -21,13 +21,9 @@ use crate::source::{FileKind, SourceFile};
 /// Rule id.
 pub const ID: &str = "no-panic-reachable";
 
-/// Check the analyzed workspace against the configured root set.
-pub fn check(
-    ws: &Workspace<'_>,
-    effects: &EffectAnalysis,
-    files: &[SourceFile],
-    roots: &RootSet,
-) -> Vec<Finding> {
+/// Check the analyzed workspace against the serve panic roots.
+pub fn check(ws: &Workspace<'_>, effects: &EffectAnalysis, files: &[SourceFile]) -> Vec<Finding> {
+    let roots = RootSet::serve_default();
     let nodes = &ws.graph.index.nodes;
     let root_ids: Vec<usize> = nodes
         .iter()
@@ -116,7 +112,7 @@ mod tests {
             .collect();
         let ws = analyze(&files);
         let fx = effects::analyze(&ws.graph, &files);
-        check(&ws, &fx, &files, &RootSet::serve_default())
+        check(&ws, &fx, &files)
     }
 
     #[test]

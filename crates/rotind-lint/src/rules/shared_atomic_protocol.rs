@@ -1,6 +1,6 @@
 //! `shared-atomic-protocol`: the interprocedural extension of
-//! `atomic-ordering`. The blessed protocol for the shared best-so-far
-//! radius and `SharedBudget` is
+//! `atomic-ordering`. The blessed protocol for a shared atomic that
+//! threads read, compare and tighten is
 //!
 //! > `load(Acquire)` to read → compare → `compare_exchange_weak(_, _,
 //! > AcqRel, Acquire)` to publish,
@@ -9,10 +9,12 @@
 //! closes the helper-function loophole: a getter that returns a
 //! `Relaxed`-loaded value launders the weak ordering past the
 //! intraprocedural check, and a CAS cycle seeded by such a value can
-//! spin on a stale radius — dismissals decided against it are made with
-//! a value another thread may already have tightened, which is how a
-//! "parallel scan is bit-identical to sequential" guarantee quietly
-//! dies. Findings carry the witness path through the helper chain.
+//! spin on a stale value — decisions taken against it use a value
+//! another thread may already have tightened, which is how a
+//! concurrent algorithm's exactness guarantee quietly dies. Findings
+//! carry the witness path through the helper chain. The one CAS loop in
+//! library code is `ManualClock::advance`; the unit tests below check
+//! the rule on synthetic sources of a shared best-so-far radius.
 
 use crate::findings::Finding;
 use crate::interproc::{ViolationKind, Workspace};
@@ -37,7 +39,7 @@ pub fn check(ws: &Workspace<'_>, files: &[SourceFile]) -> Vec<Finding> {
         let message = match v.kind {
             ViolationKind::RelaxedCompareViaCall => format!(
                 "comparison in `{}` is fed by a helper returning a \
-                 `Relaxed`-loaded value; the shared-radius protocol requires \
+                 `Relaxed`-loaded value; the shared-atomic protocol requires \
                  `load(Acquire)` before any compare — strengthen the load in \
                  the helper or stop comparing its result",
                 node.decl.name
@@ -46,7 +48,7 @@ pub fn check(ws: &Workspace<'_>, files: &[SourceFile]) -> Vec<Finding> {
                 "`{}` cycle in `{}` is seeded by a `Relaxed` read; the \
                  blessed pattern is `load(Acquire)` → compare → \
                  `compare_exchange_weak(_, _, AcqRel, Acquire)` — a \
-                 Relaxed-seeded cycle can spin on a stale radius",
+                 Relaxed-seeded cycle can spin on a stale value",
                 v.detail, node.decl.name
             ),
             ViolationKind::BoundReturned | ViolationKind::BoundToBest => continue,

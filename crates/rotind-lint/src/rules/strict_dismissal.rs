@@ -81,7 +81,7 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                          drops candidates at exactly distance `{ident}`; \
                          dismissal must be strict (`>`) and admission \
                          inclusive (`<=`) — see the PR 3 boundary-exactness \
-                         fix and DESIGN.md §10"
+                         fix and DESIGN.md §12"
                     ),
                 ));
             }

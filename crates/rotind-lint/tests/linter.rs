@@ -335,8 +335,7 @@ fn sarif_code_flows_for_availability_rules_span_files() {
 #[test]
 fn committed_baseline_matches_fresh_workspace_scan() {
     let root = workspace_root();
-    let scan = scan_workspace(root, &RootSet::serve_default())
-        .expect("workspace scan must not fail on I/O");
+    let scan = scan_workspace(root).expect("workspace scan must not fail on I/O");
     let fresh = baseline::to_json(
         &count_by_rule_and_file(&scan.findings),
         &witness_hashes(&scan.findings),

@@ -26,20 +26,8 @@
 //! Deadlines can also race a [`ManualClock`] instead of the wall
 //! clock, which makes `Deadline` trips deterministic in tests and lets
 //! the serve crate's tests pin trip points exactly.
-//!
-//! [`SharedBudget`] extends the same semantics across the parallel
-//! scan: workers charge their local step deltas into one atomic pool,
-//! and any worker tripping it stops all of them at their next check.
 
-// Under `--features loom-tests` the pool's atomics come from the
-// vendored loom stand-in, so `loom::model` closures can explore every
-// interleaving of `SharedBudget` charges (see tests/loom_model.rs in
-// rotind-index and DESIGN.md §14). Outside a model the loom types are
-// transparent passthroughs, so behaviour is unchanged.
-#[cfg(feature = "loom-tests")]
-use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(not(feature = "loom-tests"))]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -174,14 +162,10 @@ pub struct ManualClock {
     inner: Arc<ManualClockInner>,
 }
 
-// The clock deliberately uses std atomics even under `loom-tests`: it
-// is test infrastructure, not part of the shared-budget protocol that
-// loom models, and loom permits unmodeled std atomics alongside its
-// own types.
 #[derive(Debug, Default)]
 struct ManualClockInner {
-    now_ns: std::sync::atomic::AtomicU64,
-    clock_reads: std::sync::atomic::AtomicU64,
+    now_ns: AtomicU64,
+    clock_reads: AtomicU64,
 }
 
 impl ManualClock {
@@ -194,14 +178,14 @@ impl ManualClock {
     pub fn advance(&self, d: Duration) {
         let ns = duration_ns(d);
         // Saturating CAS add: a wrapped clock would un-trip deadlines.
-        let mut current = self.inner.now_ns.load(std::sync::atomic::Ordering::Acquire);
+        let mut current = self.inner.now_ns.load(Ordering::Acquire);
         loop {
             let next = current.saturating_add(ns);
             match self.inner.now_ns.compare_exchange_weak(
                 current,
                 next,
-                std::sync::atomic::Ordering::AcqRel,
-                std::sync::atomic::Ordering::Acquire,
+                Ordering::AcqRel,
+                Ordering::Acquire,
             ) {
                 Ok(_) => return,
                 Err(actual) => current = actual,
@@ -211,7 +195,7 @@ impl ManualClock {
 
     /// Current time as a duration since the clock's epoch.
     pub fn now(&self) -> Duration {
-        Duration::from_nanos(self.inner.now_ns.load(std::sync::atomic::Ordering::Acquire))
+        Duration::from_nanos(self.inner.now_ns.load(Ordering::Acquire))
     }
 
     /// Current time in nanoseconds, counted as a read.
@@ -219,17 +203,13 @@ impl ManualClock {
         // A plain wrapping add is fine for the read tally: it is test
         // telemetry about *how often* the clock was consulted, never
         // fed back into deadline math.
-        self.inner
-            .clock_reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.inner.now_ns.load(std::sync::atomic::Ordering::Acquire)
+        self.inner.clock_reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.now_ns.load(Ordering::Acquire)
     }
 
     /// How many times a deadline check has read this clock.
     pub fn reads(&self) -> u64 {
-        self.inner
-            .clock_reads
-            .load(std::sync::atomic::Ordering::Acquire)
+        self.inner.clock_reads.load(Ordering::Acquire)
     }
 }
 
@@ -264,7 +244,7 @@ impl Deadline {
                 at_ns: c
                     .inner
                     .now_ns
-                    .load(std::sync::atomic::Ordering::Acquire)
+                    .load(Ordering::Acquire)
                     .saturating_add(duration_ns(d)),
             },
         }
@@ -409,132 +389,6 @@ impl BudgetHook for QueryBudget {
     }
 }
 
-/// One budget pool shared by the workers of a parallel scan.
-///
-/// Each worker holds a [`SharedBudgetHook`] that charges its local step
-/// *delta* into the pool at every check; the pool trips when the total
-/// crosses the cap (or the deadline passes), and the trip flag makes
-/// every other worker's next check fail. The charge uses a
-/// compare-exchange saturating add — the pool total must never wrap,
-/// for the same reason [`StepCounter`](rotind_ts::StepCounter)
-/// saturates. Deadline polling is amortized *per worker* (each hook
-/// carries its own poll state), so the pool itself never reads the
-/// clock.
-#[derive(Debug)]
-pub struct SharedBudget {
-    max_steps: Option<u64>,
-    deadline: Option<Deadline>,
-    spent_pool: AtomicU64,
-    tripped_steps: AtomicBool,
-    tripped_deadline: AtomicBool,
-}
-
-impl SharedBudget {
-    /// A pool with the same limits as `budget` (including its already
-    /// fixed deadline, so sequential and parallel runs race the same
-    /// clock).
-    pub fn from_budget(budget: &QueryBudget) -> Self {
-        SharedBudget {
-            max_steps: budget.max_steps,
-            deadline: budget.deadline.clone(),
-            spent_pool: AtomicU64::new(0),
-            tripped_steps: AtomicBool::new(false),
-            tripped_deadline: AtomicBool::new(false),
-        }
-    }
-
-    /// A fresh per-worker hook charging into this pool.
-    pub fn hook(&self) -> SharedBudgetHook<'_> {
-        SharedBudgetHook {
-            shared: self,
-            reported: 0,
-            poll: PollState::new(),
-        }
-    }
-
-    /// Total steps charged into the pool so far.
-    pub fn spent(&self) -> u64 {
-        self.spent_pool.load(Ordering::Acquire)
-    }
-
-    /// Why the pool tripped, when it has. Steps win ties: a step trip
-    /// is deterministic, a deadline trip is not, and the flag is used
-    /// to label the [`Exhausted`] result.
-    pub fn trip_reason(&self) -> Option<BudgetReason> {
-        if self.tripped_steps.load(Ordering::Acquire) {
-            Some(BudgetReason::Steps)
-        } else if self.tripped_deadline.load(Ordering::Acquire) {
-            Some(BudgetReason::Deadline)
-        } else {
-            None
-        }
-    }
-
-    /// Saturating atomic add via compare-exchange (no `fetch_add`: it
-    /// would wrap, and telemetry must never wrap). Returns the new
-    /// total.
-    fn charge(&self, delta: u64) -> u64 {
-        let mut current = self.spent_pool.load(Ordering::Acquire);
-        loop {
-            let next = current.saturating_add(delta);
-            match self.spent_pool.compare_exchange_weak(
-                current,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return next,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-}
-
-/// A worker-thread view of a [`SharedBudget`]; implements
-/// [`BudgetHook`] over the worker's own counter.
-#[derive(Debug)]
-pub struct SharedBudgetHook<'a> {
-    shared: &'a SharedBudget,
-    /// The worker-local step total already charged into the pool.
-    reported: u64,
-    /// Per-worker deadline polling amortization.
-    poll: PollState,
-}
-
-impl BudgetHook for SharedBudgetHook<'_> {
-    fn check(&mut self, steps_now: u64) -> bool {
-        let delta = steps_now.saturating_sub(self.reported);
-        self.reported = steps_now;
-        let total = if delta > 0 {
-            self.shared.charge(delta)
-        } else {
-            self.shared.spent()
-        };
-        if self.shared.tripped_steps.load(Ordering::Acquire)
-            || self.shared.tripped_deadline.load(Ordering::Acquire)
-        {
-            return false;
-        }
-        if let Some(max) = self.shared.max_steps {
-            if total >= max {
-                self.shared.tripped_steps.store(true, Ordering::Release);
-                return false;
-            }
-        }
-        if let Some(deadline) = &self.shared.deadline {
-            if self.poll.due(steps_now) && deadline.passed() {
-                self.shared.tripped_deadline.store(true, Ordering::Release);
-                return false;
-            }
-        }
-        true
-    }
-
-    fn trip_reason(&self) -> Option<BudgetReason> {
-        self.shared.trip_reason()
-    }
-}
-
 impl<B: BudgetHook + ?Sized> BudgetHook for &mut B {
     #[inline]
     fn check(&mut self, steps_now: u64) -> bool {
@@ -650,59 +504,6 @@ mod tests {
         }
         assert!(tripped, "stalled counter still converges on its deadline");
         assert_eq!(b.trip_reason(), Some(BudgetReason::Deadline));
-    }
-
-    #[test]
-    fn shared_budget_pools_worker_deltas() {
-        let pool = SharedBudget::from_budget(&QueryBudget::max_steps(100));
-        let mut w0 = pool.hook();
-        let mut w1 = pool.hook();
-        assert!(w0.check(40), "40 total");
-        assert!(w1.check(50), "90 total");
-        assert!(!w1.check(60), "100 total trips the pool");
-        assert!(!w0.check(41), "other workers see the trip immediately");
-        assert_eq!(pool.trip_reason(), Some(BudgetReason::Steps));
-        assert!(pool.spent() >= 100);
-    }
-
-    #[test]
-    fn shared_hook_charges_deltas_not_totals() {
-        let pool = SharedBudget::from_budget(&QueryBudget::max_steps(1000));
-        let mut w = pool.hook();
-        assert!(w.check(10));
-        assert!(w.check(25));
-        assert!(w.check(25), "no new steps, no new charge");
-        assert_eq!(pool.spent(), 25, "monotone local totals charge once");
-    }
-
-    #[test]
-    fn shared_charge_saturates() {
-        let pool = SharedBudget::from_budget(&QueryBudget::new(None, None));
-        let mut w = pool.hook();
-        assert!(w.check(u64::MAX - 1));
-        let mut w2 = pool.hook();
-        assert!(w2.check(10));
-        assert_eq!(pool.spent(), u64::MAX, "pool saturates, never wraps");
-    }
-
-    #[test]
-    fn shared_manual_deadline_trips_all_workers() {
-        let clock = ManualClock::new();
-        let budget = QueryBudget::with_clock(None, Some(Duration::from_millis(1)), &clock);
-        let pool = SharedBudget::from_budget(&budget);
-        let mut w0 = pool.hook();
-        let mut w1 = pool.hook();
-        assert!(w0.check(5));
-        assert!(w1.check(5));
-        clock.advance(Duration::from_millis(2));
-        // The first check armed w0's poll window at 5 + POLL_STEPS, so
-        // jump past it to force the next clock read.
-        assert!(
-            !w0.check(DEADLINE_POLL_STEPS + 5),
-            "past-deadline poll trips"
-        );
-        assert!(!w1.check(6), "other workers see the trip without polling");
-        assert_eq!(pool.trip_reason(), Some(BudgetReason::Deadline));
     }
 
     #[test]

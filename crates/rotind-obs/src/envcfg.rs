@@ -1,10 +1,10 @@
 //! Environment-variable configuration with *loud* fallbacks.
 //!
-//! The runtime knobs (`ROTIND_THREADS`, the `ROTIND_SERVE_*` family)
-//! used to fall back to their defaults silently on unparseable or
-//! zero values — an operator typo like `ROTIND_THREADS=fourx` would
-//! quietly run the default thread count and skew every measurement
-//! taken under it. [`env_positive_usize`] keeps the fallback (a bad
+//! The runtime knobs (the `ROTIND_SERVE_*` family) used to fall back
+//! to their defaults silently on unparseable or zero values — an
+//! operator typo like `ROTIND_SERVE_WORKERS=fourx` would quietly run
+//! the default worker count and skew every measurement taken under
+//! it. [`env_positive_usize`] keeps the fallback (a bad
 //! knob must never abort a serving process) but emits a one-line
 //! stderr warning naming the variable and the rejected value, once
 //! per variable per process.
@@ -75,22 +75,25 @@ mod tests {
 
     #[test]
     fn unset_falls_back_silently() {
-        assert_eq!(resolve("ROTIND_THREADS", None, 4), (4, None));
+        assert_eq!(resolve("ROTIND_SERVE_WORKERS", None, 4), (4, None));
     }
 
     #[test]
     fn valid_values_parse() {
-        assert_eq!(resolve("ROTIND_THREADS", Some("8"), 4), (8, None));
-        assert_eq!(resolve("ROTIND_THREADS", Some(" 2 "), 4), (2, None));
-        assert_eq!(resolve("ROTIND_THREADS", Some("1"), 4), (1, None));
+        assert_eq!(resolve("ROTIND_SERVE_WORKERS", Some("8"), 4), (8, None));
+        assert_eq!(resolve("ROTIND_SERVE_WORKERS", Some(" 2 "), 4), (2, None));
+        assert_eq!(resolve("ROTIND_SERVE_WORKERS", Some("1"), 4), (1, None));
     }
 
     #[test]
     fn zero_falls_back_with_warning() {
-        let (v, w) = resolve("ROTIND_THREADS", Some("0"), 4);
+        let (v, w) = resolve("ROTIND_SERVE_QUEUE", Some("0"), 4);
         assert_eq!(v, 4);
         let w = w.expect("zero must warn");
-        assert!(w.contains("ROTIND_THREADS"), "warning names the variable");
+        assert!(
+            w.contains("ROTIND_SERVE_QUEUE"),
+            "warning names the variable"
+        );
         assert!(w.contains("\"0\""), "warning names the bad value");
         assert!(w.contains("default 4"), "warning names the fallback");
     }

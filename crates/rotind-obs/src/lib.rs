@@ -10,9 +10,7 @@
 //!   with Prometheus-style text exposition and JSONL event export.
 //! - [`SearchObserver`] — a callback trait threaded through the wedge
 //!   engine. The default [`NoopObserver`] monomorphizes to nothing, so
-//!   un-observed searches pay zero overhead. [`ForkJoinObserver`]
-//!   extends it with fork/join so the parallel scan can give each
-//!   worker thread its own observer and merge them deterministically.
+//!   un-observed searches pay zero overhead.
 //! - [`QueryTrace`] — a ready-made observer summarising a search:
 //!   per-level prune counts, LB-tightness ratios, early-abandon depths
 //!   and the K-planner timeline.
@@ -25,8 +23,7 @@
 //! - [`QueryBudget`] — a [`BudgetHook`] capping a query's steps and/or
 //!   wall-clock; budgeted searches return a typed partial result
 //!   ([`BudgetOutcome`]) instead of overrunning. [`NoBudget`] is the
-//!   zero-cost default, and [`SharedBudget`] pools one budget across
-//!   the parallel scan's workers.
+//!   zero-cost default.
 //!
 //! The crate depends only on `rotind-ts` (for the step counter) and the
 //! standard library.
@@ -43,10 +40,10 @@ pub mod trace;
 
 pub use budget::{
     BudgetHook, BudgetOutcome, BudgetReason, Exhausted, ManualClock, NoBudget, QueryBudget,
-    SharedBudget, SharedBudgetHook, DEADLINE_POLL_STEPS,
+    DEADLINE_POLL_STEPS,
 };
 pub use envcfg::env_positive_usize;
 pub use metrics::{Histogram, LogHistogram, MetricsRegistry};
-pub use observer::{CascadeTier, ForkJoinObserver, NoopObserver, ProfilePhase, SearchObserver};
+pub use observer::{CascadeTier, NoopObserver, ProfilePhase, SearchObserver};
 pub use profile::{ProfileNode, ProfileTree, Profiler, TierCost};
 pub use trace::{KChange, QueryTrace};

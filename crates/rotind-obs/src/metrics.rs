@@ -132,8 +132,9 @@ const LOG_BUCKETS: usize = LOG_SUB + (64 - LOG_SUB_BITS as usize) * LOG_SUB;
 /// `u64` at bounded relative error), so merging never needs matching
 /// bounds: two `LogHistogram`s always merge, and because the state is
 /// pure integer counts the merge is exactly associative and
-/// commutative — per-thread histograms can be folded in any order and
-/// export identical buckets (property-tested in `tests/profiling.rs`).
+/// commutative — histograms filled apart (one per load-generating
+/// client, say) can be folded in any order and export identical
+/// buckets (property-tested in `tests/profiling.rs`).
 ///
 /// ```
 /// use rotind_obs::LogHistogram;
@@ -440,9 +441,8 @@ impl MetricsRegistry {
     /// Fold another registry into this one: counters add, gauges take
     /// `other`'s value (a join adopts the child's last write), matching
     /// histograms merge and new ones are copied in, events are appended
-    /// after this registry's events. Used to combine per-thread
-    /// registries after a parallel scan — joining children in thread
-    /// order makes the result deterministic.
+    /// after this registry's events. Merging registries filled apart in
+    /// a fixed order makes the result deterministic.
     ///
     /// # Panics
     /// Panics when `self` and `other` define the same histogram with

@@ -176,42 +176,6 @@ pub struct NoopObserver;
 
 impl SearchObserver for NoopObserver {}
 
-/// A [`SearchObserver`] that can be split across worker threads and
-/// recombined afterwards.
-///
-/// The parallel scan in `rotind-index` calls [`fork`] once per worker
-/// thread to obtain an empty observer of the same configuration, moves
-/// each child into its thread, and after the scope ends calls [`join`]
-/// on the children **in thread-index order** — so joins are
-/// deterministic and the merged aggregate equals the sum of the
-/// per-thread parts. Event *interleaving* across threads is not
-/// preserved (it does not exist); only aggregates are.
-///
-/// [`fork`]: ForkJoinObserver::fork
-/// [`join`]: ForkJoinObserver::join
-pub trait ForkJoinObserver: SearchObserver + Send {
-    /// An empty observer with this observer's configuration, ready to
-    /// record one worker's events.
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Fold a worker's recorded observations back into this observer.
-    fn join(&mut self, child: Self)
-    where
-        Self: Sized;
-}
-
-impl ForkJoinObserver for NoopObserver {
-    #[inline]
-    fn fork(&self) -> Self {
-        NoopObserver
-    }
-
-    #[inline]
-    fn join(&mut self, _child: Self) {}
-}
-
 impl<O: SearchObserver + ?Sized> SearchObserver for &mut O {
     #[inline]
     fn on_wedge_tested(&mut self, level: usize, lb: f64, best_so_far: f64, pruned: bool) {

@@ -22,7 +22,7 @@
 //! cascade will feed on.
 
 use crate::metrics::{LogHistogram, MetricsRegistry};
-use crate::observer::{CascadeTier, ForkJoinObserver, ProfilePhase, SearchObserver};
+use crate::observer::{CascadeTier, ProfilePhase, SearchObserver};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -61,15 +61,6 @@ impl ProfileNode {
     /// The named child, when present.
     pub fn child(&self, name: &str) -> Option<&ProfileNode> {
         self.children.get(name)
-    }
-
-    fn merge(&mut self, other: &ProfileNode) {
-        self.count = self.count.saturating_add(other.count);
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.total_steps = self.total_steps.saturating_add(other.total_steps);
-        for (name, child) in &other.children {
-            self.children.entry(*name).or_default().merge(child);
-        }
     }
 }
 
@@ -113,13 +104,6 @@ impl ProfileTree {
         node.count = node.count.saturating_add(1);
         node.total_ns = node.total_ns.saturating_add(ns);
         node.total_steps = node.total_steps.saturating_add(steps);
-    }
-
-    /// Fold another tree into this one (same-path nodes add).
-    pub fn merge(&mut self, other: &ProfileTree) {
-        for (name, node) in &other.roots {
-            self.roots.entry(*name).or_default().merge(node);
-        }
     }
 
     /// The tree as chrome://tracing JSON (the "trace event" format,
@@ -236,12 +220,6 @@ impl TierCost {
     /// has accumulated measurable time.
     pub fn prunes_per_us(&self) -> Option<f64> {
         (self.total_ns > 0).then(|| self.pruned as f64 * 1_000.0 / self.total_ns as f64)
-    }
-
-    fn merge(&mut self, other: &TierCost) {
-        self.tested = self.tested.saturating_add(other.tested);
-        self.pruned = self.pruned.saturating_add(other.pruned);
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
     }
 }
 
@@ -436,21 +414,6 @@ impl SearchObserver for Profiler {
     }
 }
 
-impl ForkJoinObserver for Profiler {
-    fn fork(&self) -> Self {
-        Profiler::new()
-    }
-
-    fn join(&mut self, child: Self) {
-        self.tree.merge(&child.tree);
-        self.query_latency_ns.merge(&child.query_latency_ns);
-        self.query_steps.merge(&child.query_steps);
-        for (mine, theirs) in self.tiers.iter_mut().zip(&child.tiers) {
-            mine.merge(theirs);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,19 +481,6 @@ mod tests {
         let query = p.tree().root("query").unwrap();
         assert_eq!(query.count(), 1);
         assert!(query.child("distance").is_none());
-    }
-
-    #[test]
-    fn fork_join_merges_trees_and_histograms() {
-        let mut parent = Profiler::new();
-        drive_one_query(&mut parent);
-        let mut child = parent.fork();
-        assert!(child.tree().is_empty(), "fork starts empty");
-        drive_one_query(&mut child);
-        parent.join(child);
-        assert_eq!(parent.tree().root("query").unwrap().count(), 2);
-        assert_eq!(parent.query_latency_ns().count(), 2);
-        assert_eq!(parent.tier_costs()[0].tested, 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   was a probe or an adoption.
 
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::observer::{CascadeTier, ForkJoinObserver, SearchObserver};
+use crate::observer::{CascadeTier, SearchObserver};
 use std::fmt::Write as _;
 
 /// One dynamic-K transition, in search order.
@@ -360,19 +360,6 @@ impl SearchObserver for QueryTrace {
     }
 }
 
-impl ForkJoinObserver for QueryTrace {
-    /// A fresh trace for the same series length, ready for one worker.
-    fn fork(&self) -> Self {
-        QueryTrace::new(self.series_len)
-    }
-
-    /// [`QueryTrace::merge`] by value: aggregates add, the child's
-    /// K timeline is appended after this trace's entries.
-    fn join(&mut self, child: Self) {
-        self.merge(&child);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,23 +450,6 @@ mod tests {
         assert_eq!(a.early_abandons(), 1);
         assert_eq!(a.k_timeline().len(), 1);
         assert_eq!(a.tightness().count(), 1);
-    }
-
-    #[test]
-    fn fork_is_empty_join_accumulates() {
-        let mut parent = QueryTrace::new(64);
-        parent.on_wedge_tested(0, 1.0, 2.0, true);
-        let mut child = parent.fork();
-        assert_eq!(child.wedges_tested(), 0, "fork starts empty");
-        assert_eq!(child.series_len, 64, "fork keeps the series length");
-        child.on_wedge_tested(0, 1.0, 2.0, false);
-        child.on_leaf_distance(2.0);
-        child.on_early_abandon(16); // fraction 0.25 needs series_len 64
-        parent.join(child);
-        assert_eq!(parent.wedges_tested(), 2);
-        assert_eq!(parent.leaf_distances(), 1);
-        assert_eq!(parent.early_abandons(), 1);
-        assert!((parent.abandon_depth().mean().unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -81,7 +81,7 @@ use std::time::Instant;
 /// [`ServeConfig::from_env`] reads `ROTIND_SERVE_WORKERS` (default:
 /// available parallelism), `ROTIND_SERVE_QUEUE` (default 64) and
 /// `ROTIND_SERVE_BATCH` (default 8); unparseable or zero values warn
-/// on stderr once and fall back, matching `ROTIND_THREADS`.
+/// on stderr once and fall back (see [`rotind_obs::envcfg`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads draining the admission queue. `0` is permitted

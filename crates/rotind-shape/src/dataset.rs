@@ -10,7 +10,8 @@
 //! Sizes and class counts follow `DESIGN.md` §4/§5: class structure
 //! matches the paper's Table 8 datasets, with the largest collections
 //! subsampled to keep leave-one-out evaluation tractable (documented in
-//! `EXPERIMENTS.md`).
+//! `EXPERIMENTS.md`, rendered by `python3 scripts/render_experiments.py`
+//! and not committed).
 
 use crate::generators::blade::{blade_profile, BladeClass};
 use crate::generators::butterfly::{butterfly_profile, LEPIDOPTERA};

@@ -76,12 +76,6 @@ impl StepCounter {
     pub fn reset(&mut self) {
         self.steps = 0;
     }
-
-    /// Merge another counter's total into this one (saturating).
-    #[inline]
-    pub fn merge(&mut self, other: StepCounter) {
-        self.steps = self.steps.saturating_add(other.steps);
-    }
 }
 
 impl std::ops::AddAssign<u64> for StepCounter {
@@ -151,14 +145,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_add_assign() {
+    fn add_assign_adds() {
         let mut a = StepCounter::new();
         a.add(3);
-        let mut b = StepCounter::new();
-        b.add(4);
-        a.merge(b);
         a += 2;
-        assert_eq!(a.steps(), 9);
+        assert_eq!(a.steps(), 5);
     }
 
     #[test]
@@ -170,11 +161,8 @@ mod tests {
         assert_eq!(c.steps(), u64::MAX, "tick saturates");
         c.add(10);
         assert_eq!(c.steps(), u64::MAX, "add saturates");
-        let mut other = StepCounter::new();
-        other.add(u64::MAX);
-        c.merge(other);
         c += 1;
-        assert_eq!(c.steps(), u64::MAX, "merge and += saturate");
+        assert_eq!(c.steps(), u64::MAX, "+= saturates");
     }
 
     #[test]

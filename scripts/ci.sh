@@ -75,38 +75,23 @@ for dir in no_panic_reachable_good no_blocking_in_worker_good; do
     echo "$dir: certifies clean"
 done
 
-echo "==> baseline schema migration self-test (v1-v3 files still parse, v4 round-trips)"
-cargo test -q -p rotind-lint --lib baseline:: >/dev/null
-echo "baseline v1..v4 migrations: PASS"
-
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> loom model tests (CAS-min best-so-far + SharedBudget, vendored scheduler)"
-cargo test -q -p rotind-index --features loom-tests --test loom_model
-
 echo "==> miri smoke (rotind-obs atomics; skipped when miri is unavailable)"
 # The offline container has no miri component; a real CI host with
-# `rustup component add miri` runs the rotind-obs budget/atomic suites
-# under the interpreter. The lane degrades to a loud skip, not a fail.
+# `rustup component add miri` runs the rotind-obs suites under the
+# interpreter. The only atomics rotind-obs keeps are `ManualClock`'s
+# std atomics. The lane degrades to a loud skip, not a fail.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="${MIRIFLAGS:--Zmiri-strict-provenance}" \
         cargo miri test -p rotind-obs
 else
     echo "cargo miri not installed; skipping (offline container)"
 fi
-
-echo "==> exactness + parallel suites under ROTIND_THREADS=1"
-ROTIND_THREADS=1 cargo test -q --test exactness --test parallel
-
-echo "==> exactness + parallel suites under ROTIND_THREADS=4"
-ROTIND_THREADS=4 cargo test -q --test exactness --test parallel
-
-echo "==> profiling suite under ROTIND_THREADS=4"
-ROTIND_THREADS=4 cargo test -q --test profiling
 
 # Smoke runs go to a throwaway dir: results/ is git-tracked with
 # full-scale artifacts and a quick run would clobber them.

@@ -9,7 +9,8 @@
 //! This façade crate re-exports the workspace's subsystem crates under one
 //! roof. See the repository `README.md` for a guided tour, `DESIGN.md` for
 //! the system inventory, and `EXPERIMENTS.md` for the paper-vs-measured
-//! record of every table and figure.
+//! record of every table and figure (not committed: render it with
+//! `python3 scripts/render_experiments.py`).
 //!
 //! ## Quick start
 //!
@@ -50,11 +51,10 @@ pub mod prelude {
     pub use rotind_distance::measure::Measure;
     pub use rotind_envelope::wedge::Wedge;
     pub use rotind_index::engine::{Invariance, Neighbor, RotationQuery};
-    pub use rotind_index::parallel::{default_threads, ParallelReport};
     pub use rotind_index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
     pub use rotind_obs::{
-        BudgetOutcome, BudgetReason, Exhausted, ForkJoinObserver, ManualClock, NoBudget,
-        NoopObserver, Profiler, QueryBudget, QueryTrace, SearchObserver,
+        BudgetOutcome, BudgetReason, Exhausted, ManualClock, NoBudget, NoopObserver, Profiler,
+        QueryBudget, QueryTrace, SearchObserver,
     };
     pub use rotind_ts::{StepCounter, TimeSeries};
 }

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use rotind::distance::rotation::{search_database, test_all_rotations};
 use rotind::distance::{DtwParams, LcssParams, Measure};
 use rotind::index::engine::{Invariance, KPolicy, Neighbor, RotationQuery, DEFAULT_K};
-use rotind::index::parallel::default_threads;
 use rotind::index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
 use rotind::index::BatchPaaCache;
 use rotind::obs::{NoBudget, NoopObserver, ProfilePhase, SearchObserver};
@@ -386,11 +385,10 @@ proptest! {
     /// kernels' first three dismissal checks (after 8, 16 and 32 terms),
     /// every Euclidean answer equals the brute-force scan's by index,
     /// distance bits and rotation, under all four invariances —
-    /// uncached, through one snapshot cache shared by every query (the
-    /// serve path), and, for the kinds the parallel scan serves, across
-    /// the `ROTIND_THREADS` workers. With
-    /// `integral` set, the samples are integers, so distinct items (and
-    /// rotations of one item) tie exactly at positive distances.
+    /// uncached and through one snapshot cache shared by every query
+    /// (the serve path). With `integral` set, the samples are integers,
+    /// so distinct items (and rotations of one item) tie exactly at
+    /// positive distances.
     #[test]
     fn truncated_abandon_orders_equal_brute_force(
         query in series_strategy(64),
@@ -439,26 +437,7 @@ proptest! {
                     )
                     .unwrap()
                     .into_inner();
-                prop_assert_eq!(exact(&executed), expected.clone(), "{:?} {:?}", invariance, kind);
-                if kind != QueryKind::KNearest(3) {
-                    let (outcome, _) = engine
-                        .search_parallel(
-                            &db,
-                            kind,
-                            default_threads(),
-                            &mut StepCounter::new(),
-                            &mut NoopObserver,
-                            None,
-                        )
-                        .unwrap();
-                    prop_assert_eq!(
-                        exact(&outcome.into_inner()),
-                        expected,
-                        "{:?} {:?} parallel",
-                        invariance,
-                        kind
-                    );
-                }
+                prop_assert_eq!(exact(&executed), expected, "{:?} {:?}", invariance, kind);
             }
         }
     }
@@ -491,9 +470,8 @@ proptest! {
     /// Every `K` policy returns the brute-force answer — index, distance
     /// bits and rotation — at every length, under every measure and
     /// invariance, for 1-NN, 3-NN and a range at exactly the third
-    /// distance: uncached, through one snapshot cache shared by every
-    /// query, and (for the kinds it serves) across the `ROTIND_THREADS`
-    /// workers of the parallel scan. At n = 12 and 20 the default cut is
+    /// distance: uncached and through one snapshot cache shared by every
+    /// query. At n = 12 and 20 the default cut is
     /// nearly all single-rotation leaves, so `K = 1, 2, 4` and the
     /// planner (which starts at `K = 2`) are what walk internal wedges
     /// there; at n = 48 and 64 the default cut's wedges are internal
@@ -550,21 +528,7 @@ proptest! {
                         let plain = search(&engine, &db, kind, &mut NoopObserver, None);
                         prop_assert_eq!(exact(&plain), expected.clone(), "{}", at);
                         let cached = search(&engine, &db, kind, &mut NoopObserver, Some(&mut cache));
-                        prop_assert_eq!(exact(&cached), expected.clone(), "{} cached", at);
-                        if kind == QueryKind::KNearest(3) {
-                            continue;
-                        }
-                        let (outcome, _) = engine
-                            .search_parallel(
-                                &db,
-                                kind,
-                                default_threads(),
-                                &mut StepCounter::new(),
-                                &mut NoopObserver,
-                                None,
-                            )
-                            .unwrap();
-                        prop_assert_eq!(exact(&outcome.into_inner()), expected, "{} parallel", at);
+                        prop_assert_eq!(exact(&cached), expected, "{} cached", at);
                     }
                 }
             }

@@ -2,15 +2,13 @@
 //!
 //! 1. **Mergeability** — [`LogHistogram`] (and therefore
 //!    [`MetricsRegistry::merge`]) is exactly associative and
-//!    commutative, so per-thread metrics can be folded in any order.
+//!    commutative, so per-worker metrics can be folded in any order.
 //! 2. **Neutrality** — attaching a [`Profiler`] or threading an unset
 //!    budget through the budget-generic scan changes nothing: same
-//!    answer, same `num_steps`, same per-tier prune attribution,
-//!    sequential and parallel.
+//!    answer, same `num_steps`, same per-tier prune attribution.
 //! 3. **Budget semantics** — a tripped [`QueryBudget`] returns a typed
 //!    [`Exhausted`] partial whose hits are genuine distances, with the
-//!    reason and step spend filled in, sequentially and across a
-//!    shared-budget parallel scan.
+//!    reason and step spend filled in.
 
 use std::time::Duration;
 
@@ -250,47 +248,6 @@ proptest! {
                 "pruned mismatch at {:?}", tier
             );
         }
-    }
-
-    /// Parallel: the profiler as a fork/join observer and an unset
-    /// shared budget keep the 4-thread scan's answer identical to the
-    /// sequential one, under the paper's planner (a default cut at
-    /// n = 16 is all single-rotation leaves, where a Euclidean scan runs
-    /// no tier).
-    #[test]
-    fn profiler_and_unset_budget_are_neutral_parallel(
-        query in series_strategy(16),
-        db in db_strategy(16, 10),
-    ) {
-        let engine = RotationQuery::new(&query, Invariance::Rotation)
-            .unwrap()
-            .with_k_policy(KPolicy::dynamic());
-        let sequential = vec![engine.nearest(&db).unwrap()];
-        let nn = QueryKind::Nearest;
-
-        let mut profiler = Profiler::new();
-        let mut counter = StepCounter::new();
-        let (outcome, report) = engine
-            .search_parallel(&db, nn, 4, &mut counter, &mut profiler, None)
-            .unwrap();
-        prop_assert_eq!(
-            &outcome.into_inner(), &sequential,
-            "profiled parallel diverged"
-        );
-        prop_assert!(report.threads >= 1);
-
-        let mut budget_counter = StepCounter::new();
-        let limitless = QueryBudget::new(None, None);
-        let (outcome, _) = engine
-            .search_parallel(
-                &db, nn, 4, &mut budget_counter, &mut NoopObserver, Some(&limitless),
-            )
-            .unwrap();
-        prop_assert!(outcome.is_complete(), "limitless budget tripped");
-        prop_assert_eq!(
-            &outcome.into_inner(), &sequential,
-            "budgeted parallel diverged"
-        );
     }
 }
 
@@ -586,51 +543,6 @@ fn range_budget_returns_prefix_hits() {
             }
         }
     }
-}
-
-#[test]
-fn parallel_shared_budget_trips_and_reports_spend() {
-    let (query, db) = workload(60, 32);
-    let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
-    let nn = QueryKind::Nearest;
-
-    let mut full_counter = StepCounter::new();
-    let sequential = nearest(&engine, &db, &mut full_counter);
-
-    // The cap must be one that every interleaving exceeds. A fraction of
-    // the sequential spend is not: the query is `db[30] + 0.05`, so the
-    // worker owning items 30-44 can publish a near-exact radius early,
-    // and a 4-thread scan may then correctly spend less than an eighth of
-    // the sequential scan. One step is: every worker owns a 15-item
-    // chunk, so it reaches a second dismissal-boundary check after
-    // charging at least one step, and the pool always crosses the cap.
-    let tight = QueryBudget::max_steps(1);
-    let mut counter = StepCounter::new();
-    let (outcome, _) = engine
-        .search_parallel(&db, nn, 4, &mut counter, &mut NoopObserver, Some(&tight))
-        .unwrap();
-    match outcome {
-        BudgetOutcome::Complete(_) => panic!("a one-step shared budget must trip"),
-        BudgetOutcome::Exhausted(ex) => {
-            assert_eq!(ex.reason, BudgetReason::Steps);
-            assert!(ex.steps_spent > 0, "the pool must account spent steps");
-            // A tripped walk may stop before its best rotation, so a
-            // partial hit is an exact distance at *some* rotation: never
-            // below the rotation-invariant minimum.
-            for hit in &ex.partial {
-                let exact = engine.distance_to(&db[hit.index]).unwrap();
-                assert!(hit.distance >= exact - 1e-9);
-            }
-        }
-    }
-
-    let roomy = QueryBudget::max_steps(full_counter.steps() * 4);
-    let mut counter = StepCounter::new();
-    let (outcome, _) = engine
-        .search_parallel(&db, nn, 4, &mut counter, &mut NoopObserver, Some(&roomy))
-        .unwrap();
-    assert!(outcome.is_complete());
-    assert_eq!(outcome.into_inner(), sequential);
 }
 
 // ---------------------------------------------------------------------
